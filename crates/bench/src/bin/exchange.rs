@@ -9,10 +9,10 @@
 //! acceptance bar: proxy multipath ≥1.5× direct aggregate throughput on
 //! the disjoint-heavy pattern at 4,096 nodes.
 
-use bgq_bench::exchange::{
-    exchange_json, exchange_nodes, exchange_patterns, exchange_point, ExchangePattern,
+use bgq_bench::{
+    exchange_json, exchange_point, exchange_row, ExchangePattern, ExchangeSweep, Experiment,
+    ExperimentSession, Row, Table,
 };
-use bgq_bench::{ExchangeSweep, Experiment, ExperimentSession};
 use sdm_core::ExchangeAlgorithm;
 
 fn main() {
@@ -39,23 +39,23 @@ fn main() {
         }
     }
 
-    // Human table through the experiment harness (threads fan points
-    // out; output is bit-identical for any thread count)…
+    // Each sweep point is simulated once (threads fan points out; output
+    // is bit-identical for any thread count) and feeds both the human
+    // table and the artifact.
     let sweep = ExchangeSweep::new(max_nodes);
     let session = ExperimentSession::new(threads);
-    let run = session.run(&sweep);
-    print!("{}", run.table(&sweep.columns()).render());
-    if let Some(footer) = sweep.footer(&run.rows) {
-        println!("{footer}");
+    let points = session.map(&sweep.points(), |cache, &(nodes, pattern)| {
+        exchange_point(cache, nodes, pattern)
+    });
+    let rows: Vec<Row> = points.iter().map(exchange_row).collect();
+    let columns = sweep.columns();
+    let mut table = Table::new(&columns.iter().map(String::as_str).collect::<Vec<_>>());
+    for row in &rows {
+        table.row(row.cells.clone());
     }
-
-    // …and the artifact from the same cache (the sweep points are
-    // memoized per machine, so this re-walk is cheap).
-    let mut points = Vec::new();
-    for nodes in exchange_nodes(max_nodes) {
-        for pattern in exchange_patterns() {
-            points.push(exchange_point(session.cache(), nodes, pattern));
-        }
+    print!("{}", table.render());
+    if let Some(footer) = sweep.footer(&rows) {
+        println!("{footer}");
     }
 
     // Acceptance bar: at full scale, batch proxy multipath must beat the

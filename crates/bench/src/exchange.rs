@@ -183,6 +183,35 @@ pub fn exchange_point_with(
     }
 }
 
+/// One table row of the sweep: the point's three algorithms side by
+/// side, with the raw numbers behind the footer.
+pub fn exchange_row(p: &ExchangePoint) -> Row {
+    let direct = p.result(ExchangeAlgorithm::Direct);
+    let consensus = p.result(ExchangeAlgorithm::Consensus);
+    let multipath = p.result(ExchangeAlgorithm::ProxyMultipath);
+    Row::new(
+        vec![
+            p.nodes.to_string(),
+            p.pattern.label(),
+            p.pairs.to_string(),
+            fmt_bytes(p.payload_bytes),
+            fmt_gbs(direct.throughput),
+            fmt_gbs(consensus.throughput),
+            fmt_gbs(multipath.throughput),
+            format!("{:.2}", p.speedup()),
+            multipath.pairs_multipath.to_string(),
+            multipath.pairs_combined.to_string(),
+        ],
+        vec![
+            p.nodes as f64,
+            direct.throughput,
+            consensus.throughput,
+            multipath.throughput,
+            p.speedup(),
+        ],
+    )
+}
+
 /// The exchange sweep as an [`Experiment`]: one row per (nodes, pattern)
 /// cell, all three algorithms side by side.
 pub struct ExchangeSweep {
@@ -230,31 +259,7 @@ impl Experiment for ExchangeSweep {
     }
 
     fn run_point(&self, cache: &PlanCache, &(nodes, pattern): &Self::Point) -> Row {
-        let p = exchange_point(cache, nodes, pattern);
-        let direct = p.result(ExchangeAlgorithm::Direct);
-        let consensus = p.result(ExchangeAlgorithm::Consensus);
-        let multipath = p.result(ExchangeAlgorithm::ProxyMultipath);
-        Row::new(
-            vec![
-                p.nodes.to_string(),
-                p.pattern.label(),
-                p.pairs.to_string(),
-                fmt_bytes(p.payload_bytes),
-                fmt_gbs(direct.throughput),
-                fmt_gbs(consensus.throughput),
-                fmt_gbs(multipath.throughput),
-                format!("{:.2}", p.speedup()),
-                multipath.pairs_multipath.to_string(),
-                multipath.pairs_combined.to_string(),
-            ],
-            vec![
-                p.nodes as f64,
-                direct.throughput,
-                consensus.throughput,
-                multipath.throughput,
-                p.speedup(),
-            ],
-        )
+        exchange_row(&exchange_point(cache, nodes, pattern))
     }
 
     fn footer(&self, rows: &[Row]) -> Option<String> {

@@ -36,7 +36,7 @@ pub mod table;
 pub use args::{ArgError, BenchArgs};
 pub use exchange::{
     exchange_json, exchange_nodes, exchange_patterns, exchange_point, exchange_point_with,
-    AlgoResult, ExchangePattern, ExchangePoint, ExchangeSweep, EXCHANGE_SEED,
+    exchange_row, AlgoResult, ExchangePattern, ExchangePoint, ExchangeSweep, EXCHANGE_SEED,
 };
 pub use io::{
     ablation_policy_point, ablation_policy_point_with, fig10_point, fig10_point_with,

@@ -24,20 +24,46 @@
 //! When the dirty closure exceeds `full_fraction` of the active set the
 //! leveler falls back to a full solve: the BFS plus sub-demand
 //! bookkeeping would cost more than it saves, and the fallback keeps the
-//! worst case at the classical engine's cost. The threshold is a pure
-//! performance knob — results are identical at any value, which
-//! `tests/incremental.rs` pins.
+//! worst case at the classical engine's cost. The closure only grows as
+//! the BFS runs, so the scan stops the moment it crosses the threshold
+//! (*early fallback*): the decision is the one the completed closure
+//! would reach, without scanning the rest of a closure that covers most
+//! of the active set — the common case on random sparse exchanges. The
+//! threshold is a pure performance knob — results are identical at any
+//! value, which `tests/incremental.rs` pins.
 
 use crate::config::SimConfig;
-use crate::graph::TransferSpec;
-use crate::waterfill::{FlowDemand, Waterfill};
+use crate::graph::{ResourceId, TransferSpec};
+use crate::waterfill::Waterfill;
 
 use super::flow_state::ActiveFlow;
 use super::SolverMode;
 
+/// The run's transfers by id: each one's route and rate cap.
+#[derive(Debug, Clone, Copy)]
+struct Demands<'a> {
+    specs: &'a [TransferSpec],
+    per_flow_cap: f64,
+}
+
+impl<'a> Demands<'a> {
+    fn route(self, tid: u32) -> &'a [ResourceId] {
+        &self.specs[tid as usize].route
+    }
+
+    fn cap(self, tid: u32) -> f64 {
+        self.specs[tid as usize]
+            .rate_cap
+            .unwrap_or(self.per_flow_cap)
+    }
+}
+
 #[derive(Debug)]
-pub(crate) struct Leveler {
+pub(crate) struct Leveler<'a> {
     wf: Waterfill,
+    demands: Demands<'a>,
+    /// The config's `(contention_penalty, contention_floor)`.
+    contention: (f64, f64),
     /// Always run full solves (SolverMode::Full).
     full_only: bool,
     /// Dirty-closure size (as a fraction of the active set) above which
@@ -51,6 +77,10 @@ pub(crate) struct Leveler {
     /// Per-transfer dirty marks (indexed by transfer id).
     flow_dirty: Vec<bool>,
     dirty_flows: Vec<u32>,
+    /// Per-transfer active-set membership. A flow can join and leave
+    /// within one epoch; it stays marked dirty but is not in the demand
+    /// set, so it must not count toward the closure size.
+    is_active: Vec<bool>,
     /// Active-list indices of dirty flows, rebuilt each re-level.
     sub_idx: Vec<u32>,
     /// Per-transfer binding resource (the waterfill resource whose
@@ -63,10 +93,20 @@ pub(crate) struct Leveler {
     pub full_runs: u64,
     /// Incremental re-levels performed (dirty closure only).
     pub incremental_runs: u64,
+    /// Flow–resource entries in every solved demand set.
+    pub solved_entries: u64,
+    /// Flow–resource entries the dirty-closure scans visited.
+    pub closure_entries: u64,
 }
 
-impl Leveler {
-    pub fn new(num_resources: usize, num_transfers: usize, mode: SolverMode) -> Leveler {
+impl<'a> Leveler<'a> {
+    pub fn new(
+        specs: &'a [TransferSpec],
+        num_resources: usize,
+        config: &SimConfig,
+        mode: SolverMode,
+    ) -> Leveler<'a> {
+        let num_transfers = specs.len();
         let (full_only, full_fraction) = match mode {
             SolverMode::Full => (true, 0.0),
             SolverMode::Incremental { full_fraction } => {
@@ -79,6 +119,11 @@ impl Leveler {
         };
         Leveler {
             wf: Waterfill::new(num_resources),
+            demands: Demands {
+                specs,
+                per_flow_cap: config.per_flow_cap,
+            },
+            contention: (config.contention_penalty, config.contention_floor),
             full_only,
             full_fraction,
             res_flows: (0..num_resources).map(|_| Vec::new()).collect(),
@@ -86,53 +131,43 @@ impl Leveler {
             dirty_res: Vec::new(),
             flow_dirty: vec![false; num_transfers],
             dirty_flows: Vec::new(),
+            is_active: vec![false; num_transfers],
             sub_idx: Vec::new(),
             binding: vec![crate::waterfill::CAP_BINDING; num_transfers],
             full_runs: 0,
             incremental_runs: 0,
-        }
-    }
-
-    fn mark_res(&mut self, ri: usize) {
-        if !self.res_dirty[ri] {
-            self.res_dirty[ri] = true;
-            self.dirty_res.push(ri as u32);
-        }
-    }
-
-    fn mark_flow(&mut self, tid: u32) {
-        if !self.flow_dirty[tid as usize] {
-            self.flow_dirty[tid as usize] = true;
-            self.dirty_flows.push(tid);
+            solved_entries: 0,
+            closure_entries: 0,
         }
     }
 
     /// A flow entered the active set: index its route and seed the dirty
     /// set with the flow and every resource it crosses.
-    pub fn note_join(&mut self, tid: u32, route: &[crate::graph::ResourceId]) {
-        self.mark_flow(tid);
-        for r in route {
-            let ri = r.0 as usize;
-            self.res_flows[ri].push(tid);
-            self.mark_res(ri);
+    pub fn note_join(&mut self, tid: u32) {
+        mark(&mut self.flow_dirty, &mut self.dirty_flows, tid);
+        self.is_active[tid as usize] = true;
+        for r in self.demands.route(tid) {
+            self.res_flows[r.0 as usize].push(tid);
+            mark(&mut self.res_dirty, &mut self.dirty_res, r.0);
         }
     }
 
     /// A flow left the active set (completed or stalled): unindex it and
     /// mark its route — the bandwidth it held is up for redistribution.
-    pub fn note_leave(&mut self, tid: u32, route: &[crate::graph::ResourceId]) {
-        for r in route {
+    pub fn note_leave(&mut self, tid: u32) {
+        self.is_active[tid as usize] = false;
+        for r in self.demands.route(tid) {
             let ri = r.0 as usize;
             if let Some(p) = self.res_flows[ri].iter().position(|&t| t == tid) {
                 self.res_flows[ri].swap_remove(p);
             }
-            self.mark_res(ri);
+            mark(&mut self.res_dirty, &mut self.dirty_res, r.0);
         }
     }
 
     /// A fault changed a resource's effective capacity.
     pub fn note_caps_changed(&mut self, ri: usize) {
-        self.mark_res(ri);
+        mark(&mut self.res_dirty, &mut self.dirty_res, ri as u32);
     }
 
     /// The binding resource of transfer `tid` as of the last re-level
@@ -144,41 +179,52 @@ impl Leveler {
     /// Re-level `active` at an epoch boundary: close the dirty set, pick
     /// incremental vs full, solve, and write the new rates into the
     /// flows. `rates` is the caller's reusable scratch vector.
-    pub fn level(
-        &mut self,
-        active: &mut [ActiveFlow],
-        specs: &[TransferSpec],
-        caps: &[f64],
-        config: &SimConfig,
-        rates: &mut Vec<f64>,
-    ) {
+    pub fn level(&mut self, active: &mut [ActiveFlow], caps: &[f64], rates: &mut Vec<f64>) {
         if self.full_only {
             self.clear_dirty();
-            self.solve_full(active, specs, caps, config, rates);
+            self.solve_full(active, caps, rates);
             return;
         }
 
         // Transitive closure: dirty resource -> its flows dirty -> their
         // routes dirty. `dirty_res` doubles as the BFS worklist (the
         // scan index only moves forward over appended entries).
+        // `closure` counts the dirty flows in the active set — the size
+        // of the sub-solve — and the scan stops as soon as it crosses
+        // the fallback threshold, since it can only grow from there.
+        let limit = self.full_fraction * active.len() as f64;
+        let mut closure = self
+            .dirty_flows
+            .iter()
+            .filter(|&&t| self.is_active[t as usize])
+            .count();
+        let mut fallback = closure as f64 > limit;
         let mut qi = 0;
-        while qi < self.dirty_res.len() {
+        'scan: while !fallback && qi < self.dirty_res.len() {
             let ri = self.dirty_res[qi] as usize;
             qi += 1;
+            self.closure_entries += self.res_flows[ri].len() as u64;
             for k in 0..self.res_flows[ri].len() {
                 let tid = self.res_flows[ri][k];
-                if !self.flow_dirty[tid as usize] {
-                    self.flow_dirty[tid as usize] = true;
-                    self.dirty_flows.push(tid);
-                    for r in &specs[tid as usize].route {
-                        let rr = r.0 as usize;
-                        if !self.res_dirty[rr] {
-                            self.res_dirty[rr] = true;
-                            self.dirty_res.push(rr as u32);
-                        }
+                if mark(&mut self.flow_dirty, &mut self.dirty_flows, tid) {
+                    closure += 1;
+                    if closure as f64 > limit {
+                        fallback = true;
+                        break 'scan;
+                    }
+                    let route = self.demands.route(tid);
+                    self.closure_entries += route.len() as u64;
+                    for r in route {
+                        mark(&mut self.res_dirty, &mut self.dirty_res, r.0);
                     }
                 }
             }
+        }
+
+        if fallback {
+            self.clear_dirty();
+            self.solve_full(active, caps, rates);
+            return;
         }
 
         // Dirty flows in active-list order: the demand order a full
@@ -189,70 +235,50 @@ impl Leveler {
                 self.sub_idx.push(i as u32);
             }
         }
-        let fallback =
-            self.sub_idx.len() as f64 > self.full_fraction * active.len() as f64;
+        debug_assert_eq!(self.sub_idx.len(), closure);
         self.clear_dirty();
-
-        if fallback {
-            self.solve_full(active, specs, caps, config, rates);
-        } else {
-            self.incremental_runs += 1;
-            if !self.sub_idx.is_empty() {
-                let demands: Vec<FlowDemand> = self
-                    .sub_idx
-                    .iter()
-                    .map(|&i| {
-                        let spec = &specs[active[i as usize].tid as usize];
-                        FlowDemand {
-                            route: &spec.route,
-                            cap: spec.rate_cap.unwrap_or(config.per_flow_cap),
-                        }
-                    })
-                    .collect();
-                self.wf.compute_with_penalty(
-                    &demands,
-                    caps,
-                    config.contention_penalty,
-                    config.contention_floor,
-                    rates,
-                );
-                let Leveler { wf, binding, sub_idx, .. } = self;
-                let bindings = wf.bindings();
-                for (k, &i) in sub_idx.iter().enumerate() {
-                    let f = &mut active[i as usize];
-                    f.rate = rates[k];
-                    binding[f.tid as usize] = bindings[k];
-                }
+        self.incremental_runs += 1;
+        if !self.sub_idx.is_empty() {
+            let Leveler {
+                wf,
+                demands,
+                contention,
+                binding,
+                sub_idx,
+                solved_entries,
+                ..
+            } = self;
+            let tid = |k: usize| active[sub_idx[k] as usize].tid;
+            wf.solve(
+                sub_idx.len(),
+                |k| demands.route(tid(k)),
+                |k| demands.cap(tid(k)),
+                caps,
+                *contention,
+                rates,
+            );
+            *solved_entries += wf.last_entries() as u64;
+            let bindings = wf.bindings();
+            for (k, &i) in sub_idx.iter().enumerate() {
+                let f = &mut active[i as usize];
+                f.rate = rates[k];
+                binding[f.tid as usize] = bindings[k];
             }
         }
     }
 
-    fn solve_full(
-        &mut self,
-        active: &mut [ActiveFlow],
-        specs: &[TransferSpec],
-        caps: &[f64],
-        config: &SimConfig,
-        rates: &mut Vec<f64>,
-    ) {
+    fn solve_full(&mut self, active: &mut [ActiveFlow], caps: &[f64], rates: &mut Vec<f64>) {
         self.full_runs += 1;
-        let demands: Vec<FlowDemand> = active
-            .iter()
-            .map(|f| {
-                let spec = &specs[f.tid as usize];
-                FlowDemand {
-                    route: &spec.route,
-                    cap: spec.rate_cap.unwrap_or(config.per_flow_cap),
-                }
-            })
-            .collect();
-        self.wf.compute_with_penalty(
-            &demands,
+        let demands = self.demands;
+        self.wf.solve(
+            active.len(),
+            |i| demands.route(active[i].tid),
+            |i| demands.cap(active[i].tid),
             caps,
-            config.contention_penalty,
-            config.contention_floor,
+            self.contention,
             rates,
         );
+        self.solved_entries += self.wf.last_entries() as u64;
         let Leveler { wf, binding, .. } = self;
         let bindings = wf.bindings();
         for ((f, &r), &b) in active.iter_mut().zip(rates.iter()).zip(bindings) {
@@ -273,10 +299,19 @@ impl Leveler {
     }
 }
 
+/// Mark `id` dirty, listing it the first time; true if it was clean.
+fn mark(dirty: &mut [bool], list: &mut Vec<u32>, id: u32) -> bool {
+    let fresh = !dirty[id as usize];
+    if fresh {
+        dirty[id as usize] = true;
+        list.push(id);
+    }
+    fresh
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::ResourceId;
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -314,26 +349,27 @@ mod tests {
         let specs = vec![spec(&[0]), spec(&[0]), spec(&[1])];
         let caps = [100.0, 100.0];
         let mut lev = Leveler::new(
+            &specs,
             2,
-            3,
+            &cfg(),
             SolverMode::Incremental { full_fraction: 1.0 },
         );
         let mut active = vec![flow(0), flow(1), flow(2)];
         let mut rates = Vec::new();
-        for (tid, s) in specs.iter().enumerate() {
-            lev.note_join(tid as u32, &s.route);
+        for tid in 0..specs.len() as u32 {
+            lev.note_join(tid);
         }
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &caps, &mut rates);
         assert_eq!(active[0].rate, 50.0);
         assert_eq!(active[2].rate, 100.0);
 
         // Flow 2 leaves; poison the disjoint component's rates to prove
         // the sub-solve never visits them.
-        lev.note_leave(2, &specs[2].route);
+        lev.note_leave(2);
         active.pop();
         active[0].rate = -1.0;
         active[1].rate = -1.0;
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &caps, &mut rates);
         assert_eq!(active[0].rate, -1.0);
         assert_eq!(active[1].rate, -1.0);
         assert_eq!(lev.incremental_runs, 2);
@@ -347,22 +383,23 @@ mod tests {
         let specs = vec![spec(&[0]), spec(&[0, 1]), spec(&[1])];
         let caps = [100.0, 100.0];
         let mut lev = Leveler::new(
+            &specs,
             2,
-            3,
+            &cfg(),
             SolverMode::Incremental { full_fraction: 1.0 },
         );
         let mut active = vec![flow(1), flow(2)];
         let mut rates = Vec::new();
-        lev.note_join(1, &specs[1].route);
-        lev.note_join(2, &specs[2].route);
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.note_join(1);
+        lev.note_join(2);
+        lev.level(&mut active, &caps, &mut rates);
         assert_eq!(active[0].rate, 50.0);
         assert_eq!(active[1].rate, 50.0);
 
-        lev.note_join(0, &specs[0].route);
+        lev.note_join(0);
         active.insert(0, flow(0));
         active[2].rate = -1.0; // flow 2: must be re-leveled via closure
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &caps, &mut rates);
         // Max-min: link 0 splits 50/50 between flows 0 and 1; flow 2
         // then gets link 1's slack.
         assert_eq!(active[0].rate, 50.0);
@@ -379,23 +416,24 @@ mod tests {
         let specs = vec![spec(&[0]), spec(&[0]), spec(&[1])];
         let caps = [100.0, 100.0];
         let mut lev = Leveler::new(
+            &specs,
             2,
-            3,
+            &cfg(),
             SolverMode::Incremental { full_fraction: 1.0 },
         );
         let mut active = vec![flow(0), flow(1), flow(2)];
         let mut rates = Vec::new();
-        for (tid, s) in specs.iter().enumerate() {
-            lev.note_join(tid as u32, &s.route);
+        for tid in 0..specs.len() as u32 {
+            lev.note_join(tid);
         }
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &caps, &mut rates);
         assert_eq!(lev.binding_of(0), 0);
         assert_eq!(lev.binding_of(1), 0);
         assert_eq!(lev.binding_of(2), 1);
 
-        lev.note_leave(2, &specs[2].route);
+        lev.note_leave(2);
         active.pop();
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &caps, &mut rates);
         assert_eq!(lev.binding_of(0), 0, "untouched binding must persist");
         assert_eq!(lev.binding_of(1), 0);
     }
@@ -405,18 +443,84 @@ mod tests {
         let specs = vec![spec(&[0]), spec(&[1])];
         let caps = [100.0, 100.0];
         let mut lev = Leveler::new(
+            &specs,
             2,
-            2,
+            &cfg(),
             SolverMode::Incremental { full_fraction: 0.0 },
         );
         let mut active = vec![flow(0), flow(1)];
         let mut rates = Vec::new();
-        lev.note_join(0, &specs[0].route);
-        lev.note_join(1, &specs[1].route);
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.note_join(0);
+        lev.note_join(1);
+        lev.level(&mut active, &caps, &mut rates);
         assert_eq!(lev.full_runs, 1);
         assert_eq!(lev.incremental_runs, 0);
         assert_eq!(active[0].rate, 100.0);
+    }
+
+    #[test]
+    fn early_fallback_stops_the_closure_scan() {
+        // A chain: flow i rides links {i, i+1}, so one departure at the
+        // head dirties the whole chain transitively. At full_fraction
+        // 0.5 the scan stops once half the chain is dirty and falls back
+        // to a full solve, with the same rates an unbounded closure
+        // produces.
+        let n = 10u32;
+        let specs: Vec<TransferSpec> = (0..n).map(|i| spec(&[i, i + 1])).collect();
+        let caps = vec![100.0; n as usize + 1];
+        let run = |full_fraction: f64| {
+            let mut lev = Leveler::new(
+                &specs,
+                n as usize + 1,
+                &cfg(),
+                SolverMode::Incremental { full_fraction },
+            );
+            let mut active: Vec<ActiveFlow> = (0..n).map(flow).collect();
+            let mut rates = Vec::new();
+            for tid in 0..n {
+                lev.note_join(tid);
+            }
+            lev.level(&mut active, &caps, &mut rates);
+            lev.note_leave(0);
+            active.remove(0);
+            let before = lev.closure_entries;
+            lev.level(&mut active, &caps, &mut rates);
+            let rates: Vec<f64> = active.iter().map(|f| f.rate).collect();
+            (lev.closure_entries - before, lev.full_runs, rates)
+        };
+        let (early, early_full, early_rates) = run(0.5);
+        let (whole, whole_full, whole_rates) = run(1.0);
+        assert_eq!(early_full, 2, "both re-levels fall back");
+        assert_eq!(whole_full, 0);
+        // The whole chain is 36 entries; half of it is dirty after 17.
+        assert_eq!((early, whole), (17, 36));
+        assert_eq!(early_rates, whole_rates);
+    }
+
+    #[test]
+    fn a_flow_that_joined_and_left_is_not_in_the_closure() {
+        // Flows 0 and 1 are leveled; flow 2 joins and leaves within the
+        // next epoch. It stays marked dirty but is not in the demand
+        // set, so even at full_fraction 0 the re-level stays
+        // incremental (an empty closure never exceeds the threshold).
+        let specs = vec![spec(&[0]), spec(&[1]), spec(&[2])];
+        let caps = [100.0, 100.0, 100.0];
+        let mut lev = Leveler::new(
+            &specs,
+            3,
+            &cfg(),
+            SolverMode::Incremental { full_fraction: 0.0 },
+        );
+        let mut active = vec![flow(0), flow(1)];
+        let mut rates = Vec::new();
+        lev.note_join(0);
+        lev.note_join(1);
+        lev.level(&mut active, &caps, &mut rates);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 0));
+        lev.note_join(2);
+        lev.note_leave(2);
+        lev.level(&mut active, &caps, &mut rates);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
     }
 
     #[test]
@@ -424,17 +528,18 @@ mod tests {
         let specs = vec![spec(&[0])];
         let caps = [100.0];
         let mut lev = Leveler::new(
+            &specs,
             1,
-            1,
+            &cfg(),
             SolverMode::Incremental { full_fraction: 0.5 },
         );
         let mut active = vec![flow(0)];
         let mut rates = Vec::new();
-        lev.note_join(0, &specs[0].route);
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.note_join(0);
+        lev.level(&mut active, &caps, &mut rates);
         // Nothing changed since: the re-level touches no flow.
         active[0].rate = -1.0;
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &caps, &mut rates);
         assert_eq!(active[0].rate, -1.0);
         assert_eq!(lev.incremental_runs, 1);
         assert_eq!(lev.full_runs, 1);

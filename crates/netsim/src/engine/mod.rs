@@ -635,7 +635,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
 
     // Active/stalled flows and fair-share machinery.
     let mut flows = FlowSet::new(n);
-    let mut leveler = Leveler::new(caps.len(), n, solver);
+    let mut leveler = Leveler::new(specs, caps.len(), config, solver);
     let mut rates_scratch: Vec<f64> = Vec::new();
     let mut rates_dirty = false;
     let mut epoch: u64 = 0;
@@ -739,7 +739,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                     flows.stall_new(tid, spec.bytes as f64, now);
                 } else {
                     flows.activate(tid, spec.bytes as f64);
-                    leveler.note_join(tid, &spec.route);
+                    leveler.note_join(tid);
                     rates_dirty = true;
                 }
             }
@@ -758,7 +758,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                                 ps.note_drained(f.tid, now);
                             }
                             let spec = &specs[f.tid as usize];
-                            leveler.note_leave(f.tid, &spec.route);
+                            leveler.note_leave(f.tid);
                             let lat = spec.route.len() as f64 * config.hop_latency
                                 + config.recv_overhead;
                             q.push(now + lat, Event::Delivered(f.tid));
@@ -830,7 +830,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                 while i < flows.active.len() {
                     if fs.is_blocked(&specs[flows.active[i].tid as usize]) {
                         let tid = flows.stall_at(i, now);
-                        leveler.note_leave(tid, &specs[tid as usize].route);
+                        leveler.note_leave(tid);
                         if let Some(o) = obs.as_deref_mut() {
                             o.stalls.push((now, tid));
                         }
@@ -842,7 +842,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                 while i < flows.stalled.len() {
                     if !fs.is_blocked(&specs[flows.stalled[i].tid as usize]) {
                         let tid = flows.resume_at(i, now);
-                        leveler.note_join(tid, &specs[tid as usize].route);
+                        leveler.note_join(tid);
                         if let Some(o) = obs.as_deref_mut() {
                             o.resumes.push((now, tid));
                         }
@@ -904,13 +904,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                     Some(fs) => &fs.eff_caps,
                     None => caps,
                 };
-                leveler.level(
-                    &mut flows.active,
-                    specs,
-                    eff_caps,
-                    config,
-                    &mut rates_scratch,
-                );
+                leveler.level(&mut flows.active, eff_caps, &mut rates_scratch);
                 if let Some(ps) = pstate.as_mut() {
                     for f in &flows.active {
                         ps.note_binding(f.tid, now, leveler.binding_of(f.tid));
@@ -944,6 +938,8 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
     if let Some(o) = obs {
         o.waterfill_full_runs += leveler.full_runs;
         o.waterfill_incremental_runs += leveler.incremental_runs;
+        o.waterfill_entries += leveler.solved_entries;
+        o.closure_entries += leveler.closure_entries;
     }
     let (stall_time, stalled_at_drain) = flows.close(now);
     ComponentRun {
@@ -1411,6 +1407,25 @@ mod tests {
         assert!(o.events_processed > 0);
         // The shared source keeps this a single shard.
         assert_eq!(o.shards, 1);
+    }
+
+    #[test]
+    fn work_counters_count_solved_and_scanned_entries() {
+        // Short and long flow on one link: the joint join re-levels two
+        // one-hop flows, the short one's departure re-levels one. The
+        // incremental solver also scans link 0's one member before its
+        // closure (1 of 1 active flows) crosses the 0.5 threshold.
+        let s = sim(3, vec![100.0]);
+        let mut g = TransferGraph::new();
+        g.add(TransferSpec::new(0, 2, 500, vec![ResourceId(0)]));
+        g.add(TransferSpec::new(1, 2, 2000, vec![ResourceId(0)]));
+        for (mode, closure) in [(SolverMode::Full, 0), (SolverMode::default(), 1)] {
+            let mut o = SimObserver::new();
+            s.simulate(&g, SimOptions::new().solver(mode).observer(&mut o));
+            assert_eq!(o.waterfill_entries, 3, "{mode:?}");
+            assert_eq!(o.closure_entries, closure, "{mode:?}");
+            assert_eq!(o.waterfill_full_runs, 2, "{mode:?}");
+        }
     }
 
     #[test]

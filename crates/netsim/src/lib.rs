@@ -47,4 +47,4 @@ pub use stats::{
     try_utilization, utilization, windowed_throughput, StatsError, Utilization,
 };
 pub use trace::{gantt, to_csv as trace_to_csv, trace, TraceRow};
-pub use waterfill::{FlowDemand, Waterfill};
+pub use waterfill::{certify, CertificateError, FlowDemand, Waterfill};

@@ -122,6 +122,14 @@ pub struct SimObserver {
     /// ([`crate::SolverMode::Incremental`]); rates outside the closure
     /// were reused unchanged.
     pub waterfill_incremental_runs: u64,
+    /// Flow–resource entries (route hops) across every solved demand
+    /// set, full or incremental: the waterfill's deterministic unit of
+    /// work.
+    pub waterfill_entries: u64,
+    /// Flow–resource entries the incremental solver scanned while
+    /// closing dirty sets. The scan stops once the closure crosses the
+    /// fallback threshold, so a fallback costs only the part scanned.
+    pub closure_entries: u64,
     /// Events popped from the engine's queue (the denominator for
     /// events/sec in scaling sweeps).
     pub events_processed: u64,
@@ -160,7 +168,9 @@ impl SimObserver {
     /// split, stall/resume totals, undelivered remainder) into a
     /// [`bgq_obs::ScenarioManifest`] without reaching into fields.
     /// Every value is an integer count cast to `f64`, so the scalars
-    /// inherit the engine's bit-determinism.
+    /// inherit the engine's bit-determinism. The work counters
+    /// (`waterfill_entries`, `closure_entries`) are not exported: the
+    /// committed ledger baseline pins this exact set of names.
     ///
     /// [`bgq_obs::ScenarioManifest`]: https://docs.rs/bgq-obs
     pub fn scalars(&self, prefix: &str) -> Vec<(String, f64)> {
@@ -216,6 +226,8 @@ impl SimObserver {
         self.waterfill_runs += local.waterfill_runs;
         self.waterfill_full_runs += local.waterfill_full_runs;
         self.waterfill_incremental_runs += local.waterfill_incremental_runs;
+        self.waterfill_entries += local.waterfill_entries;
+        self.closure_entries += local.closure_entries;
         self.events_processed += local.events_processed;
         self.fault_events += local.fault_events;
         self.fault_re_levels

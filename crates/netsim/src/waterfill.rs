@@ -9,14 +9,61 @@
 //! This is the classical fluid model of network sharing; it is how the
 //! BG/Q torus behaves at the message level when several messages contend
 //! for a link (the Messaging Unit arbitrates packet slots fairly).
+//!
+//! ## Layout
+//!
+//! A solve works on flat arrays only. The links the demand set touches
+//! are renumbered into dense *slots* (first-touch order). Per-slot state
+//! is struct-of-arrays, and both adjacencies — flow → slots (route
+//! order) and slot → flows (ascending flow index) — are CSR tables built
+//! in two linear passes.
+//!
+//! The next link bottleneck comes from an *indexed* min-heap holding at
+//! most one entry per slot, keyed `(share, version, resource id)`. When a
+//! bottleneck freezes its flows, every slot those flows cross is debited
+//! once per crossing — the same subtractions, in the same order, as a
+//! per-flow update — and then looked at once per bottleneck: a batched
+//! share update. A debit can only raise a slot's key (the version always
+//! grows, and in exact arithmetic the share cannot fall), so a raised
+//! key stays in the heap as a stale lower bound and is refreshed only if
+//! it reaches the top; a share that float rounding pushed *below* the
+//! stored one is sifted up at once. Slots whose flows all froze
+//! elsewhere are dropped when they surface. Most debited slots never
+//! surface before the last flow freezes, so most updates cost one
+//! division and one comparison instead of a heap operation.
+//!
+//! The per-flow cap resources stay out of the heap: a cap's key
+//! `(cap, 0, num_resources + flow)` never changes while its flow is
+//! unfixed, so one sort by that key per solve lets a cursor yield the
+//! least live cap, skipping frozen flows at no heap cost. Each step
+//! takes the lesser of that cap and the heap's top.
+//!
+//! ## Exactness
+//!
+//! The allocation is bit-identical to the lazy-deletion formulation this
+//! replaced (kept as the oracle in `tests/waterfill_oracle.rs`). That
+//! solver pushed a fresh heap entry after every debit and skipped entries
+//! whose version had moved on, so the entry it popped was the minimum
+//! over the *latest* key of each live resource, caps included. Here every
+//! stored key is a lower bound of its slot's latest key, so a top whose
+//! key is current is the least link key, and the cursor's cap the least
+//! cap key; the lesser of the two is that same minimum. Pop order, every
+//! share, every debit and every tie-break (versions still advance once
+//! per debit) are therefore the same floats in the same order.
 
 use crate::graph::ResourceId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
+use std::fmt;
 
 /// Per-flow binding code reported by [`Waterfill::bindings`] when the
 /// flow's own rate cap (its private virtual resource) fixed its rate.
 pub const CAP_BINDING: u32 = u32::MAX;
+
+/// A slot absent from the heap (or the slot field of a cap's key).
+const NONE: u32 = u32::MAX;
+
+/// Relative slack the max-min certificate grants float rounding.
+const CERT_TOL: f64 = 1e-9;
 
 /// One flow's demand: its route and rate cap.
 #[derive(Debug, Clone, Copy)]
@@ -29,17 +76,39 @@ pub struct FlowDemand<'a> {
 ///
 /// Allocate once per simulation (sized by the number of real resources) and
 /// call [`Waterfill::compute`] at every rate recomputation; internal buffers
-/// are recycled so steady-state computation does not allocate.
+/// are recycled so steady-state computation does not allocate. Debug
+/// builds check every allocation against its max-min certificate (see
+/// [`certify`]) before returning it.
 #[derive(Debug)]
 pub struct Waterfill {
     num_resources: usize,
+    /// Resource id → slot + 1 during a solve, 0 otherwise. Zero means
+    /// unmapped so the table is allocated zeroed, and a solve touches
+    /// only the entries of the links it routes over.
+    slot_of: Vec<u32>,
+    /// Per-slot resource id (the tie-break of equal shares and versions).
+    id: Vec<u32>,
     remaining: Vec<f64>,
     count: Vec<u32>,
     version: Vec<u32>,
-    flows_on: Vec<Vec<u32>>,
-    touched: Vec<u32>,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Flow → slots, CSR: offsets, then slots in route order.
+    route_off: Vec<u32>,
+    route_slots: Vec<u32>,
+    /// Slot → flows, CSR: offsets, then ascending flow indices.
+    member_off: Vec<u32>,
+    members: Vec<u32>,
+    heap: SlotHeap,
+    /// Per-flow rate cap, and the flows sorted by `(cap, flow)`.
+    cap_of: Vec<f64>,
+    by_cap: Vec<u32>,
+    /// Slots debited while freezing the current bottleneck, once each.
+    changed: Vec<u32>,
+    /// Bottleneck pass that last listed each slot in `changed`.
+    stamp: Vec<u32>,
+    fixed: Vec<bool>,
     binding: Vec<u32>,
+    #[cfg(debug_assertions)]
+    certifier: Certifier,
 }
 
 impl Waterfill {
@@ -48,13 +117,24 @@ impl Waterfill {
     pub fn new(num_resources: usize) -> Waterfill {
         Waterfill {
             num_resources,
-            remaining: vec![0.0; num_resources],
-            count: vec![0; num_resources],
-            version: vec![0; num_resources],
-            flows_on: (0..num_resources).map(|_| Vec::new()).collect(),
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
+            slot_of: vec![0; num_resources],
+            id: Vec::new(),
+            remaining: Vec::new(),
+            count: Vec::new(),
+            version: Vec::new(),
+            route_off: Vec::new(),
+            route_slots: Vec::new(),
+            member_off: Vec::new(),
+            members: Vec::new(),
+            heap: SlotHeap::default(),
+            cap_of: Vec::new(),
+            by_cap: Vec::new(),
+            changed: Vec::new(),
+            stamp: Vec::new(),
+            fixed: Vec::new(),
             binding: Vec::new(),
+            #[cfg(debug_assertions)]
+            certifier: Certifier::new(num_resources),
         }
     }
 
@@ -68,23 +148,15 @@ impl Waterfill {
         &self.binding
     }
 
-    fn ensure_capacity(&mut self, total: usize) {
-        if self.remaining.len() < total {
-            self.remaining.resize(total, 0.0);
-            self.count.resize(total, 0);
-            self.version.resize(total, 0);
-            self.flows_on.resize_with(total, Vec::new);
-        }
+    /// Flow–resource entries (route hops, with multiplicity) in the most
+    /// recent compute's demand set — the unit of work of a solve.
+    pub(crate) fn last_entries(&self) -> usize {
+        self.route_slots.len()
     }
 
     /// Compute max-min fair rates with ideal sharing (no contention
     /// penalty).
-    pub fn compute(
-        &mut self,
-        flows: &[FlowDemand<'_>],
-        capacities: &[f64],
-        rates: &mut Vec<f64>,
-    ) {
+    pub fn compute(&mut self, flows: &[FlowDemand<'_>], capacities: &[f64], rates: &mut Vec<f64>) {
         self.compute_with_penalty(flows, capacities, 0.0, 1.0, rates)
     }
 
@@ -111,6 +183,30 @@ impl Waterfill {
         contention_floor: f64,
         rates: &mut Vec<f64>,
     ) {
+        self.solve(
+            flows.len(),
+            |i| flows[i].route,
+            |i| flows[i].cap,
+            capacities,
+            (contention_penalty, contention_floor),
+            rates,
+        )
+    }
+
+    /// [`compute_with_penalty`](Self::compute_with_penalty) over a demand
+    /// set given by accessors instead of a slice, so a caller that holds
+    /// routes and caps elsewhere (the engine's leveler) builds no demand
+    /// vector per solve. `contention` is `(penalty, floor)`.
+    pub(crate) fn solve<'r>(
+        &mut self,
+        n: usize,
+        route: impl Fn(usize) -> &'r [ResourceId],
+        cap: impl Fn(usize) -> f64,
+        capacities: &[f64],
+        contention: (f64, f64),
+        rates: &mut Vec<f64>,
+    ) {
+        let (contention_penalty, contention_floor) = contention;
         assert!(
             capacities.len() >= self.num_resources,
             "capacity table smaller than resource space"
@@ -124,159 +220,564 @@ impl Waterfill {
             "contention floor must be in (0, 1]"
         );
         rates.clear();
-        rates.resize(flows.len(), 0.0);
+        rates.resize(n, 0.0);
         self.binding.clear();
-        self.binding.resize(flows.len(), CAP_BINDING);
-        if flows.is_empty() {
+        self.binding.resize(n, CAP_BINDING);
+        self.route_slots.clear();
+        if n == 0 {
             return;
         }
-
         let nr = self.num_resources;
-        self.ensure_capacity(nr + flows.len());
-        debug_assert!(self.touched.is_empty());
 
-        // Populate per-resource state for the resources in use.
-        for (fi, f) in flows.iter().enumerate() {
-            assert!(f.cap > 0.0, "flow {fi} has non-positive cap");
-            for r in f.route {
+        // Pass 1: map every route hop to a slot (first touch allocates
+        // one), count hops per slot, and lay the routes out as CSR.
+        self.id.clear();
+        self.remaining.clear();
+        self.count.clear();
+        self.cap_of.clear();
+        self.route_off.clear();
+        self.route_off.push(0);
+        for fi in 0..n {
+            let c = cap(fi);
+            assert!(c > 0.0, "flow {fi} has non-positive cap");
+            self.cap_of.push(c);
+            for r in route(fi) {
                 let ri = r.0 as usize;
                 assert!(ri < nr, "route references unknown resource {ri}");
-                if self.count[ri] == 0 {
+                let mut s = self.slot_of[ri].wrapping_sub(1);
+                if s == u32::MAX {
                     let c = capacities[ri];
                     assert!(c > 0.0, "resource {ri} has non-positive capacity");
-                    self.remaining[ri] = c;
-                    self.touched.push(ri as u32);
+                    s = self.id.len() as u32;
+                    self.slot_of[ri] = s + 1;
+                    self.id.push(ri as u32);
+                    self.remaining.push(c);
+                    self.count.push(0);
                 }
-                self.count[ri] += 1;
-                self.flows_on[ri].push(fi as u32);
+                self.count[s as usize] += 1;
+                self.route_slots.push(s);
             }
-            // Private cap resource for the flow.
-            let pi = nr + fi;
-            self.remaining[pi] = f.cap;
-            self.count[pi] = 1;
-            self.flows_on[pi].push(fi as u32);
-            self.touched.push(pi as u32);
+            self.route_off.push(self.route_slots.len() as u32);
         }
+        let slots = self.id.len();
 
-        // Derate shared real resources by the arbitration penalty (private
-        // per-flow caps are not links and are never derated).
+        // Derate shared links by the arbitration penalty (per-flow caps
+        // are not links and are never derated).
         if contention_penalty > 0.0 && contention_floor < 1.0 {
-            for &ri in &self.touched {
-                let ri = ri as usize;
-                if ri < nr && self.count[ri] > 1 {
-                    let eff = (1.0
-                        / (1.0 + contention_penalty * (self.count[ri] - 1) as f64))
-                        .max(contention_floor);
-                    self.remaining[ri] *= eff;
+            for s in 0..slots {
+                let c = self.count[s];
+                if c > 1 {
+                    let eff =
+                        (1.0 / (1.0 + contention_penalty * (c - 1) as f64)).max(contention_floor);
+                    self.remaining[s] *= eff;
                 }
             }
         }
 
-        let mut fixed = vec![false; flows.len()];
-        let mut unfixed = flows.len();
-
-        // Progressive filling driven by a lazy min-heap of per-resource
-        // fair shares: pop the most constrained resource, freeze its
-        // unfixed flows at its share, push updated entries for every
-        // resource those flows touched. Entries are invalidated by a
-        // per-resource version counter instead of being removed, so each
-        // filling pass costs O(Σ route length · log) rather than
-        // O(iterations · touched resources).
-        self.heap.clear();
-        for &ri in &self.touched {
-            let ri_us = ri as usize;
-            self.heap.push(Reverse(HeapEntry {
-                share: Share(self.remaining[ri_us].max(0.0) / self.count[ri_us] as f64),
-                version: self.version[ri_us],
-                resource: ri,
-            }));
+        // Pass 2: invert the routes into slot → flows CSR. Flows are
+        // scattered in index order, so each member list is ascending.
+        self.member_off.clear();
+        self.member_off.push(0);
+        let mut total = 0u32;
+        for &c in &self.count {
+            total += c;
+            self.member_off.push(total);
         }
+        self.members.clear();
+        self.members.resize(total as usize, 0);
+        // `stamp` serves as the scatter cursor here and is reset below.
+        self.stamp.clear();
+        self.stamp.extend_from_slice(&self.member_off[..slots]);
+        for fi in 0..n {
+            let hops = self.route_off[fi] as usize..self.route_off[fi + 1] as usize;
+            for &s in &self.route_slots[hops] {
+                let at = &mut self.stamp[s as usize];
+                self.members[*at as usize] = fi as u32;
+                *at += 1;
+            }
+        }
+        self.version.clear();
+        self.version.resize(slots, 0);
+        self.stamp.clear();
+        self.stamp.resize(slots, 0);
+        self.fixed.clear();
+        self.fixed.resize(n, false);
 
+        self.heap.reset(slots);
+        for s in 0..slots {
+            self.heap.entries.push(Entry {
+                share: self.remaining[s].max(0.0) / self.count[s] as f64,
+                version: 0,
+                id: self.id[s],
+                slot: s as u32,
+            });
+        }
+        self.heap.heapify();
+
+        // A cap is a one-flow resource whose key never changes while its
+        // flow is unfixed: share `cap / 1`, version 0, id `nr + flow`
+        // (above every link id). Sorting by that key once replaces one
+        // heap entry per flow.
+        let cap_of = &self.cap_of;
+        self.by_cap.clear();
+        self.by_cap.extend(0..n as u32);
+        self.by_cap.sort_unstable_by(|&a, &b| {
+            cap_of[a as usize]
+                .total_cmp(&cap_of[b as usize])
+                .then(a.cmp(&b))
+        });
+        let mut next_cap = 0;
+
+        // Progressive filling: take the most constrained resource — the
+        // least current link key or the least unfixed cap — freeze its
+        // unfixed flows at its share, then lower the stored key of any
+        // link whose share they pushed down.
+        let mut unfixed = n;
+        let mut pass = 0u32;
         while unfixed > 0 {
-            let Reverse(entry) = self
+            let (remaining, count, version) = (&self.remaining, &self.count, &self.version);
+            let link = self
                 .heap
-                .pop()
-                .unwrap_or_else(|| panic!("{unfixed} flows unfixed but no constrained resource"));
-            let ri = entry.resource as usize;
-            if self.count[ri] == 0 || entry.version != self.version[ri] {
-                continue; // stale
+                .peek_current(|s| (remaining[s].max(0.0) / count[s] as f64, version[s]));
+            while self.fixed[self.by_cap[next_cap] as usize] {
+                next_cap += 1;
             }
-            let s = self.remaining[ri].max(0.0) / self.count[ri] as f64;
-
-            // Freeze every unfixed flow crossing this bottleneck at s.
-            debug_assert!(!self.flows_on[ri].is_empty());
-            for fj in 0..self.flows_on[ri].len() {
-                let fi = self.flows_on[ri][fj] as usize;
-                if fixed[fi] {
-                    continue;
-                }
-                fixed[fi] = true;
-                unfixed -= 1;
-                rates[fi] = s;
-                self.binding[fi] = if ri < nr { ri as u32 } else { CAP_BINDING };
-                let private = nr + fi;
-                let resources = flows[fi]
-                    .route
-                    .iter()
-                    .map(|r| r.0 as usize)
-                    .chain(std::iter::once(private));
-                for rr in resources {
-                    self.remaining[rr] -= s;
-                    self.count[rr] -= 1;
-                    self.version[rr] = self.version[rr].wrapping_add(1);
-                    if self.count[rr] > 0 {
-                        self.heap.push(Reverse(HeapEntry {
-                            share: Share(self.remaining[rr].max(0.0) / self.count[rr] as f64),
-                            version: self.version[rr],
-                            resource: rr as u32,
-                        }));
+            let fc = self.by_cap[next_cap] as usize;
+            let cap_key = Entry {
+                share: self.cap_of[fc].max(0.0) / 1.0,
+                version: 0,
+                id: (nr + fc) as u32,
+                slot: NONE,
+            };
+            pass += 1;
+            self.changed.clear();
+            match link {
+                Some(top) if top.before(&cap_key) => {
+                    let slot = top.slot as usize;
+                    for k in self.member_off[slot] as usize..self.member_off[slot + 1] as usize {
+                        let fi = self.members[k] as usize;
+                        if !self.fixed[fi] {
+                            self.freeze(fi, top.share, top.id, pass, rates);
+                            unfixed -= 1;
+                        }
                     }
+                    debug_assert_eq!(self.count[slot], 0, "bottleneck must drain completely");
+                }
+                _ => {
+                    self.freeze(fc, cap_key.share, CAP_BINDING, pass, rates);
+                    unfixed -= 1;
                 }
             }
-            debug_assert_eq!(self.count[ri], 0, "bottleneck must drain completely");
+            // The batched update: a drained link (the bottleneck among
+            // them) leaves the heap; any other debited link is lowered
+            // if its share fell, and otherwise left as a lower bound.
+            for &c in &self.changed {
+                let c = c as usize;
+                if self.count[c] == 0 {
+                    self.heap.remove(c);
+                } else {
+                    let share = self.remaining[c].max(0.0) / self.count[c] as f64;
+                    self.heap.lower(c, share, self.version[c]);
+                }
+            }
         }
 
-        // Reset scratch for the next call. Versions are zeroed too, so the
-        // allocation (including share-tie resolution, which compares
-        // versions) is a pure function of the demand set — a sub-solve
-        // over one contention component returns bit-identical rates to
-        // the same component inside a full solve, no matter what calls
-        // came before.
-        for &ri in &self.touched {
-            let ri = ri as usize;
-            self.remaining[ri] = 0.0;
-            self.count[ri] = 0;
-            self.version[ri] = 0;
-            self.flows_on[ri].clear();
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.certifier.check(
+            n,
+            &route,
+            &cap,
+            capacities,
+            contention,
+            rates,
+            &self.binding,
+        ) {
+            panic!("waterfill allocation failed its max-min certificate: {e}");
+        }
+
+        // Unmap the touched resources. Versions restart at zero on every
+        // call, so the allocation (including share-tie resolution, which
+        // compares versions) is a pure function of the demand set — a
+        // sub-solve over one contention component returns bit-identical
+        // rates to the same component inside a full solve, no matter what
+        // calls came before.
+        for &ri in &self.id {
+            self.slot_of[ri as usize] = 0;
+        }
+    }
+
+    /// Freeze flow `fi` at share `s`: debit every slot on its route (one
+    /// version bump per debit, so tie-breaks match per-flow updates) and
+    /// list each debited slot once for the batched update. Its cap
+    /// retires with it: the cap cursor skips fixed flows.
+    #[inline]
+    fn freeze(&mut self, fi: usize, s: f64, bind: u32, pass: u32, rates: &mut [f64]) {
+        self.fixed[fi] = true;
+        rates[fi] = s;
+        self.binding[fi] = bind;
+        for k in self.route_off[fi] as usize..self.route_off[fi + 1] as usize {
+            let rs = self.route_slots[k] as usize;
+            self.remaining[rs] -= s;
+            self.count[rs] -= 1;
+            self.version[rs] = self.version[rs].wrapping_add(1);
+            if self.stamp[rs] != pass {
+                self.stamp[rs] = pass;
+                self.changed.push(rs as u32);
+            }
+        }
+    }
+}
+
+/// A resource's key in the filling order (`slot` is [`NONE`] for caps).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    share: f64,
+    version: u32,
+    id: u32,
+    slot: u32,
+}
+
+impl Entry {
+    /// Heap order: share (total order, so NaN is placed deterministically),
+    /// then version, then id. Ids are unique, so the order is strict.
+    #[inline]
+    fn before(&self, other: &Entry) -> bool {
+        match self.share.total_cmp(&other.share) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => (self.version, self.id) < (other.version, other.id),
+        }
+    }
+}
+
+/// Indexed binary min-heap with at most one entry per slot; `pos`
+/// tracks where each slot sits, so lowering its key is one sift. Stored
+/// keys may lag behind the current ones, but only ever from below (see
+/// [`peek_current`](Self::peek_current)).
+#[derive(Debug, Default)]
+struct SlotHeap {
+    entries: Vec<Entry>,
+    pos: Vec<u32>,
+}
+
+impl SlotHeap {
+    fn reset(&mut self, slots: usize) {
+        self.entries.clear();
+        self.pos.clear();
+        self.pos.resize(slots, NONE);
+    }
+
+    /// Establish heap order over entries pushed unordered, in O(len).
+    fn heapify(&mut self) {
+        for (i, e) in self.entries.iter().enumerate() {
+            self.pos[e.slot as usize] = i as u32;
+        }
+        for i in (0..self.entries.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// The slot with the least *current* key, given `current(slot)`: its
+    /// `(share, version)` now.
+    ///
+    /// Requires every stored key to be at most its slot's current key.
+    /// Then a top whose stored version is current holds the least key
+    /// of all: every other stored key is at least the top's, and every
+    /// current key at least its stored one. A top with an older version
+    /// is refreshed and sifted down until one is current.
+    fn peek_current(&mut self, current: impl Fn(usize) -> (f64, u32)) -> Option<Entry> {
+        loop {
+            let top = *self.entries.first()?;
+            let (share, version) = current(top.slot as usize);
+            if version == top.version {
+                return Some(top);
+            }
+            self.entries[0].share = share;
+            self.entries[0].version = version;
+            self.sift_down(0);
+        }
+    }
+
+    /// Take `slot` out of the heap, if it is in it.
+    fn remove(&mut self, slot: usize) {
+        let i = self.pos[slot];
+        if i == NONE {
+            return;
+        }
+        self.pos[slot] = NONE;
+        let i = i as usize;
+        let last = self.entries.pop().expect("a present slot has an entry");
+        if i < self.entries.len() {
+            self.entries[i] = last;
+            if i > 0 && last.before(&self.entries[(i - 1) / 2]) {
+                self.sift_up(i)
+            } else {
+                self.sift_down(i)
+            }
+        }
+    }
+
+    /// Store `(share, version)` for `slot` if it orders before the stored
+    /// key. A later key left unstored keeps the stored one a lower bound,
+    /// which is all [`peek_current`](Self::peek_current) needs.
+    fn lower(&mut self, slot: usize, share: f64, version: u32) {
+        let i = self.pos[slot];
+        debug_assert!(i != NONE, "live slot {slot} is not in the heap");
+        let i = i as usize;
+        let key = Entry {
+            share,
+            version,
+            ..self.entries[i]
+        };
+        if key.before(&self.entries[i]) {
+            self.entries[i] = key;
+            self.sift_up(i);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        while i > 0 {
+            let p = (i - 1) / 2;
+            if !e.before(&self.entries[p]) {
+                break;
+            }
+            self.entries[i] = self.entries[p];
+            self.pos[self.entries[i].slot as usize] = i as u32;
+            i = p;
+        }
+        self.entries[i] = e;
+        self.pos[e.slot as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        let n = self.entries.len();
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
+            }
+            let r = l + 1;
+            let c = if r < n && self.entries[r].before(&self.entries[l]) {
+                r
+            } else {
+                l
+            };
+            if !self.entries[c].before(&e) {
+                break;
+            }
+            self.entries[i] = self.entries[c];
+            self.pos[self.entries[i].slot as usize] = i as u32;
+            i = c;
+        }
+        self.entries[i] = e;
+        self.pos[e.slot as usize] = i as u32;
+    }
+}
+
+/// Why an allocation is not a max-min fair one (see [`certify`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum CertificateError {
+    /// A rate is negative, NaN or infinite.
+    BadRate { flow: usize, rate: f64 },
+    /// A flow runs above its own rate cap.
+    OverFlowCap { flow: usize, rate: f64, cap: f64 },
+    /// A resource carries more than its (derated) capacity.
+    OverCapacity {
+        resource: u32,
+        load: f64,
+        capacity: f64,
+    },
+    /// A flow's reported binding does not prove its rate is maximal.
+    NoBottleneck {
+        flow: usize,
+        binding: u32,
+        reason: &'static str,
+    },
+}
+
+impl fmt::Display for CertificateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            CertificateError::BadRate { flow, rate } => write!(f, "flow {flow} has rate {rate}"),
+            CertificateError::OverFlowCap { flow, rate, cap } => {
+                write!(f, "flow {flow} runs at {rate}, above its cap {cap}")
+            }
+            CertificateError::OverCapacity {
+                resource,
+                load,
+                capacity,
+            } => {
+                write!(
+                    f,
+                    "resource {resource} carries {load}, above its capacity {capacity}"
+                )
+            }
+            CertificateError::NoBottleneck {
+                flow,
+                binding,
+                reason,
+            } => {
+                write!(f, "flow {flow} (binding {binding}): {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CertificateError {}
+
+/// Check that `rates` is the max-min fair allocation of `flows`, with
+/// `bindings` (one per flow, as [`Waterfill::bindings`] reports them) as
+/// the witness. Linear in the total route length.
+///
+/// The certificate is the textbook characterization, checked directly
+/// rather than by solving again: the allocation is feasible (no flow above
+/// its cap, no resource above its capacity derated as
+/// [`Waterfill::compute_with_penalty`] describes), and every flow has a
+/// bottleneck — either its cap, which it runs at, or a resource on its
+/// route that is saturated and on which no flow runs faster. Comparisons
+/// allow a relative 1e-9 of float rounding.
+pub fn certify(
+    flows: &[FlowDemand<'_>],
+    capacities: &[f64],
+    contention_penalty: f64,
+    contention_floor: f64,
+    rates: &[f64],
+    bindings: &[u32],
+) -> Result<(), CertificateError> {
+    assert!(
+        rates.len() == flows.len() && bindings.len() == flows.len(),
+        "one rate and one binding per flow"
+    );
+    Certifier::new(capacities.len()).check(
+        flows.len(),
+        |i| flows[i].route,
+        |i| flows[i].cap,
+        capacities,
+        (contention_penalty, contention_floor),
+        rates,
+        bindings,
+    )
+}
+
+/// Reusable per-resource tallies for [`certify`]; a check resets only
+/// the resources it touched.
+#[derive(Debug)]
+struct Certifier {
+    load: Vec<f64>,
+    peak: Vec<f64>,
+    hops: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl Certifier {
+    fn new(num_resources: usize) -> Certifier {
+        Certifier {
+            load: vec![0.0; num_resources],
+            peak: vec![0.0; num_resources],
+            hops: vec![0; num_resources],
+            touched: Vec::new(),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn check<'r>(
+        &mut self,
+        n: usize,
+        route: impl Fn(usize) -> &'r [ResourceId],
+        cap: impl Fn(usize) -> f64,
+        capacities: &[f64],
+        contention: (f64, f64),
+        rates: &[f64],
+        bindings: &[u32],
+    ) -> Result<(), CertificateError> {
+        let verdict = self.verdict(n, route, cap, capacities, contention, rates, bindings);
+        for &r in &self.touched {
+            let r = r as usize;
+            self.load[r] = 0.0;
+            self.peak[r] = 0.0;
+            self.hops[r] = 0;
         }
         self.touched.clear();
-        self.heap.clear();
+        verdict
     }
-}
 
-/// Total-ordered share value for the filling heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Share(f64);
-
-impl Eq for Share {}
-
-impl PartialOrd for Share {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    #[allow(clippy::too_many_arguments)]
+    fn verdict<'r>(
+        &mut self,
+        n: usize,
+        route: impl Fn(usize) -> &'r [ResourceId],
+        cap: impl Fn(usize) -> f64,
+        capacities: &[f64],
+        (penalty, floor): (f64, f64),
+        rates: &[f64],
+        bindings: &[u32],
+    ) -> Result<(), CertificateError> {
+        for (flow, &rate) in rates.iter().enumerate().take(n) {
+            if !(rate.is_finite() && rate >= 0.0) {
+                return Err(CertificateError::BadRate { flow, rate });
+            }
+            let c = cap(flow);
+            if rate > c * (1.0 + CERT_TOL) {
+                return Err(CertificateError::OverFlowCap { flow, rate, cap: c });
+            }
+            for r in route(flow) {
+                let ri = r.0 as usize;
+                if self.hops[ri] == 0 {
+                    self.touched.push(r.0);
+                }
+                self.hops[ri] += 1;
+                self.load[ri] += rate;
+                self.peak[ri] = self.peak[ri].max(rate);
+            }
+        }
+        let capacity = |ri: usize, hops: u32| {
+            let eff = if penalty > 0.0 && floor < 1.0 && hops > 1 {
+                (1.0 / (1.0 + penalty * (hops - 1) as f64)).max(floor)
+            } else {
+                1.0
+            };
+            capacities[ri] * eff
+        };
+        for &r in &self.touched {
+            let ri = r as usize;
+            let c = capacity(ri, self.hops[ri]);
+            if self.load[ri] > c * (1.0 + CERT_TOL) {
+                return Err(CertificateError::OverCapacity {
+                    resource: r,
+                    load: self.load[ri],
+                    capacity: c,
+                });
+            }
+        }
+        for (flow, (&rate, &binding)) in rates.iter().zip(bindings).enumerate().take(n) {
+            let fail = |reason| {
+                Err(CertificateError::NoBottleneck {
+                    flow,
+                    binding,
+                    reason,
+                })
+            };
+            if binding == CAP_BINDING {
+                if rate < cap(flow) * (1.0 - CERT_TOL) {
+                    return fail("cap-bound but below its cap");
+                }
+                continue;
+            }
+            if !route(flow).iter().any(|r| r.0 == binding) {
+                return fail("binding resource is not on the route");
+            }
+            let bi = binding as usize;
+            if self.load[bi] < capacity(bi, self.hops[bi]) * (1.0 - CERT_TOL) {
+                return fail("binding resource is not saturated");
+            }
+            if rate < self.peak[bi] * (1.0 - CERT_TOL) {
+                return fail("another flow on the binding resource runs faster");
+            }
+        }
+        Ok(())
     }
-}
-
-impl Ord for Share {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapEntry {
-    share: Share,
-    version: u32,
-    resource: u32,
 }
 
 #[cfg(test)]
@@ -390,13 +891,23 @@ mod tests {
         let short0 = rid(&[0]);
         let short1 = rid(&[1]);
         let demands = [
-            FlowDemand { route: &long, cap: 100.0 },
-            FlowDemand { route: &short0, cap: 100.0 },
-            FlowDemand { route: &short1, cap: 100.0 },
+            FlowDemand {
+                route: &long,
+                cap: 100.0,
+            },
+            FlowDemand {
+                route: &short0,
+                cap: 100.0,
+            },
+            FlowDemand {
+                route: &short1,
+                cap: 100.0,
+            },
         ];
         let mut rates = Vec::new();
         wf.compute(&demands, &[10.0, 4.0], &mut rates);
         assert_eq!(wf.bindings(), &[1, 0, 1]);
+        assert_eq!(wf.last_entries(), 4);
     }
 
     #[test]
@@ -404,8 +915,14 @@ mod tests {
         let mut wf = Waterfill::new(1);
         let route = rid(&[0]);
         let demands = [
-            FlowDemand { route: &route, cap: 2.0 },
-            FlowDemand { route: &route, cap: 100.0 },
+            FlowDemand {
+                route: &route,
+                cap: 2.0,
+            },
+            FlowDemand {
+                route: &route,
+                cap: 100.0,
+            },
         ];
         let mut rates = Vec::new();
         wf.compute(&demands, &[10.0], &mut rates);
@@ -414,16 +931,58 @@ mod tests {
         assert_eq!(wf.bindings(), &[CAP_BINDING, 0]);
         // Empty routes have only the private cap resource.
         let empty = rid(&[]);
-        let demands = [FlowDemand { route: &empty, cap: 7.0 }];
+        let demands = [FlowDemand {
+            route: &empty,
+            cap: 7.0,
+        }];
         wf.compute(&demands, &[10.0], &mut rates);
         assert_eq!(wf.bindings(), &[CAP_BINDING]);
+    }
+
+    #[test]
+    fn share_ties_go_to_the_lower_version_then_the_lower_id() {
+        // Link 0 (10 / 2), link 1 (5 / 1) and flow 1's cap (5) all tie
+        // at share 5 and version 0: link 0 has the lowest id and binds
+        // both flows.
+        let mut wf = Waterfill::new(2);
+        let a = rid(&[0]);
+        let b = rid(&[0, 1]);
+        let demands = [
+            FlowDemand {
+                route: &a,
+                cap: 100.0,
+            },
+            FlowDemand {
+                route: &b,
+                cap: 5.0,
+            },
+        ];
+        let mut rates = Vec::new();
+        wf.compute(&demands, &[10.0, 5.0], &mut rates);
+        assert_eq!(rates, vec![5.0, 5.0]);
+        assert_eq!(wf.bindings(), &[0, 0]);
+        // With link 0 wider only link 1 and the cap tie: the real link's
+        // id is below every private cap id, so link 1 binds flow 1.
+        wf.compute(&demands, &[30.0, 5.0], &mut rates);
+        assert_eq!(rates, vec![25.0, 5.0]);
+        assert_eq!(wf.bindings(), &[0, 1]);
+    }
+
+    #[test]
+    fn repeated_hops_debit_twice() {
+        // A route crossing link 0 twice counts as two of its three users.
+        let rates = run(1, &[9.0], &[(rid(&[0, 0]), 100.0), (rid(&[0]), 100.0)]);
+        assert_eq!(rates, vec![3.0, 3.0]);
     }
 
     #[test]
     fn scratch_state_resets_between_calls() {
         let mut wf = Waterfill::new(1);
         let route = rid(&[0]);
-        let demands = [FlowDemand { route: &route, cap: 100.0 }];
+        let demands = [FlowDemand {
+            route: &route,
+            cap: 100.0,
+        }];
         let mut rates = Vec::new();
         wf.compute(&demands, &[10.0], &mut rates);
         assert!((rates[0] - 10.0).abs() < 1e-9);
@@ -437,8 +996,14 @@ mod tests {
         let mut wf = Waterfill::new(1);
         let route = rid(&[0]);
         let demands = [
-            FlowDemand { route: &route, cap: 100.0 },
-            FlowDemand { route: &route, cap: 100.0 },
+            FlowDemand {
+                route: &route,
+                cap: 100.0,
+            },
+            FlowDemand {
+                route: &route,
+                cap: 100.0,
+            },
         ];
         let mut rates = Vec::new();
         // Ideal sharing: 5 + 5.
@@ -459,8 +1024,14 @@ mod tests {
         let r0 = rid(&[0]);
         let r1 = rid(&[1]);
         let demands = [
-            FlowDemand { route: &r0, cap: 100.0 },
-            FlowDemand { route: &r1, cap: 100.0 },
+            FlowDemand {
+                route: &r0,
+                cap: 100.0,
+            },
+            FlowDemand {
+                route: &r1,
+                cap: 100.0,
+            },
         ];
         let mut rates = Vec::new();
         wf.compute_with_penalty(&demands, &[10.0, 10.0], 0.9, 0.5, &mut rates);
@@ -472,7 +1043,10 @@ mod tests {
     fn negative_penalty_panics() {
         let mut wf = Waterfill::new(1);
         let route = rid(&[0]);
-        let demands = [FlowDemand { route: &route, cap: 1.0 }];
+        let demands = [FlowDemand {
+            route: &route,
+            cap: 1.0,
+        }];
         let mut rates = Vec::new();
         wf.compute_with_penalty(&demands, &[10.0], -0.1, 1.0, &mut rates);
     }
@@ -487,5 +1061,116 @@ mod tests {
     #[should_panic(expected = "non-positive capacity")]
     fn zero_capacity_panics() {
         run(1, &[0.0], &[(rid(&[0]), 1.0)]);
+    }
+
+    #[test]
+    fn slot_heap_pops_the_least_current_key() {
+        // Current keys move the way debits move them: most rise behind
+        // the heap's back, some fall and are lowered, some slots drain
+        // and are removed. Every peek must still find the least current
+        // key of a brute-force scan.
+        let n = 64;
+        let mut heap = SlotHeap::default();
+        heap.reset(n);
+        let mut x = 0x9E37_79B9u32;
+        let mut rnd = |m: u32| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x % m
+        };
+        let entry = |s: usize, (share, version): (f64, u32)| Entry {
+            share,
+            version,
+            id: s as u32,
+            slot: s as u32,
+        };
+        let mut current: Vec<Option<(f64, u32)>> =
+            (0..n).map(|_| Some((rnd(8) as f64, 0))).collect();
+        for (s, k) in current.iter().enumerate() {
+            heap.entries
+                .push(entry(s, k.expect("all slots start live")));
+        }
+        heap.heapify();
+        let mut popped = 0;
+        loop {
+            for _ in 0..3 {
+                let s = rnd(n as u32) as usize;
+                if let Some((share, v)) = current[s] {
+                    match rnd(5) {
+                        0 => {
+                            current[s] = None;
+                            heap.remove(s);
+                        }
+                        1 => {
+                            let k = (share - 1.0, v + 1);
+                            current[s] = Some(k);
+                            heap.lower(s, k.0, k.1);
+                        }
+                        _ => current[s] = Some((share + rnd(3) as f64, v + 1)),
+                    }
+                }
+            }
+            let best = (0..n)
+                .filter_map(|s| current[s].map(|k| entry(s, k)))
+                .reduce(|a, b| if b.before(&a) { b } else { a });
+            let top = heap.peek_current(|s| current[s].expect("only live slots are in the heap"));
+            assert_eq!(top.map(|e| e.slot), best.map(|e| e.slot));
+            let Some(top) = top else { break };
+            heap.remove(top.slot as usize);
+            current[top.slot as usize] = None;
+            popped += 1;
+        }
+        assert!(popped > 0 && heap.entries.is_empty());
+    }
+
+    #[test]
+    fn certificate_accepts_solver_output_and_rejects_tampering() {
+        let long = rid(&[0, 1]);
+        let short0 = rid(&[0]);
+        let short1 = rid(&[1]);
+        let flows = [
+            FlowDemand {
+                route: &long,
+                cap: 100.0,
+            },
+            FlowDemand {
+                route: &short0,
+                cap: 100.0,
+            },
+            FlowDemand {
+                route: &short1,
+                cap: 100.0,
+            },
+        ];
+        let caps = [10.0, 4.0];
+        let mut wf = Waterfill::new(2);
+        let mut rates = Vec::new();
+        wf.compute(&flows, &caps, &mut rates);
+        let bind = wf.bindings().to_vec();
+        assert_eq!(certify(&flows, &caps, 0.0, 1.0, &rates, &bind), Ok(()));
+
+        // Feasible but not max-min: short0 could take link 0's slack.
+        let slow = [2.0, 7.0, 2.0];
+        assert!(matches!(
+            certify(&flows, &caps, 0.0, 1.0, &slow, &bind),
+            Err(CertificateError::NoBottleneck { flow: 1, .. })
+        ));
+        // Over capacity on link 1.
+        let greedy = [2.0, 8.0, 3.0];
+        assert!(matches!(
+            certify(&flows, &caps, 0.0, 1.0, &greedy, &bind),
+            Err(CertificateError::OverCapacity { resource: 1, .. })
+        ));
+        // A witness naming a resource off the route.
+        assert!(matches!(
+            certify(&flows, &caps, 0.0, 1.0, &rates, &[1, 1, 1]),
+            Err(CertificateError::NoBottleneck { flow: 1, .. })
+        ));
+        // A cap-bound claim for a flow below its cap.
+        assert!(matches!(
+            certify(&flows, &caps, 0.0, 1.0, &rates, &[CAP_BINDING, 0, 1]),
+            Err(CertificateError::NoBottleneck { flow: 0, .. })
+        ));
     }
 }

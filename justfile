@@ -59,8 +59,8 @@ profile:
 # disjoint-heavy pattern at 4,096 nodes), then byte-diff against the
 # committed baseline — the artifact is pure simulated time, so any diff
 # means the planner or simulator moved. Re-baseline an intentional
-# change with `UPDATE_GOLDEN=1 just exchange`. Coffee-break sized
-# (~40 min single-core; the 512-node slice is separately pinned as
+# change with `UPDATE_GOLDEN=1 just exchange`. About 4.5 min on one
+# thread (the 512-node slice is separately pinned as
 # tests/golden/exchange.csv for the quick path).
 exchange:
     cargo run --release -p bgq-bench --bin exchange -- \
