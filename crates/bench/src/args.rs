@@ -212,7 +212,9 @@ impl BenchArgs {
     }
 }
 
-fn parse_value<T: std::str::FromStr>(
+/// Parse the value following `flag` (`None` when the flag was last on
+/// the line).
+pub fn parse_value<T: std::str::FromStr>(
     flag: &'static str,
     value: Option<String>,
 ) -> Result<T, ArgError> {

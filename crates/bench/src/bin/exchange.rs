@@ -1,7 +1,8 @@
 //! Sparse neighborhood exchange sweep: pattern density × size,
 //! 512 → 4,096 nodes, all three algorithms per point.
 //!
-//! Usage: `exchange [--max-nodes N] [--threads N] [--out PATH]`
+//! Usage: `exchange [--max-nodes N] [--threads N] [--out PATH]`; a bad
+//! flag or value prints the usage and exits with status 2.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_exchange.json`
 //! (override with `--out`) and prints a human table. `--max-nodes 512`
@@ -9,35 +10,54 @@
 //! acceptance bar: proxy multipath ≥1.5× direct aggregate throughput on
 //! the disjoint-heavy pattern at 4,096 nodes.
 
+use bgq_bench::args::parse_value;
 use bgq_bench::{
     exchange_json, exchange_point, exchange_row, ExchangePattern, ExchangeSweep, Experiment,
     ExperimentSession, Row, Table,
 };
 use sdm_core::ExchangeAlgorithm;
+use std::error::Error;
+use std::process::ExitCode;
 
-fn main() {
-    let mut max_nodes = 4096u32;
-    let mut threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::from("results/BENCH_exchange.json");
-    let mut args = std::env::args().skip(1);
+const USAGE: &str = "usage: exchange [--max-nodes N] [--threads N] [--out PATH]";
+
+#[derive(Debug)]
+struct Cli {
+    max_nodes: u32,
+    threads: usize,
+    out: String,
+}
+
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Error>> {
+    let mut cli = Cli {
+        max_nodes: 4096,
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        out: String::from("results/BENCH_exchange.json"),
+    };
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--max-nodes" => {
-                let v = args.next().expect("--max-nodes needs a value");
-                max_nodes = v.parse().unwrap_or_else(|_| panic!("bad --max-nodes {v:?}"));
-            }
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads = v.parse().unwrap_or_else(|_| panic!("bad --threads {v:?}"));
-            }
-            "--out" => out = args.next().expect("--out needs a value"),
-            other => {
-                panic!("unknown flag {other:?} (use --max-nodes N / --threads N / --out PATH)")
-            }
+            "--max-nodes" => cli.max_nodes = parse_value("--max-nodes", args.next())?,
+            "--threads" => cli.threads = parse_value("--threads", args.next())?,
+            "--out" => cli.out = parse_value("--out", args.next())?,
+            other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
+    Ok(cli)
+}
+
+fn main() -> ExitCode {
+    let Cli {
+        max_nodes,
+        threads,
+        out,
+    } = match parse_cli(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("exchange: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     // Each sweep point is simulated once (threads fan points out; output
     // is bit-identical for any thread count) and feeds both the human
@@ -88,4 +108,32 @@ fn main() {
     }
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     eprintln!("wrote {out}");
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_cli;
+
+    fn parse(s: &[&str]) -> Result<super::Cli, String> {
+        parse_cli(s.iter().map(|a| a.to_string())).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn flags_parse() {
+        let cli = parse(&["--max-nodes", "512", "--threads", "2", "--out", "x.json"]).unwrap();
+        assert_eq!((cli.max_nodes, cli.threads, cli.out.as_str()), (512, 2, "x.json"));
+        assert_eq!(parse(&[]).unwrap().max_nodes, 4096);
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["--max-nodes"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--max-nodes", "many"]).unwrap_err().contains("\"many\""));
+        assert!(parse(&["--max-nodes", "-1"]).is_err());
+        assert!(parse(&["--max-nodes", "5000000000"]).is_err());
+        assert!(parse(&["--threads", "two"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+    }
 }

@@ -2,7 +2,8 @@
 //! plus the sharded executor, on the same sparse pattern,
 //! 512 → 8,192 nodes.
 //!
-//! Usage: `scale [--max-nodes N] [--threads N] [--out PATH] [--report-out PATH]`
+//! Usage: `scale [--max-nodes N] [--threads N] [--out PATH] [--report-out PATH]`;
+//! a bad flag or value prints the usage and exits with status 2.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_scale.json`
 //! (override with `--out`) and prints a human table. `--threads N`
@@ -12,32 +13,55 @@
 //! `just verify`'s sharded-determinism smoke diffs. `--max-nodes 512`
 //! is the smoke configuration used by `just bench-smoke`.
 
+use bgq_bench::args::parse_value;
 use bgq_bench::scale::{scale_json, scale_point_with, scale_report_json, scale_sizes};
 use bgq_netsim::SimConfig;
+use std::error::Error;
+use std::process::ExitCode;
 
-fn main() {
-    let mut max_nodes = 8192u32;
-    let mut out = String::from("results/BENCH_scale.json");
-    let mut report_out: Option<String> = None;
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut args = std::env::args().skip(1);
+const USAGE: &str = "usage: scale [--max-nodes N] [--threads N] [--out PATH] [--report-out PATH]";
+
+#[derive(Debug)]
+struct Cli {
+    max_nodes: u32,
+    threads: usize,
+    out: String,
+    report_out: Option<String>,
+}
+
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Error>> {
+    let mut cli = Cli {
+        max_nodes: 8192,
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        out: String::from("results/BENCH_scale.json"),
+        report_out: None,
+    };
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--max-nodes" => {
-                let v = args.next().expect("--max-nodes needs a value");
-                max_nodes = v.parse().unwrap_or_else(|_| panic!("bad --max-nodes {v:?}"));
-            }
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads = v.parse().unwrap_or_else(|_| panic!("bad --threads {v:?}"));
-            }
-            "--out" => out = args.next().expect("--out needs a value"),
-            "--report-out" => report_out = Some(args.next().expect("--report-out needs a value")),
-            other => panic!(
-                "unknown flag {other:?} (use --max-nodes N / --threads N / --out PATH / --report-out PATH)"
-            ),
+            "--max-nodes" => cli.max_nodes = parse_value("--max-nodes", args.next())?,
+            "--threads" => cli.threads = parse_value("--threads", args.next())?,
+            "--out" => cli.out = parse_value("--out", args.next())?,
+            "--report-out" => cli.report_out = Some(parse_value("--report-out", args.next())?),
+            other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
+    Ok(cli)
+}
+
+fn main() -> ExitCode {
+    let Cli {
+        max_nodes,
+        threads,
+        out,
+        report_out,
+    } = match parse_cli(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("scale: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     println!("waterfill scaling sweep (full vs. incremental re-leveling, {threads}-thread shards)");
     println!(
@@ -93,5 +117,33 @@ fn main() {
         }
         std::fs::write(&rp, &report).unwrap_or_else(|e| panic!("write {rp}: {e}"));
         eprintln!("wrote {rp}");
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_cli;
+
+    fn parse(s: &[&str]) -> Result<super::Cli, String> {
+        parse_cli(s.iter().map(|a| a.to_string())).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn flags_parse() {
+        let cli = parse(&["--max-nodes", "512", "--threads", "1", "--report-out", "r.json"]).unwrap();
+        assert_eq!((cli.max_nodes, cli.threads), (512, 1));
+        assert_eq!(cli.report_out.as_deref(), Some("r.json"));
+        assert_eq!(cli.out, "results/BENCH_scale.json");
+        assert_eq!(parse(&[]).unwrap().max_nodes, 8192);
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["--threads"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--threads", "lots"]).unwrap_err().contains("\"lots\""));
+        assert!(parse(&["--max-nodes", "-512"]).is_err());
+        assert!(parse(&["--report-out"]).is_err());
     }
 }

@@ -31,6 +31,13 @@
 //! of the active set — the common case on random sparse exchanges. The
 //! threshold is a pure performance knob — results are identical at any
 //! value, which `tests/incremental.rs` pins.
+//!
+//! A full solve is warm-started from the previous one: the waterfill
+//! replays the previous full solve's bottleneck passes up to the first
+//! one a joined or departed flow touches (see the `waterfill` module
+//! docs), bit-identically. Incremental sub-solves and capacity
+//! changes drop that log; [`SolverMode::Full`] always solves cold, as
+//! the oracle `tests/warm_start.rs` compares against.
 
 use crate::config::SimConfig;
 use crate::graph::{ResourceId, TransferSpec};
@@ -97,6 +104,10 @@ pub(crate) struct Leveler<'a> {
     pub solved_entries: u64,
     /// Flow–resource entries the dirty-closure scans visited.
     pub closure_entries: u64,
+    /// Progressive-filling passes over every solve, and how many of them
+    /// a warm full solve replayed from the previous one's log.
+    pub passes: u64,
+    pub replayed_passes: u64,
 }
 
 impl<'a> Leveler<'a> {
@@ -138,6 +149,8 @@ impl<'a> Leveler<'a> {
             incremental_runs: 0,
             solved_entries: 0,
             closure_entries: 0,
+            passes: 0,
+            replayed_passes: 0,
         }
     }
 
@@ -165,9 +178,11 @@ impl<'a> Leveler<'a> {
         }
     }
 
-    /// A fault changed a resource's effective capacity.
+    /// A fault changed a resource's effective capacity, which the
+    /// waterfill's pass log assumed.
     pub fn note_caps_changed(&mut self, ri: usize) {
         mark(&mut self.res_dirty, &mut self.dirty_res, ri as u32);
+        self.wf.forget();
     }
 
     /// The binding resource of transfer `tid` as of the last re-level
@@ -258,6 +273,7 @@ impl<'a> Leveler<'a> {
                 rates,
             );
             *solved_entries += wf.last_entries() as u64;
+            self.passes += wf.last_passes().0 as u64;
             let bindings = wf.bindings();
             for (k, &i) in sub_idx.iter().enumerate() {
                 let f = &mut active[i as usize];
@@ -267,18 +283,26 @@ impl<'a> Leveler<'a> {
         }
     }
 
+    /// Solve the whole active set. The incremental leveler warm-starts
+    /// it from the previous full solve, keyed by transfer id; `Full`
+    /// mode, the oracle, always solves cold.
     fn solve_full(&mut self, active: &mut [ActiveFlow], caps: &[f64], rates: &mut Vec<f64>) {
         self.full_runs += 1;
         let demands = self.demands;
-        self.wf.solve(
-            active.len(),
-            |i| demands.route(active[i].tid),
-            |i| demands.cap(active[i].tid),
-            caps,
-            self.contention,
-            rates,
-        );
+        let route = |i: usize| demands.route(active[i].tid);
+        let cap = |i: usize| demands.cap(active[i].tid);
+        if self.full_only {
+            self.wf
+                .solve(active.len(), route, cap, caps, self.contention, rates);
+        } else {
+            let key = |i: usize| active[i].tid;
+            self.wf
+                .solve_warm(active.len(), route, cap, key, caps, self.contention, rates);
+        }
         self.solved_entries += self.wf.last_entries() as u64;
+        let (passes, replayed) = self.wf.last_passes();
+        self.passes += passes as u64;
+        self.replayed_passes += replayed as u64;
         let Leveler { wf, binding, .. } = self;
         let bindings = wf.bindings();
         for ((f, &r), &b) in active.iter_mut().zip(rates.iter()).zip(bindings) {

@@ -47,14 +47,16 @@ pub const DEFAULT_FULL_FRACTION: f64 = 0.5;
 /// How the engine re-levels fair-share rates at each epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolverMode {
-    /// Re-solve the waterfill over every active flow at every epoch
-    /// (the classical engine; kept as the oracle for the incremental
-    /// path).
+    /// Re-solve the waterfill over every active flow at every epoch,
+    /// cold (the classical engine; kept as the oracle for the
+    /// incremental path and its warm-started full solves).
     Full,
     /// Re-solve only the transitive closure of flows/links whose
     /// saturation set changed, falling back to a full solve when the
-    /// closure exceeds `full_fraction` of the active set. Produces
-    /// bit-identical reports to [`SolverMode::Full`] at any fraction.
+    /// closure exceeds `full_fraction` of the active set; that full
+    /// solve replays the previous one's bottleneck passes as far as
+    /// they still hold. Produces bit-identical reports to
+    /// [`SolverMode::Full`] at any fraction.
     Incremental { full_fraction: f64 },
 }
 
@@ -296,29 +298,6 @@ impl Simulator {
 
     pub fn capacities(&self) -> &[f64] {
         &self.capacities
-    }
-
-    /// Execute `graph` and return per-transfer timings.
-    #[deprecated(note = "use `Simulator::simulate` with `SimOptions`")]
-    pub fn run(&self, graph: &TransferGraph) -> SimReport {
-        self.simulate(graph, SimOptions::new())
-    }
-
-    /// Execute `graph` under a fault schedule.
-    #[deprecated(note = "use `Simulator::simulate` with `SimOptions`")]
-    pub fn run_with_faults(&self, graph: &TransferGraph, faults: &FaultPlan) -> SimReport {
-        self.simulate(graph, SimOptions::new().faults(faults))
-    }
-
-    /// Execute `graph` under a fault schedule with passive observation.
-    #[deprecated(note = "use `Simulator::simulate` with `SimOptions`")]
-    pub fn run_observed(
-        &self,
-        graph: &TransferGraph,
-        faults: &FaultPlan,
-        obs: &mut SimObserver,
-    ) -> SimReport {
-        self.simulate(graph, SimOptions::new().faults(faults).observer(obs))
     }
 
     /// Execute `graph` under `opts` and return per-transfer timings.
@@ -940,6 +919,8 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
         o.waterfill_incremental_runs += leveler.incremental_runs;
         o.waterfill_entries += leveler.solved_entries;
         o.closure_entries += leveler.closure_entries;
+        o.waterfill_passes += leveler.passes;
+        o.waterfill_replayed_passes += leveler.replayed_passes;
     }
     let (stall_time, stalled_at_drain) = flows.close(now);
     ComponentRun {
@@ -1167,30 +1148,24 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_simulate() {
-        // The old run surface is thin sugar over `simulate`; pin the
-        // equivalence until the wrappers are removed.
+    fn simulate_options_compose() {
+        // Faults and an observer are independent options: the observer
+        // never changes the faulted report, and the fault does change
+        // the plain one.
         let s = sim(3, vec![100.0]);
         let mut g = TransferGraph::new();
         g.add(TransferSpec::new(0, 2, 1000, vec![ResourceId(0)]));
         g.add(TransferSpec::new(1, 2, 700, vec![ResourceId(0)]));
         let plan = FaultPlan::new().degrade_link(3.0, ResourceId(0), 0.5);
 
-        let a = s.run(&g);
-        let b = s.simulate(&g, SimOptions::new());
-        assert_eq!(a.delivery_time, b.delivery_time);
+        let plain = s.simulate(&g, SimOptions::new());
+        let faulted = s.simulate(&g, SimOptions::new().faults(&plan));
+        assert_ne!(plain.delivery_time, faulted.delivery_time);
 
-        let a = s.run_with_faults(&g, &plan);
-        let b = s.simulate(&g, SimOptions::new().faults(&plan));
-        assert_eq!(a.delivery_time, b.delivery_time);
-
-        let mut o1 = SimObserver::new();
-        let mut o2 = SimObserver::new();
-        let a = s.run_observed(&g, &plan, &mut o1);
-        let b = s.simulate(&g, SimOptions::new().faults(&plan).observer(&mut o2));
-        assert_eq!(a.delivery_time, b.delivery_time);
-        assert_eq!(o1, o2);
+        let mut obs = SimObserver::new();
+        let observed = s.simulate(&g, SimOptions::new().faults(&plan).observer(&mut obs));
+        assert_eq!(observed, faulted);
+        assert_eq!(obs.fault_events, 1);
     }
 
     // ---- fault injection ----
@@ -1425,7 +1400,53 @@ mod tests {
             assert_eq!(o.waterfill_entries, 3, "{mode:?}");
             assert_eq!(o.closure_entries, closure, "{mode:?}");
             assert_eq!(o.waterfill_full_runs, 2, "{mode:?}");
+            // One pass each; the second solve's only logged pass froze
+            // the departed flow, so nothing replays.
+            assert_eq!(o.waterfill_passes, 2, "{mode:?}");
+            assert_eq!(o.waterfill_replayed_passes, 0, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn warm_full_solves_replay_on_a_sparse_exchange() {
+        // A 16-node ring exchange: every node sends two messages of
+        // mixed sizes 1-5 hops clockwise, so routes overlap into one
+        // contention component, most re-levels fall back to a full
+        // solve, and consecutive solves differ by a flow or two.
+        let nodes = 16u32;
+        let s = sim(nodes, vec![100.0; nodes as usize]);
+        let mut g = TransferGraph::new();
+        let mut x = 0x2545_F491u32;
+        let mut rnd = |m: u32| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x % m
+        };
+        for src in 0..nodes {
+            for _ in 0..2 {
+                let hops = 1 + rnd(5);
+                let route = (0..hops).map(|h| ResourceId((src + h) % nodes)).collect();
+                let bytes = 1_000 + 250 * rnd(16) as u64;
+                g.add(TransferSpec::new(src, (src + hops) % nodes, bytes, route));
+            }
+        }
+        let run = |mode: SolverMode| {
+            let mut o = SimObserver::new();
+            let r = s.simulate(&g, SimOptions::new().solver(mode).observer(&mut o));
+            (r, o)
+        };
+        let (cold, cold_obs) = run(SolverMode::Full);
+        let (warm, warm_obs) = run(SolverMode::default());
+        assert_eq!(cold, warm);
+        assert_eq!(cold_obs.waterfill_replayed_passes, 0, "Full mode solves cold");
+        assert!(warm_obs.waterfill_full_runs > warm_obs.waterfill_incremental_runs);
+        assert!(
+            warm_obs.waterfill_replayed_passes > 0,
+            "{} of {} passes replayed",
+            warm_obs.waterfill_replayed_passes,
+            warm_obs.waterfill_passes
+        );
     }
 
     #[test]

@@ -130,6 +130,13 @@ pub struct SimObserver {
     /// closing dirty sets. The scan stops once the closure crosses the
     /// fallback threshold, so a fallback costs only the part scanned.
     pub closure_entries: u64,
+    /// Progressive-filling passes (popped bottlenecks) across every
+    /// solve, full or incremental.
+    pub waterfill_passes: u64,
+    /// The part of `waterfill_passes` that warm-started full solves
+    /// replayed from the previous full solve's pass log instead of
+    /// popping (always 0 under [`crate::SolverMode::Full`]).
+    pub waterfill_replayed_passes: u64,
     /// Events popped from the engine's queue (the denominator for
     /// events/sec in scaling sweeps).
     pub events_processed: u64,
@@ -169,8 +176,9 @@ impl SimObserver {
     /// [`bgq_obs::ScenarioManifest`] without reaching into fields.
     /// Every value is an integer count cast to `f64`, so the scalars
     /// inherit the engine's bit-determinism. The work counters
-    /// (`waterfill_entries`, `closure_entries`) are not exported: the
-    /// committed ledger baseline pins this exact set of names.
+    /// (`waterfill_entries`, `closure_entries`, `waterfill_passes`,
+    /// `waterfill_replayed_passes`) are not exported: the committed
+    /// ledger baseline pins this exact set of names.
     ///
     /// [`bgq_obs::ScenarioManifest`]: https://docs.rs/bgq-obs
     pub fn scalars(&self, prefix: &str) -> Vec<(String, f64)> {
@@ -228,6 +236,8 @@ impl SimObserver {
         self.waterfill_incremental_runs += local.waterfill_incremental_runs;
         self.waterfill_entries += local.waterfill_entries;
         self.closure_entries += local.closure_entries;
+        self.waterfill_passes += local.waterfill_passes;
+        self.waterfill_replayed_passes += local.waterfill_replayed_passes;
         self.events_processed += local.events_processed;
         self.fault_events += local.fault_events;
         self.fault_re_levels
@@ -288,6 +298,8 @@ mod tests {
         obs.waterfill_runs = 10;
         obs.waterfill_full_runs = 3;
         obs.waterfill_incremental_runs = 7;
+        obs.waterfill_passes = 40;
+        obs.waterfill_replayed_passes = 25;
         obs.stalls.push((1.0, 4));
         let s = obs.scalars("sim.");
         assert!(s.iter().all(|(k, _)| k.starts_with("sim.")));
@@ -298,6 +310,8 @@ mod tests {
         assert_eq!(get("sim.waterfill_incremental_runs"), Some(7.0));
         assert_eq!(get("sim.stalls"), Some(1.0));
         assert_eq!(get("sim.transfers_undelivered"), Some(0.0));
+        // Work counters stay out of the export the ledger baseline pins.
+        assert!(s.iter().all(|(k, _)| !k.contains("passes")), "{s:?}");
     }
 
     #[test]
@@ -324,6 +338,8 @@ mod tests {
         // renumbers the heatmap epochs like one sequential loop.
         let mut a = SimObserver::new();
         a.events_processed = 3;
+        a.waterfill_passes = 9;
+        a.waterfill_replayed_passes = 4;
         a.stalls.push((2.0, 1)); // local tid 1 -> global 2
         a.heatmap.samples.push(HeatmapSample {
             time: 1.0,
@@ -337,6 +353,8 @@ mod tests {
         });
         let mut b = SimObserver::new();
         b.events_processed = 2;
+        b.waterfill_passes = 5;
+        b.waterfill_replayed_passes = 1;
         b.stalls.push((1.0, 0)); // local tid 0 -> global 1
         b.heatmap.samples.push(HeatmapSample {
             time: 2.0,
@@ -351,6 +369,10 @@ mod tests {
         merged.seal_merge(mark);
 
         assert_eq!(merged.events_processed, 5);
+        assert_eq!(
+            (merged.waterfill_passes, merged.waterfill_replayed_passes),
+            (14, 5)
+        );
         assert_eq!(merged.stalls, vec![(1.0, 1), (2.0, 2)]);
         let rows: Vec<(u64, f64)> = merged
             .heatmap

@@ -59,9 +59,10 @@ profile:
 # disjoint-heavy pattern at 4,096 nodes), then byte-diff against the
 # committed baseline — the artifact is pure simulated time, so any diff
 # means the planner or simulator moved. Re-baseline an intentional
-# change with `UPDATE_GOLDEN=1 just exchange`. About 4.5 min on one
-# thread (the 512-node slice is separately pinned as
-# tests/golden/exchange.csv for the quick path).
+# change with `UPDATE_GOLDEN=1 just exchange`. About 2.5 min at the
+# default two threads on a 2-vCPU host, 3.2 min on one thread (the
+# 512-node slice is separately pinned as tests/golden/exchange.csv for
+# the quick path).
 exchange:
     cargo run --release -p bgq-bench --bin exchange -- \
         --out results/obs/exchange.json
