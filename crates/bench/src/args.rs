@@ -61,6 +61,13 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// Lets a `Result<_, String>` parser use `?` on [`parse_value`].
+impl From<ArgError> for String {
+    fn from(e: ArgError) -> String {
+        e.to_string()
+    }
+}
+
 /// Parsed harness options. Construct with [`BenchArgs::parse`] (exits on
 /// bad input, like any CLI) or [`BenchArgs::try_parse`] (reports
 /// [`ArgError`] as a value).

@@ -1,48 +1,36 @@
-//! Solver scaling sweep: full vs. incremental waterfill re-leveling,
-//! plus the sharded executor, on the same sparse pattern,
-//! 512 → 8,192 nodes.
+//! Solver scaling sweep: full vs. incremental waterfill re-leveling on
+//! the same sparse pattern, 512 → 8,192 nodes.
 //!
-//! Usage: `scale [--max-nodes N] [--threads N] [--out PATH] [--report-out PATH]`;
-//! a bad flag or value prints the usage and exits with status 2.
+//! Usage: `scale [--max-nodes N] [--out PATH]`; a bad flag or value
+//! prints the usage and exits with status 2.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_scale.json`
-//! (override with `--out`) and prints a human table. `--threads N`
-//! sets the sharded side's worker count (default: the host's available
-//! parallelism). `--report-out` additionally writes the wall-clock-free
-//! report — byte-identical at any thread count, which is what
-//! `just verify`'s sharded-determinism smoke diffs. `--max-nodes 512`
+//! (override with `--out`) and prints a human table. `--max-nodes 512`
 //! is the smoke configuration used by `just bench-smoke`.
 
 use bgq_bench::args::parse_value;
-use bgq_bench::scale::{scale_json, scale_point_with, scale_report_json, scale_sizes};
-use bgq_netsim::SimConfig;
+use bgq_bench::scale::{scale_json, scale_point, scale_sizes};
 use std::error::Error;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: scale [--max-nodes N] [--threads N] [--out PATH] [--report-out PATH]";
+const USAGE: &str = "usage: scale [--max-nodes N] [--out PATH]";
 
 #[derive(Debug)]
 struct Cli {
     max_nodes: u32,
-    threads: usize,
     out: String,
-    report_out: Option<String>,
 }
 
 fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Error>> {
     let mut cli = Cli {
         max_nodes: 8192,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         out: String::from("results/BENCH_scale.json"),
-        report_out: None,
     };
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--max-nodes" => cli.max_nodes = parse_value("--max-nodes", args.next())?,
-            "--threads" => cli.threads = parse_value("--threads", args.next())?,
             "--out" => cli.out = parse_value("--out", args.next())?,
-            "--report-out" => cli.report_out = Some(parse_value("--report-out", args.next())?),
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
@@ -50,12 +38,7 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Erro
 }
 
 fn main() -> ExitCode {
-    let Cli {
-        max_nodes,
-        threads,
-        out,
-        report_out,
-    } = match parse_cli(std::env::args().skip(1)) {
+    let Cli { max_nodes, out } = match parse_cli(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("scale: {e}\n{USAGE}");
@@ -63,17 +46,23 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("waterfill scaling sweep (full vs. incremental re-leveling, {threads}-thread shards)");
+    println!("waterfill scaling sweep (full vs. incremental re-leveling)");
     println!(
-        "{:>6} {:>9} {:>7} {:>12} {:>12} {:>9} {:>11} {:>8} {:>8}",
-        "nodes", "transfers", "shards", "full ev/s", "incr ev/s", "speedup", "full-levels", "reduced", "par"
+        "{:>6} {:>9} {:>7} {:>12} {:>12} {:>9} {:>11} {:>8}",
+        "nodes",
+        "transfers",
+        "shards",
+        "full ev/s",
+        "incr ev/s",
+        "speedup",
+        "full-levels",
+        "reduced"
     );
-    let sim = SimConfig::default();
     let mut points = Vec::new();
     for nodes in scale_sizes(max_nodes) {
-        let p = scale_point_with(nodes, &sim, threads);
+        let p = scale_point(nodes);
         println!(
-            "{:>6} {:>9} {:>7} {:>12.0} {:>12.0} {:>8.2}x {:>5} -> {:<4} {:>6.1}x {:>7.2}x",
+            "{:>6} {:>9} {:>7} {:>12.0} {:>12.0} {:>8.2}x {:>5} -> {:<4} {:>6.1}x",
             p.nodes,
             p.transfers,
             p.shards,
@@ -82,8 +71,7 @@ fn main() -> ExitCode {
             p.speedup(),
             p.full.full_runs,
             p.incremental.full_runs,
-            p.full_run_reduction(),
-            p.parallel_speedup()
+            p.full_run_reduction()
         );
         points.push(p);
     }
@@ -109,15 +97,6 @@ fn main() -> ExitCode {
     }
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     eprintln!("wrote {out}");
-
-    if let Some(rp) = report_out {
-        let report = scale_report_json(&points);
-        if let Some(dir) = std::path::Path::new(&rp).parent() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
-        }
-        std::fs::write(&rp, &report).unwrap_or_else(|e| panic!("write {rp}: {e}"));
-        eprintln!("wrote {rp}");
-    }
     ExitCode::SUCCESS
 }
 
@@ -131,19 +110,29 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let cli = parse(&["--max-nodes", "512", "--threads", "1", "--report-out", "r.json"]).unwrap();
-        assert_eq!((cli.max_nodes, cli.threads), (512, 1));
-        assert_eq!(cli.report_out.as_deref(), Some("r.json"));
+        let cli = parse(&["--max-nodes", "512", "--out", "s.json"]).unwrap();
+        assert_eq!((cli.max_nodes, cli.out.as_str()), (512, "s.json"));
+        let cli = parse(&[]).unwrap();
+        assert_eq!(cli.max_nodes, 8192);
         assert_eq!(cli.out, "results/BENCH_scale.json");
-        assert_eq!(parse(&[]).unwrap().max_nodes, 8192);
     }
 
     #[test]
     fn bad_input_is_an_error_not_a_panic() {
         assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
-        assert!(parse(&["--threads"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--threads", "lots"]).unwrap_err().contains("\"lots\""));
+        assert!(parse(&["--max-nodes"])
+            .unwrap_err()
+            .contains("needs a value"));
+        assert!(parse(&["--max-nodes", "lots"])
+            .unwrap_err()
+            .contains("\"lots\""));
         assert!(parse(&["--max-nodes", "-512"]).is_err());
-        assert!(parse(&["--report-out"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--threads", "2"])
+            .unwrap_err()
+            .contains("--threads"));
+        assert!(parse(&["--report-out", "r.json"])
+            .unwrap_err()
+            .contains("--report-out"));
     }
 }

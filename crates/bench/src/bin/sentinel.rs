@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! sentinel [--out PATH] [--baseline PATH] [--history PATH]
-//!          [--markdown-out PATH] [--degrade-links F] [--threads N]
+//!          [--markdown-out PATH] [--degrade-links F]
 //!          [--update-baseline] [--force] [--no-history]
 //! ```
 //!
@@ -33,11 +33,10 @@
 //! run, so `--update-baseline` together with `--degrade-links` is a
 //! usage error unless `--force` is also given.
 //!
-//! `--threads N` runs the scale scenario's sharded rerun on `N` worker
-//! threads (simulated metrics don't change; only wall-clock does).
-//!
-//! Exit codes: 0 clean, 1 regression, 2 usage error.
+//! Exit codes: 0 clean, 1 regression or an unreadable history file,
+//! 2 usage error.
 
+use bgq_bench::args::parse_value;
 use bgq_bench::{history_line, run_ledger, write_artifact, LedgerOptions, PlanCache};
 use bgq_obs::{sentinel, RunManifest};
 use std::process::ExitCode;
@@ -49,7 +48,6 @@ struct Cli {
     history: Option<String>,
     markdown_out: Option<String>,
     degrade_links: f64,
-    threads: usize,
     update_baseline: bool,
     force: bool,
 }
@@ -61,35 +59,27 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         history: Some("results/ledger/history.jsonl".to_string()),
         markdown_out: None,
         degrade_links: 1.0,
-        threads: 0,
         update_baseline: false,
         force: false,
     };
     let mut args = args.into_iter();
-    let value = |flag: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => cli.out = value("--out", args.next())?,
-            "--baseline" => cli.baseline = value("--baseline", args.next())?,
-            "--history" => cli.history = Some(value("--history", args.next())?),
+            "--out" => cli.out = parse_value("--out", args.next())?,
+            "--baseline" => cli.baseline = parse_value("--baseline", args.next())?,
+            "--history" => cli.history = Some(parse_value("--history", args.next())?),
             "--no-history" => cli.history = None,
-            "--markdown-out" => cli.markdown_out = Some(value("--markdown-out", args.next())?),
-            "--degrade-links" => {
-                let v = value("--degrade-links", args.next())?;
-                cli.degrade_links = v
-                    .parse()
-                    .map_err(|_| format!("--degrade-links needs a number, got {v:?}"))?;
-                if cli.degrade_links.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                    return Err(format!("--degrade-links must be positive, got {v}"));
-                }
+            "--markdown-out" => {
+                cli.markdown_out = Some(parse_value("--markdown-out", args.next())?)
             }
-            "--threads" => {
-                let v = value("--threads", args.next())?;
-                cli.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads needs a count, got {v:?}"))?;
+            "--degrade-links" => {
+                cli.degrade_links = parse_value("--degrade-links", args.next())?;
+                if cli.degrade_links.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+                    return Err(format!(
+                        "--degrade-links must be positive, got {}",
+                        cli.degrade_links
+                    ));
+                }
             }
             "--update-baseline" => cli.update_baseline = true,
             "--force" => cli.force = true,
@@ -97,7 +87,7 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 return Err(format!(
                     "unknown flag {other:?} (supported: --out PATH, --baseline PATH, \
                      --history PATH, --no-history, --markdown-out PATH, \
-                     --degrade-links F, --threads N, --update-baseline, --force)"
+                     --degrade-links F, --update-baseline, --force)"
                 ))
             }
         }
@@ -115,8 +105,14 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
 
 /// Append `line` to the history unless its hash matches the last
 /// entry's — reruns of an unchanged tree leave the file untouched.
+/// A missing file starts an empty history; any other read error is
+/// returned with the file left as it was.
 fn append_history(path: &str, line: &str, hash: &str) -> std::io::Result<bool> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    let existing = match std::fs::read_to_string(path) {
+        Ok(existing) => existing,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
     if let Some(last) = existing.lines().rev().find(|l| !l.trim().is_empty()) {
         if last.contains(hash) {
             return Ok(false);
@@ -135,10 +131,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut opts = LedgerOptions {
-        threads: cli.threads,
-        ..LedgerOptions::default()
-    };
+    let mut opts = LedgerOptions::default();
     if cli.degrade_links != 1.0 {
         opts.sim.link_bandwidth *= cli.degrade_links;
         opts.sim.io_link_bandwidth *= cli.degrade_links;
@@ -189,7 +182,10 @@ fn main() -> ExitCode {
         match append_history(path, &history_line(&manifest, report.as_ref()), &hash) {
             Ok(true) => eprintln!("appended history entry to {path}"),
             Ok(false) => eprintln!("history already ends with {hash}; not appending"),
-            Err(e) => panic!("write {path}: {e}"),
+            Err(e) => {
+                eprintln!("{path}: cannot update history: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
 
@@ -224,7 +220,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_cli;
+    use super::{append_history, parse_cli};
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -262,16 +258,31 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses_and_rejects_garbage() {
-        assert_eq!(parse_cli(args(&["--threads", "8"])).unwrap().threads, 8);
-        assert!(parse_cli(args(&["--threads", "many"])).is_err());
-        assert!(parse_cli(args(&["--threads"])).is_err());
-    }
-
-    #[test]
     fn degrade_links_still_validates() {
         assert!(parse_cli(args(&["--degrade-links", "0"])).is_err());
         assert!(parse_cli(args(&["--degrade-links", "-1"])).is_err());
         assert!(parse_cli(args(&["--degrade-links", "NaN"])).is_err());
+    }
+
+    #[test]
+    fn unreadable_history_is_an_error_and_left_untouched() {
+        let dir = std::env::temp_dir().join(format!("sentinel-history-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("history.jsonl");
+        let bytes = b"{\"hash\":\"old\"}\n\xff\xfe not utf-8\n".to_vec();
+        std::fs::write(&path, &bytes).unwrap();
+        let path_str = path.to_str().unwrap();
+        let err = append_history(path_str, "{\"hash\":\"new\"}", "new")
+            .expect_err("invalid UTF-8 must not read as an empty history");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "history clobbered");
+        // A missing file is an empty history, not an error.
+        std::fs::remove_file(&path).unwrap();
+        assert!(append_history(path_str, "{\"hash\":\"new\"}", "new").unwrap());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"hash\":\"new\"}\n"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,10 +1,8 @@
 //! Scaling sweep for the waterfill solver: the same sparse transfer
 //! pattern simulated with [`SolverMode::Full`] (re-level a component's
-//! whole active set at every rate epoch), with the default
+//! whole active set at every rate epoch) and with the default
 //! [`SolverMode::Incremental`] (re-level only the dirty flow/link
-//! closure), and with the incremental solver re-run on the sharded
-//! executor (`SimOptions::sharded`), across partition sizes up to
-//! 8,192 nodes.
+//! closure), across partition sizes up to 8,192 nodes.
 //!
 //! The pattern is the regime the paper's sparse workloads live in: many
 //! link-disjoint neighbor exchanges plus one dependent fan-out per
@@ -14,12 +12,12 @@
 //! the dirty-closure machinery beats full re-levels *within* a
 //! component. Columns never share a link with each other — routes
 //! between nodes of one aligned D×E block stay inside the block — so
-//! the pattern decomposes into hundreds of independent components and
-//! the sharded executor can spread them over a worker pool.
+//! the pattern decomposes into hundreds of independent components, each
+//! run as its own shard.
 //!
-//! All three runs must produce bit-identical reports — the sweep
-//! asserts it — so the only thing the solver mode or thread count
-//! changes is how much each rate epoch costs in wall-clock terms.
+//! Both runs must produce bit-identical reports — the sweep asserts it
+//! — so the only thing the solver mode changes is how much each rate
+//! epoch costs in wall-clock terms.
 //!
 //! Results go to `results/BENCH_scale.json` via the `scale` binary.
 
@@ -46,20 +44,16 @@ pub struct SolverSide {
     pub makespan: f64,
 }
 
-/// Full vs. incremental vs. sharded comparison at one partition size.
+/// Full vs. incremental comparison at one partition size.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     pub nodes: u32,
     pub transfers: usize,
-    /// Worker threads the sharded side ran with (0 = in-line).
-    pub threads: usize,
-    /// Contention components the engine discovered (identical across
-    /// all three sides — the partition is input-determined).
+    /// Contention components the engine discovered (identical for both
+    /// sides — the partition is input-determined).
     pub shards: u32,
     pub full: SolverSide,
     pub incremental: SolverSide,
-    /// The incremental solver re-run under `SimOptions::sharded`.
-    pub sharded: SolverSide,
 }
 
 impl ScalePoint {
@@ -72,13 +66,6 @@ impl ScalePoint {
     /// `full_runs(full mode) / full_runs(incremental mode)`.
     pub fn full_run_reduction(&self) -> f64 {
         self.full.full_runs as f64 / (self.incremental.full_runs.max(1)) as f64
-    }
-
-    /// Wall-clock improvement of the worker pool over the in-line
-    /// incremental run. Bounded by the machine's core count; on a
-    /// single-core host this measures sharding overhead (≈ 1.0).
-    pub fn parallel_speedup(&self) -> f64 {
-        self.incremental.wall_secs / self.sharded.wall_secs
     }
 }
 
@@ -135,19 +122,10 @@ fn build_pattern(prog: &mut Program<'_>, shape: &Shape, nodes: u32) -> usize {
     transfers
 }
 
-fn timed_run(
-    prog: &Program<'_>,
-    solver: SolverMode,
-    threads: usize,
-) -> (SolverSide, u32, SimReport) {
+fn timed_run(prog: &Program<'_>, solver: SolverMode) -> (SolverSide, u32, SimReport) {
     let mut obs = SimObserver::new();
     let start = Instant::now();
-    let report = prog.simulate(
-        SimOptions::new()
-            .solver(solver)
-            .sharded(threads)
-            .observer(&mut obs),
-    );
+    let report = prog.simulate(SimOptions::new().solver(solver).observer(&mut obs));
     let wall_secs = start.elapsed().as_secs_f64();
     let side = SolverSide {
         wall_secs,
@@ -160,45 +138,34 @@ fn timed_run(
     (side, obs.shards as u32, report)
 }
 
-/// Evaluate one partition size with as many worker threads as the host
-/// offers. Panics if any pair of runs disagrees on any delivery time —
-/// bit-identity is the engine's contract.
+/// Evaluate one partition size. Panics if the two solver modes disagree
+/// on any delivery time — bit-identity is the engine's contract.
 pub fn scale_point(nodes: u32) -> ScalePoint {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    scale_point_with(nodes, &SimConfig::default(), threads)
+    scale_point_with(nodes, &SimConfig::default())
 }
 
-/// [`scale_point`] under an explicit simulator config and thread count —
-/// the run-ledger uses this to replay the sweep cell on a degraded
-/// machine.
-pub fn scale_point_with(nodes: u32, sim: &SimConfig, threads: usize) -> ScalePoint {
+/// [`scale_point`] under an explicit simulator config — the run-ledger
+/// uses this to replay the sweep cell on a degraded machine.
+pub fn scale_point_with(nodes: u32, sim: &SimConfig) -> ScalePoint {
     let shape = standard_shape(nodes)
         .unwrap_or_else(|| panic!("no standard {nodes}-node partition"));
     let machine = Machine::new(shape, sim.clone());
     let mut prog = Program::new(&machine);
     let transfers = build_pattern(&mut prog, machine.shape(), nodes);
 
-    let (full, _, report_full) = timed_run(&prog, SolverMode::Full, 0);
-    let (incremental, shards, report_inc) = timed_run(&prog, SolverMode::default(), 0);
-    let (sharded, shards_par, report_par) = timed_run(&prog, SolverMode::default(), threads);
+    let (full, _, report_full) = timed_run(&prog, SolverMode::Full);
+    let (incremental, shards, report_inc) = timed_run(&prog, SolverMode::default());
 
     assert_eq!(
         report_full.delivery_time, report_inc.delivery_time,
         "solver modes diverged at {nodes} nodes"
     );
-    assert_eq!(
-        report_inc, report_par,
-        "sharded execution diverged from in-line at {nodes} nodes ({threads} threads)"
-    );
-    assert_eq!(shards, shards_par, "partition must not depend on threads");
     ScalePoint {
         nodes,
         transfers,
-        threads,
         shards,
         full,
         incremental,
-        sharded,
     }
 }
 
@@ -228,49 +195,17 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"nodes\":{},\"transfers\":{},\"threads\":{},\"shards\":{},",
-            p.nodes, p.transfers, p.threads, p.shards
+            "{{\"nodes\":{},\"transfers\":{},\"shards\":{},",
+            p.nodes, p.transfers, p.shards
         );
         json_side(&mut out, "full", &p.full);
         out.push(',');
         json_side(&mut out, "incremental", &p.incremental);
-        out.push(',');
-        json_side(&mut out, "sharded", &p.sharded);
         let _ = write!(
             out,
-            ",\"wall_speedup\":{:.3},\"full_run_reduction\":{:.1},\"parallel_speedup\":{:.3}}}",
+            ",\"wall_speedup\":{:.3},\"full_run_reduction\":{:.1}}}",
             p.speedup(),
-            p.full_run_reduction(),
-            p.parallel_speedup()
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Serialize only the simulated (wall-clock-free) quantities of a
-/// sweep: makespans, event and solve counts, shard counts. Two runs of
-/// the same sweep must produce byte-identical output at any thread
-/// count — `just verify`'s sharded-determinism smoke diffs this.
-pub fn scale_report_json(points: &[ScalePoint]) -> String {
-    let mut out = String::from("{\"experiment\":\"scale_report\",\"points\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"nodes\":{},\"transfers\":{},\"shards\":{},\"makespan\":{:?},\
-             \"events\":{},\"full_mode_full_runs\":{},\"incremental_mode_full_runs\":{},\
-             \"incremental_mode_incremental_runs\":{}}}",
-            p.nodes,
-            p.transfers,
-            p.shards,
-            p.incremental.makespan,
-            p.incremental.events,
-            p.full.full_runs,
-            p.incremental.full_runs,
-            p.incremental.incremental_runs
+            p.full_run_reduction()
         );
     }
     out.push_str("]}");
@@ -283,9 +218,9 @@ mod tests {
 
     #[test]
     fn smoke_point_decomposes_shards_and_stays_bit_identical() {
-        // scale_point_with itself asserts the three runs agree
-        // bit-for-bit; the smoke checks the pattern's shape.
-        let p = scale_point_with(512, &SimConfig::default(), 8);
+        // scale_point itself asserts the two runs agree bit-for-bit;
+        // the smoke checks the pattern's shape.
+        let p = scale_point(512);
         assert!(p.transfers > 0);
         assert!(
             p.shards > 64,
@@ -306,36 +241,16 @@ mod tests {
             p.incremental.full_runs
         );
         assert_eq!(p.full.makespan.to_bits(), p.incremental.makespan.to_bits());
-        assert_eq!(p.incremental.makespan.to_bits(), p.sharded.makespan.to_bits());
         assert!(p.full.events > 0 && p.full.events == p.incremental.events);
-        assert_eq!(p.incremental.events, p.sharded.events);
-        assert_eq!(
-            p.incremental.full_runs + p.incremental.incremental_runs,
-            p.sharded.full_runs + p.sharded.incremental_runs,
-            "thread count must not change solver work"
-        );
-    }
-
-    #[test]
-    fn report_json_is_identical_at_every_thread_count() {
-        let cfg = SimConfig::default();
-        let seq = scale_report_json(&[scale_point_with(512, &cfg, 1)]);
-        let two = scale_report_json(&[scale_point_with(512, &cfg, 2)]);
-        let eight = scale_report_json(&[scale_point_with(512, &cfg, 8)]);
-        assert_eq!(seq, two);
-        assert_eq!(two, eight);
     }
 
     #[test]
     fn json_artifact_is_valid() {
-        let p = scale_point_with(512, &SimConfig::default(), 2);
-        let json = scale_json(std::slice::from_ref(&p));
+        let p = scale_point(512);
+        let json = scale_json(&[p]);
         bgq_obs::json::validate(&json).expect("BENCH_scale.json must be valid JSON");
         assert!(json.contains("\"full_run_reduction\""));
-        assert!(json.contains("\"parallel_speedup\""));
-        assert!(json.contains("\"sharded\""));
-        let report = scale_report_json(&[p]);
-        bgq_obs::json::validate(&report).expect("scale report must be valid JSON");
-        assert!(!report.contains("wall"), "report must be wall-clock-free");
+        assert!(json.contains("\"incremental\""));
+        assert!(!json.contains("\"sharded\""));
     }
 }

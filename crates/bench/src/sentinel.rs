@@ -39,7 +39,9 @@ use sdm_core::{
 };
 use std::collections::HashSet;
 
-/// How the ledger runs its scenarios.
+/// How the ledger runs its scenarios: which machine and how much blame
+/// to keep. Nothing here changes how the engine executes — every
+/// scenario runs its contention shards inline, in canonical order.
 #[derive(Debug, Clone)]
 pub struct LedgerOptions {
     /// Simulator config every scenario runs under. The default is the
@@ -49,10 +51,6 @@ pub struct LedgerOptions {
     /// How many most-blamed links each profiled run contributes to the
     /// scenario's blame map.
     pub top_blame: usize,
-    /// Worker threads for the scale scenario's sharded rerun (0 = run
-    /// the shards in-line). Simulated metrics are thread-independent —
-    /// only the non-serialized `wall.` timings see this knob.
-    pub threads: usize,
 }
 
 impl Default for LedgerOptions {
@@ -60,7 +58,6 @@ impl Default for LedgerOptions {
         LedgerOptions {
             sim: SimConfig::default(),
             top_blame: 3,
-            threads: 0,
         }
     }
 }
@@ -217,7 +214,7 @@ pub fn scale_scenario(opts: &LedgerOptions) -> ScenarioManifest {
     let mut s = ScenarioManifest::new("scale");
     s.config("nodes", 512);
     sim_config_entries(&mut s, &opts.sim);
-    let p = scale_point_with(512, &opts.sim, opts.threads);
+    let p = scale_point_with(512, &opts.sim);
     s.metric("transfers", p.transfers as f64);
     s.metric("shards", p.shards as f64);
     s.metric("makespan", p.full.makespan);
@@ -231,9 +228,7 @@ pub fn scale_scenario(opts: &LedgerOptions) -> ScenarioManifest {
     s.metric("full_run_reduction", p.full_run_reduction());
     s.metric("wall.full.secs", p.full.wall_secs);
     s.metric("wall.incremental.secs", p.incremental.wall_secs);
-    s.metric("wall.sharded.secs", p.sharded.wall_secs);
     s.metric("wall.speedup", p.speedup());
-    s.metric("wall.parallel_speedup", p.parallel_speedup());
     s
 }
 

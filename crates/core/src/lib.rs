@@ -80,8 +80,6 @@ pub use multipath::{
     plan_direct, plan_direct_dynamic, plan_group_direct, plan_group_via, plan_via_proxies,
     split_chunks, MultipathOptions, TransferHandle,
 };
-#[allow(deprecated)] // re-exported until the last out-of-tree caller migrates
-pub use multipath::plan_direct_gated;
 pub use setup::{
     add_coupling_setup, coupling_init_cost, proxy_search_cost_model, COORD_BYTES,
 };

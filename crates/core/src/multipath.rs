@@ -69,21 +69,6 @@ pub(crate) fn direct_gated(
     }
 }
 
-/// Like [`plan_direct`], but honoring `opts.gate`.
-#[deprecated(
-    note = "use `SparseMover::plan` with `PlanPolicy::DirectOnly` (the gate comes from \
-            `MultipathOptions::gate` via `SparseMover::with_multipath`)"
-)]
-pub fn plan_direct_gated(
-    prog: &mut Program<'_>,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u64,
-    opts: &MultipathOptions,
-) -> TransferHandle {
-    direct_gated(prog, src, dst, bytes, opts)
-}
-
 /// Plan a direct transfer under *dynamic* routing (zones 0/1): the
 /// message's packets spread over several dimension orders, modelled as
 /// `samples` equal sub-flows each following one randomly drawn zone-0
@@ -492,51 +477,6 @@ mod tests {
         assert!(
             t_multi < best * 1.25,
             "planned multipath {t_multi} should match randomized splitting's best draw {best}"
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the deprecated wrapper's behavior
-    fn gated_direct_without_gate_matches_plain_direct() {
-        let m = machine128();
-        let bytes = 8u64 << 20;
-        let mut p1 = Program::new(&m);
-        let t1 = plan_direct(&mut p1, NodeId(0), NodeId(127), bytes).completed_at(&p1.run());
-        let mut p2 = Program::new(&m);
-        let t2 = plan_direct_gated(
-            &mut p2,
-            NodeId(0),
-            NodeId(127),
-            bytes,
-            &MultipathOptions::default(),
-        )
-        .completed_at(&p2.run());
-        assert_eq!(t1, t2, "no gate must mean no change");
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the deprecated wrapper's behavior
-    fn gated_direct_waits_for_the_gate() {
-        let m = machine128();
-        let mut p = Program::new(&m);
-        // Gate: a zero-byte self-put that becomes available at t = 1 s.
-        let gate = p.add_spec(
-            bgq_netsim::TransferSpec::new(0, 0, 0, Vec::new()).not_before(1.0),
-        );
-        let h = plan_direct_gated(
-            &mut p,
-            NodeId(0),
-            NodeId(127),
-            4 << 10,
-            &MultipathOptions {
-                gate: Some(gate),
-                ..Default::default()
-            },
-        );
-        let rep = p.run();
-        assert!(
-            h.completed_at(&rep) > 1.0,
-            "transfer must not finish before the gate opens"
         );
     }
 

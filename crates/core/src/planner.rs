@@ -57,9 +57,8 @@ pub enum PlanPolicy {
     DirectOnly,
 }
 
-/// One point-to-point planning request for [`SparseMover::plan`] — the
-/// single entry point that replaced `plan_transfer`,
-/// `try_plan_transfer_resilient` and `plan_direct_gated`.
+/// One point-to-point planning request for [`SparseMover::plan`], the
+/// single point-to-point planning entry point.
 ///
 /// Build one with [`PlanRequest::new`] and refine it with the builder
 /// methods:
@@ -378,36 +377,6 @@ impl<'m> SparseMover<'m> {
         })
     }
 
-    /// Plan a point-to-point transfer, choosing direct vs. multipath by
-    /// the cost model and proxy availability.
-    #[deprecated(note = "use `SparseMover::plan` with a `PlanRequest`")]
-    pub fn plan_transfer(
-        &self,
-        prog: &mut Program<'_>,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-    ) -> (TransferHandle, Decision) {
-        let out = self
-            .plan(prog, PlanRequest::new(src, dst, bytes))
-            .expect("planning without a health mask is infallible");
-        (out.handle, out.decision)
-    }
-
-    /// Plan a point-to-point transfer under a network [`HealthMask`].
-    #[deprecated(note = "use `SparseMover::plan` with `PlanRequest::health`")]
-    pub fn try_plan_transfer_resilient(
-        &self,
-        prog: &mut Program<'_>,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        health: &HealthMask,
-    ) -> Result<(TransferHandle, Decision), SdmError> {
-        self.plan(prog, PlanRequest::new(src, dst, bytes).health(health))
-            .map(|out| (out.handle, out.decision))
-    }
-
     /// Plan a group-to-group coupling (`sources[i] → dests[i]`, `bytes`
     /// each), choosing direct vs. proxy groups.
     pub fn plan_group_coupling(
@@ -588,41 +557,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the deprecated wrappers to the unified entry point
-    fn deprecated_wrappers_match_plan() {
-        let m = machine();
-        let mover = SparseMover::new(&m);
-        let first_link = bgq_torus::route(m.shape(), NodeId(0), NodeId(127), m.zone()).links[0];
-        let mut health = HealthMask::healthy();
-        health.dead_links.insert(first_link);
-
-        for bytes in [4096u64, 32 << 20] {
-            let mut p1 = Program::new(&m);
-            let (h1, d1) = mover.plan_transfer(&mut p1, NodeId(0), NodeId(127), bytes);
-            let mut p2 = Program::new(&m);
-            let out = mover
-                .plan(&mut p2, PlanRequest::new(NodeId(0), NodeId(127), bytes))
-                .unwrap();
-            assert_eq!(d1, out.decision, "plan_transfer decision at {bytes}");
-            assert_eq!(h1.tokens, out.handle.tokens, "plan_transfer tokens at {bytes}");
-
-            let mut p3 = Program::new(&m);
-            let (h3, d3) = mover
-                .try_plan_transfer_resilient(&mut p3, NodeId(0), NodeId(127), bytes, &health)
-                .unwrap();
-            let mut p4 = Program::new(&m);
-            let out = mover
-                .plan(
-                    &mut p4,
-                    PlanRequest::new(NodeId(0), NodeId(127), bytes).health(&health),
-                )
-                .unwrap();
-            assert_eq!(d3, out.decision, "resilient decision at {bytes}");
-            assert_eq!(h3.tokens, out.handle.tokens, "resilient tokens at {bytes}");
-        }
-    }
-
-    #[test]
     fn direct_only_policy_skips_the_cost_model() {
         let m = machine();
         let reg = Arc::new(MetricsRegistry::new());
@@ -641,6 +575,23 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("planner.direct_requested"), Some(1));
         assert_eq!(snap.counter("planner.multipath_chosen"), None);
+    }
+
+    #[test]
+    fn direct_only_policy_without_gate_matches_plain_direct() {
+        let m = machine();
+        let bytes = 8u64 << 20;
+        let mut p1 = Program::new(&m);
+        let t1 = plan_direct(&mut p1, NodeId(0), NodeId(127), bytes).completed_at(&p1.run());
+        let mut p2 = Program::new(&m);
+        let out = SparseMover::new(&m)
+            .plan(
+                &mut p2,
+                PlanRequest::new(NodeId(0), NodeId(127), bytes).policy(PlanPolicy::DirectOnly),
+            )
+            .unwrap();
+        let t2 = out.handle.completed_at(&p2.run());
+        assert_eq!(t1.to_bits(), t2.to_bits(), "no gate must mean no change");
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! optional observer, solver mode); rate recomputation is incremental by
 //! default ([`SolverMode::Incremental`]) and bit-identical to a full
 //! re-level at every event — see the [`leveling`](self) submodule.
+//!
+//! Transfers that cannot interact (no shared route resource, source
+//! node or dependency edge) are partitioned into contention components
+//! — *shards* — and each runs its own event loop, one after another on
+//! the calling thread, merged back in canonical order (see the
+//! [`shard`](self) submodule). Partitioning is unconditional: it
+//! defines the semantics rather than being an optional fast path.
 
 mod faults;
 mod flow_state;
@@ -35,7 +42,7 @@ use faults::FaultState;
 use flow_state::FlowSet;
 use leveling::Leveler;
 use queue::{Event, EventQueue};
-use shard::{execute, partition, PartitionOutcome};
+use shard::{partition, PartitionOutcome};
 
 /// Bytes below which a flow is considered complete (absorbs float error).
 const BYTE_EPS: f64 = 1e-3;
@@ -86,12 +93,6 @@ pub struct SimOptions<'a> {
     /// Profiling is passive: the report's other fields are bit-identical
     /// to an unprofiled run.
     pub profile: bool,
-    /// Worker threads for executing contention shards. `0` or `1` runs
-    /// every shard inline on the calling thread (the default); higher
-    /// values fan shards out on a scoped pool. Reports, observers and
-    /// profiles are bit-identical at every thread count — shard
-    /// discovery and merge order never depend on scheduling.
-    pub threads: usize,
 }
 
 impl<'a> SimOptions<'a> {
@@ -121,13 +122,6 @@ impl<'a> SimOptions<'a> {
     /// [`crate::profile`]).
     pub fn profiled(mut self) -> SimOptions<'a> {
         self.profile = true;
-        self
-    }
-
-    /// Execute contention shards on `threads` worker threads. Results
-    /// stay bit-identical to the sequential (`threads <= 1`) engine.
-    pub fn sharded(mut self, threads: usize) -> SimOptions<'a> {
-        self.threads = threads;
         self
     }
 }
@@ -331,7 +325,6 @@ impl Simulator {
             observer: mut obs,
             solver,
             profile,
-            threads,
         } = opts;
         let n = graph.len();
         let specs = graph.specs();
@@ -396,13 +389,9 @@ impl Simulator {
             }
             PartitionOutcome::Sharded(plans) => {
                 let observing = obs.is_some();
-                let runs = execute(plans.len(), threads, |k| {
-                    let plan = &plans[k];
-                    let mut local = if observing {
-                        Some(SimObserver::new())
-                    } else {
-                        None
-                    };
+                let mut runs = Vec::with_capacity(plans.len());
+                for plan in &plans {
+                    let mut local = observing.then(SimObserver::new);
                     let input = ComponentInput {
                         specs: plan.graph.specs(),
                         caps: &plan.caps,
@@ -412,9 +401,8 @@ impl Simulator {
                         solver,
                         profile,
                     };
-                    let run = run_component(&input, local.as_mut());
-                    (run, local)
-                });
+                    runs.push((run_component(&input, local.as_mut()), local));
+                }
 
                 // Merge in canonical shard order (ascending minimum
                 // transfer id): scatter per-transfer records back to
@@ -563,8 +551,9 @@ struct ComponentRun {
 /// The discrete-event loop over one contention component (the whole
 /// graph when it forms a single component). Sharding changes *which*
 /// transfers share a loop, never the arithmetic inside one — this body
-/// performs the same float operations per component at every thread
-/// count, which is where the engine's bit-determinism comes from.
+/// performs the same float operations on a component whether it runs
+/// alone or as one shard of many, which is where the engine's
+/// bit-determinism comes from.
 fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) -> ComponentRun {
     let ComponentInput {
         specs,
@@ -1577,55 +1566,44 @@ mod tests {
 
     #[test]
     fn disjoint_components_execute_as_shards() {
-        let (s, g, _) = sharded_fixture();
+        let (s, g, plan) = sharded_fixture();
+        let bare = s.simulate(&g, SimOptions::new().faults(&plan));
         let mut o = SimObserver::new();
-        let rep = s.simulate(&g, SimOptions::new().observer(&mut o));
+        let rep = s.simulate(
+            &g,
+            SimOptions::new().faults(&plan).observer(&mut o).profiled(),
+        );
         assert!(rep.all_delivered());
+        // Observing and profiling stay passive across the merge: the
+        // report matches the bare run apart from the profile itself.
+        assert!(bare.profile.is_none());
+        assert_eq!(
+            SimReport {
+                profile: None,
+                ..rep.clone()
+            },
+            bare
+        );
+        assert_eq!(rep.profile.as_ref().unwrap().shards, 3);
         assert_eq!(o.shards, 3);
         assert_eq!(o.shard_merges.len(), 3);
+        // Merged in canonical order: ascending minimum transfer id.
         assert_eq!(
             o.shard_merges.iter().map(|m| m.shard).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
         assert!(o.shard_merges.iter().all(|m| m.transfers == 2));
+        // Shard k holds transfers 2k and 2k+1; it drains when its
+        // dependent transfer delivers.
+        for (k, m) in o.shard_merges.iter().enumerate() {
+            assert_eq!(m.end_time.to_bits(), rep.delivery_time[2 * k + 1].to_bits());
+        }
         let max_shard_end = o
             .shard_merges
             .iter()
             .map(|m| m.end_time)
             .fold(0.0, f64::max);
         assert_eq!(max_shard_end.to_bits(), rep.end_time.to_bits());
-    }
-
-    #[test]
-    fn sharded_run_is_bit_identical_at_every_thread_count() {
-        let (s, g, plan) = sharded_fixture();
-        let run_at = |threads: usize| {
-            let mut o = SimObserver::new();
-            let rep = s.simulate(
-                &g,
-                SimOptions::new()
-                    .faults(&plan)
-                    .observer(&mut o)
-                    .profiled()
-                    .sharded(threads),
-            );
-            (rep, o)
-        };
-        let (rep1, o1) = run_at(1);
-        for threads in [2, 8] {
-            let (rep, o) = run_at(threads);
-            assert_eq!(rep, rep1, "report diverged at {threads} threads");
-            assert_eq!(o, o1, "observer diverged at {threads} threads");
-        }
-        // The default (threads unset) takes the same inline path.
-        let mut o0 = SimObserver::new();
-        let rep0 = s.simulate(
-            &g,
-            SimOptions::new().faults(&plan).observer(&mut o0).profiled(),
-        );
-        assert_eq!(rep0, rep1);
-        assert_eq!(o0, o1);
-        assert_eq!(rep1.profile.as_ref().unwrap().shards, 3);
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //! component can change a float in another. Each component becomes a
 //! *shard* — a self-contained sub-problem with transfers, resources and
 //! nodes remapped to dense local ids — and the engine runs one event
-//! loop per shard, inline or on a worker pool ([`execute`]).
+//! loop per shard, one shard after another on the calling thread.
 //!
 //! Determinism: shards are ordered by their minimum global transfer id
 //! (the *canonical shard order*), local ids are assigned in ascending
 //! global order (so every comparison the waterfill or the event queue
-//! performs on ids orders local exactly like global), and merge always
-//! walks shards in canonical order. The result is bit-identical at
-//! every thread count, including the inline `threads <= 1` path.
+//! performs on ids orders local exactly like global), and the engine
+//! runs and merges shards in canonical order.
 //!
 //! Fault events route to shards by what they touch: a `LinkFactor`
 //! goes to the unique shard owning that resource; `NodeDown`/`NodeUp`
@@ -286,39 +285,6 @@ pub(crate) fn partition(
     PartitionOutcome::Sharded(plans)
 }
 
-/// Run `f(shard_index)` for every shard, inline when `threads <= 1`,
-/// otherwise on a scoped worker pool with atomic work stealing. Results
-/// come back indexed by shard — the caller merges them in canonical
-/// order, so scheduling never influences output.
-pub(crate) fn execute<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..count).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(count) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let r = f(i);
-                *slots[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("worker completed the shard"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,16 +379,5 @@ mod tests {
             }
             PartitionOutcome::Sharded(_) => panic!("shared source: one component"),
         }
-    }
-
-    #[test]
-    fn executor_is_order_stable_at_any_thread_count() {
-        let inputs: Vec<usize> = (0..37).collect();
-        let run = |threads| execute(inputs.len(), threads, |i| i * i);
-        let expected: Vec<usize> = inputs.iter().map(|i| i * i).collect();
-        assert_eq!(run(1), expected);
-        assert_eq!(run(2), expected);
-        assert_eq!(run(8), expected);
-        assert_eq!(run(64), expected);
     }
 }

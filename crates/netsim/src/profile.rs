@@ -126,8 +126,7 @@ pub struct SimProfile {
     /// `SimReport::end_time`).
     pub end_time: f64,
     /// Contention shards the run executed (1 when the whole graph was a
-    /// single component). Profiles are bit-identical at every thread
-    /// count, so this records graph structure, not scheduling.
+    /// single component) — a property of the graph's structure.
     pub shards: u32,
 }
 

@@ -300,36 +300,6 @@ proptest! {
         }
     }
 
-    // The sharding contract: executing contention components on worker
-    // threads is an implementation detail. For any random graph and any
-    // random fault plan, the report must be *bit-identical* at every
-    // thread count — merge order is canonical, never completion order.
-    #[test]
-    fn sharded_reports_are_bit_identical_at_every_thread_count(
-        (n, caps, specs) in scenario(),
-        seed in 0u64..1_000,
-        faulted in any::<bool>(),
-    ) {
-        let sim = Simulator::new(n, caps.clone(), quick_config());
-        let mut g = TransferGraph::new();
-        for s in specs {
-            g.add(s);
-        }
-        let plan = FaultPlan::random_link_faults(seed, caps.len() as u32, 20.0, 0.05, 1.0);
-        let opts = || {
-            let o = SimOptions::new();
-            if faulted { o.faults(&plan) } else { o }
-        };
-        let sequential = sim.simulate(&g, opts());
-        for threads in [1usize, 2, 8] {
-            let sharded = sim.simulate(&g, opts().sharded(threads));
-            prop_assert_eq!(
-                &sharded, &sequential,
-                "report diverged at {} threads (faulted: {})", threads, faulted
-            );
-        }
-    }
-
     // Fault plans: every transfer ends in exactly one consistent state,
     // and an identical plan replays to identical outcomes.
     #[test]

@@ -1,7 +1,7 @@
 # Common development tasks. Run with `just <target>`.
 
 # Build, test, and lint — the gate every change must pass.
-verify: obs profile bench-smoke shard-smoke exchange sentinel
+verify: obs profile bench-smoke exchange sentinel
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
@@ -12,21 +12,6 @@ verify: obs profile bench-smoke shard-smoke exchange sentinel
 bench-smoke:
     cargo run --release -p bgq-bench --bin scale -- --max-nodes 512 \
         --out results/obs/scale_smoke.json
-
-# Sharded-determinism smoke: run the 512-node scale point at 1, 2, and
-# 8 worker threads and byte-diff the wall-clock-free reports. Any
-# difference means the shard merge leaked scheduling order into the
-# simulated results — the one invariant the parallel engine must hold.
-shard-smoke:
-    for t in 1 2 8; do \
-        cargo run --release -p bgq-bench --bin scale -- --max-nodes 512 \
-            --threads $t \
-            --out results/obs/scale_t$t.json \
-            --report-out results/obs/scale_report_t$t.json; \
-    done
-    cmp results/obs/scale_report_t1.json results/obs/scale_report_t2.json
-    cmp results/obs/scale_report_t1.json results/obs/scale_report_t8.json
-    @echo "sharded reports byte-identical at 1/2/8 threads"
 
 # Observability smoke check: run fig5 with artifacts, then validate them
 # (JSON parses, CSV sorted/deduplicated, nothing undelivered).
