@@ -40,6 +40,7 @@
 //! even without `--check`: an unreadable artifact must never look like
 //! a quiet success.
 
+use bgq_bench::args::ArgError;
 use bgq_obs::{ProfileArtifact, RunManifest};
 use std::process::ExitCode;
 
@@ -332,19 +333,52 @@ fn check_artifact(path: &str, contents: &str) -> Result<Checked, String> {
     }
 }
 
-fn main() -> ExitCode {
-    let mut strict = false;
-    let mut diff = false;
-    let mut cross = false;
-    let mut paths = Vec::new();
-    for arg in std::env::args().skip(1) {
+const USAGE: &str = "usage: obs_report [--check] FILE...  (.csv = metrics, .json = trace, profile or manifest)
+       obs_report [--check] --diff NEW BASELINE
+       obs_report [--check] --cross MANIFEST PROFILE SCENARIO";
+
+/// The parsed command line: `--check`, `--diff`, `--cross` and the
+/// operands.
+#[derive(Debug, Default, PartialEq)]
+struct Cli {
+    strict: bool,
+    diff: bool,
+    cross: bool,
+    paths: Vec<String>,
+}
+
+/// Parse the arguments. Any other `--flag` is an error, never a path.
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, ArgError> {
+    let mut cli = Cli::default();
+    for arg in args {
         match arg.as_str() {
-            "--check" => strict = true,
-            "--diff" => diff = true,
-            "--cross" => cross = true,
-            _ => paths.push(arg),
+            "--check" => cli.strict = true,
+            "--diff" => cli.diff = true,
+            "--cross" => cli.cross = true,
+            _ if arg.starts_with("--") => return Err(ArgError::UnknownFlag(arg)),
+            _ => cli.paths.push(arg),
         }
     }
+    Ok(cli)
+}
+
+fn main() -> ExitCode {
+    let Cli {
+        strict,
+        diff,
+        cross,
+        paths,
+    } = match parse_cli(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(ArgError::UnknownFlag(flag)) => {
+            eprintln!("unknown flag {flag} (supported: --check, --diff, --cross)\n{USAGE}");
+            return ExitCode::from(2);
+        }
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     if cross {
         if paths.len() != 3 {
@@ -403,9 +437,7 @@ fn main() -> ExitCode {
     }
 
     if paths.is_empty() {
-        eprintln!(
-            "usage: obs_report [--check] FILE...  (.csv = metrics, .json = trace, profile or manifest)"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
 
@@ -442,7 +474,27 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::check_artifact;
+    use super::{check_artifact, parse_cli, Cli};
+    use bgq_bench::args::ArgError;
+
+    fn cli(args: &[&str]) -> Result<Cli, ArgError> {
+        parse_cli(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn flags_and_operands_parse() {
+        let c = cli(&["--check", "--diff", "new.json", "base.json"]).unwrap();
+        assert!(c.strict && c.diff && !c.cross);
+        assert_eq!(c.paths, ["new.json", "base.json"]);
+    }
+
+    #[test]
+    fn a_misspelled_flag_is_an_error_not_a_path() {
+        assert_eq!(
+            cli(&["--chek", "results/obs/fig5.metrics.csv"]),
+            Err(ArgError::UnknownFlag("--chek".to_string()))
+        );
+    }
 
     #[test]
     fn empty_and_truncated_artifacts_are_hard_errors_naming_the_path() {

@@ -9,13 +9,13 @@
 //! Sizes accept `K`/`M`/`G` suffixes. Every command prints what the
 //! planner decided and what the simulator measured.
 
+use bgq_bench::args::{parse_value, ArgError};
 use bgq_bench::PlanCache;
 use bgq_comm::Program;
 use bgq_netsim::SimConfig;
-use bgq_torus::{shape_for_cores, standard_shape, NodeId, RankMap, Zone};
+use bgq_torus::{shape_for_cores, standard_shape, NodeId, RankMap, Shape, Zone};
 use bgq_workloads::{coalesce_to_nodes, pareto_sizes, uniform_sizes, ParetoParams};
 use sdm_core::{diversity_report, plan_direct, AssignPolicy, IoMoveOptions, PlanRequest};
-use std::collections::HashMap;
 
 /// Parse a size like `32M`, `512K`, `1G`, `1048576`.
 fn parse_bytes(s: &str) -> Result<u64, String> {
@@ -31,41 +31,71 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
         .map_err(|_| format!("bad size {s:?} (use e.g. 32M, 512K, 4096)"))
 }
 
-/// Parse `--key value` pairs after the subcommand.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let k = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
-        let v = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{k} needs a value"))?;
-        out.insert(k.to_string(), v.clone());
-        i += 2;
-    }
-    Ok(out)
+/// The flags of one subcommand, `None` where not given.
+#[derive(Debug, Default, PartialEq)]
+struct Flags {
+    nodes: Option<u32>,
+    src: Option<u32>,
+    dst: Option<u32>,
+    bytes: Option<u64>,
+    cores: Option<u32>,
+    pattern: Option<String>,
+    policy: Option<String>,
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad --{key} value {v:?}")),
+/// Parse the `--flag value` pairs after subcommand `cmd`. A flag the
+/// subcommand does not take is an error, never silently ignored.
+fn parse_flags(cmd: &str, args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+    let supported: &[&str] = match cmd {
+        "plan" => &["--nodes", "--src", "--dst", "--bytes"],
+        "write" => &["--cores", "--pattern", "--policy"],
+        "probe" => &["--nodes", "--src", "--dst"],
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    let mut f = Flags::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if !supported.contains(&arg.as_str()) {
+            return Err(format!(
+                "unknown flag {arg:?} for {cmd} (supported: {})",
+                supported.join(", ")
+            ));
+        }
+        let text = |v: Option<String>, flag: &'static str| v.ok_or(ArgError::MissingValue(flag));
+        match arg.as_str() {
+            "--nodes" => f.nodes = Some(parse_value("--nodes", args.next())?),
+            "--src" => f.src = Some(parse_value("--src", args.next())?),
+            "--dst" => f.dst = Some(parse_value("--dst", args.next())?),
+            "--bytes" => f.bytes = Some(parse_bytes(&text(args.next(), "--bytes")?)?),
+            "--cores" => f.cores = Some(parse_value("--cores", args.next())?),
+            "--pattern" => f.pattern = Some(text(args.next(), "--pattern")?),
+            _ => f.policy = Some(text(args.next(), "--policy")?),
+        }
     }
+    Ok(f)
 }
 
-fn cmd_plan(cache: &PlanCache, flags: &HashMap<String, String>) -> Result<(), String> {
-    let nodes: u32 = get(flags, "nodes", 512)?;
+/// The partition of `--nodes` (default 512) and the `--src`/`--dst`
+/// endpoints (default its first and last node), which must lie in it.
+fn partition(f: &Flags) -> Result<(u32, Shape, NodeId, NodeId), String> {
+    let nodes = f.nodes.unwrap_or(512);
     let shape = standard_shape(nodes).ok_or(format!("no standard {nodes}-node partition"))?;
+    let src = f.src.unwrap_or(0);
+    let dst = f.dst.unwrap_or(nodes - 1);
+    for (flag, node) in [("--src", src), ("--dst", dst)] {
+        if node >= nodes {
+            return Err(format!(
+                "{flag} {node} is out of range for a {nodes}-node partition (0..{nodes})"
+            ));
+        }
+    }
+    Ok((nodes, shape, NodeId(src), NodeId(dst)))
+}
+
+fn cmd_plan(cache: &PlanCache, flags: &Flags) -> Result<(), String> {
+    let (nodes, shape, src, dst) = partition(flags)?;
     let machine = cache.machine(shape, &SimConfig::default());
-    let src = NodeId(get(flags, "src", 0u32)?);
-    let dst = NodeId(get(flags, "dst", nodes - 1)?);
-    let bytes = parse_bytes(flags.get("bytes").map(String::as_str).unwrap_or("32M"))?;
+    let bytes = flags.bytes.unwrap_or(32 << 20);
 
     let mover = cache.mover(&machine);
     let mut prog = Program::new(&machine);
@@ -95,22 +125,19 @@ fn cmd_plan(cache: &PlanCache, flags: &HashMap<String, String>) -> Result<(), St
     Ok(())
 }
 
-fn cmd_write(cache: &PlanCache, flags: &HashMap<String, String>) -> Result<(), String> {
-    let cores: u32 = get(flags, "cores", 8192)?;
+fn cmd_write(cache: &PlanCache, flags: &Flags) -> Result<(), String> {
+    let cores = flags.cores.unwrap_or(8192);
     let shape = shape_for_cores(cores).ok_or(format!("no standard partition for {cores} cores"))?;
     let machine = cache.machine(shape, &SimConfig::default());
     let map = RankMap::default_map(shape, 16);
-    let pattern = flags
-        .get("pattern")
-        .map(String::as_str)
-        .unwrap_or("pareto");
+    let pattern = flags.pattern.as_deref().unwrap_or("pareto");
     let sizes = match pattern {
         "uniform" => uniform_sizes(map.num_ranks(), 8 << 20, 1),
         "pareto" => pareto_sizes(map.num_ranks(), &ParetoParams::default(), 1),
         "hacc" => bgq_workloads::hacc_workload(cores),
         other => return Err(format!("unknown pattern {other:?} (uniform|pareto|hacc)")),
     };
-    let policy = match flags.get("policy").map(String::as_str).unwrap_or("balanced") {
+    let policy = match flags.policy.as_deref().unwrap_or("balanced") {
         "balanced" => AssignPolicy::BalancedGreedy,
         "local" => AssignPolicy::PsetLocal,
         other => return Err(format!("unknown policy {other:?} (balanced|local)")),
@@ -146,11 +173,8 @@ fn cmd_write(cache: &PlanCache, flags: &HashMap<String, String>) -> Result<(), S
     Ok(())
 }
 
-fn cmd_probe(flags: &HashMap<String, String>) -> Result<(), String> {
-    let nodes: u32 = get(flags, "nodes", 512)?;
-    let shape = standard_shape(nodes).ok_or(format!("no standard {nodes}-node partition"))?;
-    let src = NodeId(get(flags, "src", 0u32)?);
-    let dst = NodeId(get(flags, "dst", nodes - 1)?);
+fn cmd_probe(flags: &Flags) -> Result<(), String> {
+    let (_, shape, src, dst) = partition(flags)?;
     let r = diversity_report(&shape, Zone::Z2, src, dst);
     println!("partition {shape}, {src} -> {dst}");
     println!("link-disjoint single-proxy paths : {}", r.disjoint_paths);
@@ -173,20 +197,12 @@ fn main() {
         eprintln!("{usage}");
         std::process::exit(2);
     };
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{usage}");
-            std::process::exit(2);
-        }
-    };
     let cache = PlanCache::new();
-    let result = match cmd.as_str() {
+    let result = parse_flags(cmd, args[1..].iter().cloned()).and_then(|flags| match cmd.as_str() {
         "plan" => cmd_plan(&cache, &flags),
         "write" => cmd_write(&cache, &flags),
-        "probe" => cmd_probe(&flags),
-        other => Err(format!("unknown command {other:?}")),
-    };
+        _ => cmd_probe(&flags),
+    });
     if let Err(e) = result {
         eprintln!("error: {e}\n{usage}");
         std::process::exit(2);
@@ -206,22 +222,38 @@ mod tests {
         assert!(parse_bytes("abc").is_err());
     }
 
-    #[test]
-    fn parse_flags_pairs() {
-        let args: Vec<String> = ["--nodes", "512", "--bytes", "32M"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(f.get("nodes").unwrap(), "512");
-        assert_eq!(f.get("bytes").unwrap(), "32M");
-        assert!(parse_flags(&["--dangling".to_string()]).is_err());
-        assert!(parse_flags(&["nodash".to_string(), "v".to_string()]).is_err());
+    fn flags(cmd: &str, args: &[&str]) -> Result<Flags, String> {
+        parse_flags(cmd, args.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn get_with_defaults() {
-        let f = parse_flags(&[]).unwrap();
-        assert_eq!(get(&f, "nodes", 512u32).unwrap(), 512);
+    fn parse_flags_pairs() {
+        let f = flags("plan", &["--nodes", "512", "--bytes", "32M"]).unwrap();
+        assert_eq!((f.nodes, f.bytes), (Some(512), Some(32 << 20)));
+        assert!(flags("plan", &["--nodes"]).is_err(), "dangling flag");
+        assert!(flags("plan", &["nodash", "v"]).is_err());
+        assert!(flags("plan", &["--nodes", "many"]).is_err());
+        assert!(flags("nope", &[]).is_err(), "unknown command");
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_not_defaults() {
+        let e = flags("plan", &["--nodez", "64"]).unwrap_err();
+        assert!(e.contains("--nodez") && e.contains("--nodes"), "{e}");
+        // A flag of another subcommand is unknown here too.
+        assert!(flags("probe", &["--bytes", "1M"]).is_err());
+        assert!(flags("write", &["--nodes", "512"]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_errors_not_panics() {
+        let f = flags("plan", &["--src", "99999"]).unwrap();
+        let e = partition(&f).unwrap_err();
+        assert!(e.contains("--src 99999") && e.contains("512"), "{e}");
+        let f = flags("probe", &["--nodes", "128", "--dst", "128"]).unwrap();
+        assert!(partition(&f).unwrap_err().contains("--dst 128"));
+        let f = flags("probe", &["--nodes", "128", "--dst", "127"]).unwrap();
+        let (nodes, _, src, dst) = partition(&f).unwrap();
+        assert_eq!((nodes, src, dst), (128, NodeId(0), NodeId(127)));
     }
 }

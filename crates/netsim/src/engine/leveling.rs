@@ -32,16 +32,18 @@
 //! threshold is a pure performance knob — results are identical at any
 //! value, which `tests/incremental.rs` pins.
 //!
-//! A full solve is warm-started from the previous one: the waterfill
-//! replays the previous full solve's bottleneck passes up to the first
-//! one a joined or departed flow touches (see the `waterfill` module
-//! docs), bit-identically. Incremental sub-solves and capacity
-//! changes drop that log; [`SolverMode::Full`] always solves cold, as
-//! the oracle `tests/warm_start.rs` compares against.
+//! A full solve is a cascade re-level ([`Cascade`]): it keeps the
+//! previous full solve's pass log and per-flow freeze records, and
+//! re-solves only the links a joined, departed or re-solved flow
+//! reaches, bit-identically. The membership lists double as its
+//! link → flow adjacency. A capacity change drops its state; an
+//! incremental sub-solve drops only the records of the flows it
+//! re-solved. [`SolverMode::Full`] always solves cold, as the oracle
+//! `tests/warm_start.rs` compares against.
 
 use crate::config::SimConfig;
 use crate::graph::{ResourceId, TransferSpec};
-use crate::waterfill::Waterfill;
+use crate::waterfill::{Cascade, Waterfill};
 
 use super::flow_state::ActiveFlow;
 use super::SolverMode;
@@ -67,7 +69,10 @@ impl<'a> Demands<'a> {
 
 #[derive(Debug)]
 pub(crate) struct Leveler<'a> {
+    /// The cold solver: incremental sub-solves and `Full` mode.
     wf: Waterfill,
+    /// The persistent full-solve state of the default mode.
+    cascade: Cascade,
     demands: Demands<'a>,
     /// The config's `(contention_penalty, contention_floor)`.
     contention: (f64, f64),
@@ -100,12 +105,17 @@ pub(crate) struct Leveler<'a> {
     pub full_runs: u64,
     /// Incremental re-levels performed (dirty closure only).
     pub incremental_runs: u64,
+    /// Flow–resource entries (route hops) of the active set.
+    active_entries: u64,
     /// Flow–resource entries in every solved demand set.
     pub solved_entries: u64,
+    /// Flow–resource entries the solves actually read or wrote: all of
+    /// a cold solve's, a cascade solve's share of them.
+    pub touched_entries: u64,
     /// Flow–resource entries the dirty-closure scans visited.
     pub closure_entries: u64,
     /// Progressive-filling passes over every solve, and how many of them
-    /// a warm full solve replayed from the previous one's log.
+    /// a cascade solve popped as logged.
     pub passes: u64,
     pub replayed_passes: u64,
 }
@@ -130,6 +140,7 @@ impl<'a> Leveler<'a> {
         };
         Leveler {
             wf: Waterfill::new(num_resources),
+            cascade: Cascade::new(num_resources),
             demands: Demands {
                 specs,
                 per_flow_cap: config.per_flow_cap,
@@ -147,7 +158,9 @@ impl<'a> Leveler<'a> {
             binding: vec![crate::waterfill::CAP_BINDING; num_transfers],
             full_runs: 0,
             incremental_runs: 0,
+            active_entries: 0,
             solved_entries: 0,
+            touched_entries: 0,
             closure_entries: 0,
             passes: 0,
             replayed_passes: 0,
@@ -159,6 +172,7 @@ impl<'a> Leveler<'a> {
     pub fn note_join(&mut self, tid: u32) {
         mark(&mut self.flow_dirty, &mut self.dirty_flows, tid);
         self.is_active[tid as usize] = true;
+        self.active_entries += self.demands.route(tid).len() as u64;
         for r in self.demands.route(tid) {
             self.res_flows[r.0 as usize].push(tid);
             mark(&mut self.res_dirty, &mut self.dirty_res, r.0);
@@ -169,6 +183,8 @@ impl<'a> Leveler<'a> {
     /// mark its route — the bandwidth it held is up for redistribution.
     pub fn note_leave(&mut self, tid: u32) {
         self.is_active[tid as usize] = false;
+        self.active_entries -= self.demands.route(tid).len() as u64;
+        self.cascade.drop_record(tid);
         for r in self.demands.route(tid) {
             let ri = r.0 as usize;
             if let Some(p) = self.res_flows[ri].iter().position(|&t| t == tid) {
@@ -179,10 +195,10 @@ impl<'a> Leveler<'a> {
     }
 
     /// A fault changed a resource's effective capacity, which the
-    /// waterfill's pass log assumed.
+    /// cascade's pass log assumed.
     pub fn note_caps_changed(&mut self, ri: usize) {
         mark(&mut self.res_dirty, &mut self.dirty_res, ri as u32);
-        self.wf.forget();
+        self.cascade.invalidate();
     }
 
     /// The binding resource of transfer `tid` as of the last re-level
@@ -256,11 +272,13 @@ impl<'a> Leveler<'a> {
         if !self.sub_idx.is_empty() {
             let Leveler {
                 wf,
+                cascade,
                 demands,
                 contention,
                 binding,
                 sub_idx,
                 solved_entries,
+                touched_entries,
                 ..
             } = self;
             let tid = |k: usize| active[sub_idx[k] as usize].tid;
@@ -273,42 +291,79 @@ impl<'a> Leveler<'a> {
                 rates,
             );
             *solved_entries += wf.last_entries() as u64;
-            self.passes += wf.last_passes().0 as u64;
+            *touched_entries += wf.last_entries() as u64;
+            self.passes += wf.last_passes() as u64;
             let bindings = wf.bindings();
             for (k, &i) in sub_idx.iter().enumerate() {
                 let f = &mut active[i as usize];
                 f.rate = rates[k];
                 binding[f.tid as usize] = bindings[k];
+                cascade.drop_record(f.tid);
             }
         }
     }
 
-    /// Solve the whole active set. The incremental leveler warm-starts
-    /// it from the previous full solve, keyed by transfer id; `Full`
-    /// mode, the oracle, always solves cold.
+    /// Solve the whole active set. The incremental leveler runs a
+    /// cascade solve and writes back only the flows it froze afresh;
+    /// `Full` mode, the oracle, always solves cold.
     fn solve_full(&mut self, active: &mut [ActiveFlow], caps: &[f64], rates: &mut Vec<f64>) {
         self.full_runs += 1;
         let demands = self.demands;
-        let route = |i: usize| demands.route(active[i].tid);
-        let cap = |i: usize| demands.cap(active[i].tid);
         if self.full_only {
+            let route = |i: usize| demands.route(active[i].tid);
+            let cap = |i: usize| demands.cap(active[i].tid);
             self.wf
                 .solve(active.len(), route, cap, caps, self.contention, rates);
-        } else {
-            let key = |i: usize| active[i].tid;
-            self.wf
-                .solve_warm(active.len(), route, cap, key, caps, self.contention, rates);
+            self.solved_entries += self.wf.last_entries() as u64;
+            self.touched_entries += self.wf.last_entries() as u64;
+            self.passes += self.wf.last_passes() as u64;
+            let Leveler { wf, binding, .. } = self;
+            let bindings = wf.bindings();
+            for ((f, &r), &b) in active.iter_mut().zip(rates.iter()).zip(bindings) {
+                f.rate = r;
+                binding[f.tid as usize] = b;
+            }
+            return;
         }
-        self.solved_entries += self.wf.last_entries() as u64;
-        let (passes, replayed) = self.wf.last_passes();
+        debug_assert_eq!(
+            self.active_entries,
+            active
+                .iter()
+                .map(|f| demands.route(f.tid).len() as u64)
+                .sum::<u64>()
+        );
+        let Leveler {
+            cascade,
+            res_flows,
+            binding,
+            ..
+        } = self;
+        cascade.solve(
+            active.len(),
+            |i| active[i].tid,
+            binding.len(),
+            res_flows,
+            |t| demands.route(t),
+            |t| demands.cap(t),
+            caps,
+            self.contention,
+        );
+        for &t in cascade.fresh() {
+            active[cascade.index(t)].rate = cascade.rate(t);
+            binding[t as usize] = cascade.binding(t);
+        }
+        debug_assert!(
+            active
+                .iter()
+                .all(|f| f.rate.to_bits() == cascade.rate(f.tid).to_bits()
+                    && binding[f.tid as usize] == cascade.binding(f.tid)),
+            "a flow the cascade kept lost its rate or binding"
+        );
+        let (passes, logged, touched) = cascade.last_work();
+        self.solved_entries += self.active_entries;
+        self.touched_entries += touched;
         self.passes += passes as u64;
-        self.replayed_passes += replayed as u64;
-        let Leveler { wf, binding, .. } = self;
-        let bindings = wf.bindings();
-        for ((f, &r), &b) in active.iter_mut().zip(rates.iter()).zip(bindings) {
-            f.rate = r;
-            binding[f.tid as usize] = b;
-        }
+        self.replayed_passes += logged as u64;
     }
 
     fn clear_dirty(&mut self) {
@@ -545,6 +600,50 @@ mod tests {
         lev.note_leave(2);
         lev.level(&mut active, &caps, &mut rates);
         assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
+    }
+
+    #[test]
+    fn a_sub_solve_keeps_the_cascade_state_of_other_flows() {
+        // A (flows 0, 1 on link 0), B (flows 2-6 over links 1, 2) and C
+        // (flow 7 alone on link 3). After a cold first full solve, A's
+        // departure re-levels flow 1 incrementally, then B's departure
+        // falls back to a full solve. That solve re-solves A and B but
+        // pops C's pass as logged: the sub-solve dropped only flow 1's
+        // record, not the cascade state.
+        let specs = vec![
+            spec(&[0]),
+            spec(&[0]),
+            spec(&[1]),
+            spec(&[1, 2]),
+            spec(&[2]),
+            spec(&[1]),
+            spec(&[2]),
+            spec(&[3]),
+        ];
+        let caps = [100.0; 4];
+        let mut lev = Leveler::new(
+            &specs,
+            4,
+            &cfg(),
+            SolverMode::Incremental { full_fraction: 0.5 },
+        );
+        let mut active: Vec<ActiveFlow> = (0..8).map(flow).collect();
+        let mut rates = Vec::new();
+        for tid in 0..8 {
+            lev.note_join(tid);
+        }
+        lev.level(&mut active, &caps, &mut rates);
+        assert_eq!((lev.full_runs, lev.replayed_passes), (1, 0));
+        lev.note_leave(0);
+        active.remove(0);
+        lev.level(&mut active, &caps, &mut rates);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
+        lev.note_leave(2);
+        active.remove(1);
+        lev.level(&mut active, &caps, &mut rates);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (2, 1));
+        assert_eq!(lev.replayed_passes, 1, "C's pass pops as logged");
+        assert_eq!(active[5].rate, 100.0);
     }
 
     #[test]

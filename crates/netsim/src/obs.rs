@@ -126,6 +126,10 @@ pub struct SimObserver {
     /// set, full or incremental: the waterfill's deterministic unit of
     /// work.
     pub waterfill_entries: u64,
+    /// The part of those entries the solves actually read or wrote: all
+    /// of a cold solve's, and a cascade full solve's (DESIGN §16) only
+    /// around the links a changed flow reaches.
+    pub waterfill_touched_entries: u64,
     /// Flow–resource entries the incremental solver scanned while
     /// closing dirty sets. The scan stops once the closure crosses the
     /// fallback threshold, so a fallback costs only the part scanned.
@@ -133,9 +137,9 @@ pub struct SimObserver {
     /// Progressive-filling passes (popped bottlenecks) across every
     /// solve, full or incremental.
     pub waterfill_passes: u64,
-    /// The part of `waterfill_passes` that warm-started full solves
-    /// replayed from the previous full solve's pass log instead of
-    /// popping (always 0 under [`crate::SolverMode::Full`]).
+    /// The part of `waterfill_passes` that cascade full solves popped
+    /// as logged from the previous full solve's pass log, at no
+    /// per-flow cost (always 0 under [`crate::SolverMode::Full`]).
     pub waterfill_replayed_passes: u64,
     /// Events popped from the engine's queue (the denominator for
     /// events/sec in scaling sweeps).
@@ -176,7 +180,8 @@ impl SimObserver {
     /// [`bgq_obs::ScenarioManifest`] without reaching into fields.
     /// Every value is an integer count cast to `f64`, so the scalars
     /// inherit the engine's bit-determinism. The work counters
-    /// (`waterfill_entries`, `closure_entries`, `waterfill_passes`,
+    /// (`waterfill_entries`, `waterfill_touched_entries`,
+    /// `closure_entries`, `waterfill_passes`,
     /// `waterfill_replayed_passes`) are not exported: the committed
     /// ledger baseline pins this exact set of names.
     ///
@@ -235,6 +240,7 @@ impl SimObserver {
         self.waterfill_full_runs += local.waterfill_full_runs;
         self.waterfill_incremental_runs += local.waterfill_incremental_runs;
         self.waterfill_entries += local.waterfill_entries;
+        self.waterfill_touched_entries += local.waterfill_touched_entries;
         self.closure_entries += local.closure_entries;
         self.waterfill_passes += local.waterfill_passes;
         self.waterfill_replayed_passes += local.waterfill_replayed_passes;
@@ -300,6 +306,7 @@ mod tests {
         obs.waterfill_incremental_runs = 7;
         obs.waterfill_passes = 40;
         obs.waterfill_replayed_passes = 25;
+        obs.waterfill_touched_entries = 60;
         obs.stalls.push((1.0, 4));
         let s = obs.scalars("sim.");
         assert!(s.iter().all(|(k, _)| k.starts_with("sim.")));
@@ -312,6 +319,7 @@ mod tests {
         assert_eq!(get("sim.transfers_undelivered"), Some(0.0));
         // Work counters stay out of the export the ledger baseline pins.
         assert!(s.iter().all(|(k, _)| !k.contains("passes")), "{s:?}");
+        assert!(s.iter().all(|(k, _)| !k.contains("entries")), "{s:?}");
     }
 
     #[test]
@@ -340,6 +348,7 @@ mod tests {
         a.events_processed = 3;
         a.waterfill_passes = 9;
         a.waterfill_replayed_passes = 4;
+        a.waterfill_touched_entries = 30;
         a.stalls.push((2.0, 1)); // local tid 1 -> global 2
         a.heatmap.samples.push(HeatmapSample {
             time: 1.0,
@@ -355,6 +364,7 @@ mod tests {
         b.events_processed = 2;
         b.waterfill_passes = 5;
         b.waterfill_replayed_passes = 1;
+        b.waterfill_touched_entries = 12;
         b.stalls.push((1.0, 0)); // local tid 0 -> global 1
         b.heatmap.samples.push(HeatmapSample {
             time: 2.0,
@@ -373,6 +383,7 @@ mod tests {
             (merged.waterfill_passes, merged.waterfill_replayed_passes),
             (14, 5)
         );
+        assert_eq!(merged.waterfill_touched_entries, 42);
         assert_eq!(merged.stalls, vec![(1.0, 1), (2.0, 2)]);
         let rows: Vec<(u64, f64)> = merged
             .heatmap

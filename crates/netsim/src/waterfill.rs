@@ -51,41 +51,17 @@
 //! share, every debit and every tie-break (versions still advance once
 //! per debit) are therefore the same floats in the same order.
 //!
-//! ## Warm start
+//! ## Cascade re-levels
 //!
-//! Consecutive solves of a slowly changing demand set pop the same
-//! bottlenecks for a long prefix. [`Waterfill::solve_warm`] names each
-//! flow by a stable *key* (the engine's transfer id), logs the key it
-//! popped at every pass and the keys of the flows it froze there, and
-//! the next warm solve first *replays* that log: each pass is only its
-//! debits, with no heap work. Once replay stops, the heap is built from
-//! the live slots' current keys and filling goes on as in a cold solve.
-//!
-//! Replayed passes are the cold solve's own passes. Let the new demand
-//! set differ from the logged one by *departed* and *joined* flows. Up
-//! to the first pass that touches one of them, both solves froze the
-//! same flows at the same shares, so every link has the same version
-//! and has seen the same debits. A link only departed flows cross has a
-//! lower count and a derated capacity at least as high, so its key is
-//! no less than logged. Every other link not on a joined route has its
-//! logged key, and the caps of surviving flows are unchanged and order
-//! after every link they ordered after. The logged pop is therefore
-//! still the least key unless a joined link or cap now orders before
-//! it. Within a pass every frozen flow subtracts the same share, so the
-//! order members freeze in (demand order, which the engine permutes)
-//! does not matter. Replay stops before the first logged pass where
-//!
-//! * (a) a frozen flow departed;
-//! * (b) a cap popped — cap ties break by demand index, which is not
-//!   stable across solves, so the log ends at the first cap pop;
-//! * (c) the popped link is on a joined route, a joined flow's link or
-//!   cap now orders before the logged key, or the popped link's current
-//!   `(share bits, version)` differs from the log. The last check is a
-//!   self-check: it can end replay early, never make it wrong.
-//!
-//! The log assumes the capacities and contention parameters of the
-//! solve that wrote it: [`Waterfill::forget`] drops it when they change,
-//! and every cold solve drops it too.
+//! `cascade::Cascade` keeps the pass log and per-flow freeze records of
+//! the previous full re-level and re-solves only the links a changed
+//! flow reaches, bit-identical to a cold solve (see the `cascade` module
+//! docs). The cold solve stays the incremental sub-solve and the
+//! [`SolverMode::Full`](crate::SolverMode::Full) oracle.
+
+mod cascade;
+
+pub(crate) use cascade::Cascade;
 
 use crate::graph::ResourceId;
 use std::cmp::Ordering;
@@ -95,7 +71,8 @@ use std::fmt;
 /// flow's own rate cap (its private virtual resource) fixed its rate.
 pub const CAP_BINDING: u32 = u32::MAX;
 
-/// A slot absent from the heap (or the slot field of a cap's key).
+/// A slot absent from the heap (or the slot field of a cap's key); in
+/// the cascade also an absent pass or link.
 const NONE: u32 = u32::MAX;
 
 /// Relative slack the max-min certificate grants float rounding.
@@ -143,11 +120,8 @@ pub struct Waterfill {
     stamp: Vec<u32>,
     fixed: Vec<bool>,
     binding: Vec<u32>,
-    /// The pass log a warm solve replays and extends.
-    log: PassLog,
-    /// Passes of the most recent solve, and how many were replayed.
+    /// Passes of the most recent solve.
     passes: u32,
-    replayed: u32,
     #[cfg(debug_assertions)]
     certifier: Certifier,
 }
@@ -174,9 +148,7 @@ impl Waterfill {
             stamp: Vec::new(),
             fixed: Vec::new(),
             binding: Vec::new(),
-            log: PassLog::default(),
             passes: 0,
-            replayed: 0,
             #[cfg(debug_assertions)]
             certifier: Certifier::new(num_resources),
         }
@@ -199,16 +171,9 @@ impl Waterfill {
     }
 
     /// Progressive-filling passes of the most recent compute (one per
-    /// popped bottleneck), and how many of them were replayed from the
-    /// pass log.
-    pub(crate) fn last_passes(&self) -> (u32, u32) {
-        (self.passes, self.replayed)
-    }
-
-    /// Drop the pass log, so the next warm solve starts cold. Call it
-    /// when capacities or contention parameters change.
-    pub(crate) fn forget(&mut self) {
-        self.log.valid = false;
+    /// popped bottleneck).
+    pub(crate) fn last_passes(&self) -> u32 {
+        self.passes
     }
 
     /// Compute max-min fair rates with ideal sharing (no contention
@@ -253,56 +218,12 @@ impl Waterfill {
     /// [`compute_with_penalty`](Self::compute_with_penalty) over a demand
     /// set given by accessors instead of a slice, so a caller that holds
     /// routes and caps elsewhere (the engine's leveler) builds no demand
-    /// vector per solve. `contention` is `(penalty, floor)`. A cold
-    /// solve: it neither reads nor writes the pass log, and drops it.
+    /// vector per solve. `contention` is `(penalty, floor)`.
     pub(crate) fn solve<'r>(
         &mut self,
         n: usize,
         route: impl Fn(usize) -> &'r [ResourceId],
         cap: impl Fn(usize) -> f64,
-        capacities: &[f64],
-        contention: (f64, f64),
-        rates: &mut Vec<f64>,
-    ) {
-        self.forget();
-        self.fill(
-            n,
-            route,
-            cap,
-            None::<fn(usize) -> u32>,
-            capacities,
-            contention,
-            rates,
-        )
-    }
-
-    /// [`solve`](Self::solve), warm-started (see the module docs): replay
-    /// the pass log of the previous warm solve as far as it provably
-    /// holds, fill the rest, and log this solve for the next one. `key(i)`
-    /// names flow `i` across solves: keys are unique within a solve, and
-    /// flows with equal keys in two solves have equal routes and caps.
-    /// The result is bit-identical to a cold solve.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve_warm<'r>(
-        &mut self,
-        n: usize,
-        route: impl Fn(usize) -> &'r [ResourceId],
-        cap: impl Fn(usize) -> f64,
-        key: impl Fn(usize) -> u32,
-        capacities: &[f64],
-        contention: (f64, f64),
-        rates: &mut Vec<f64>,
-    ) {
-        self.fill(n, route, cap, Some(key), capacities, contention, rates)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fill<'r, K: Fn(usize) -> u32>(
-        &mut self,
-        n: usize,
-        route: impl Fn(usize) -> &'r [ResourceId],
-        cap: impl Fn(usize) -> f64,
-        key: Option<K>,
         capacities: &[f64],
         contention: (f64, f64),
         rates: &mut Vec<f64>,
@@ -325,9 +246,8 @@ impl Waterfill {
         self.binding.clear();
         self.binding.resize(n, CAP_BINDING);
         self.route_slots.clear();
-        (self.passes, self.replayed) = (0, 0);
+        self.passes = 0;
         if n == 0 {
-            self.forget();
             return;
         }
         let nr = self.num_resources;
@@ -406,29 +326,15 @@ impl Waterfill {
         self.fixed.clear();
         self.fixed.resize(n, false);
 
-        // Warm start: replay the logged prefix, then log this solve from
-        // where replay stopped (the replayed passes are this solve's own).
-        let mut pass = 0u32;
-        let mut unfixed = n;
-        if let Some(key) = &key {
-            (pass, unfixed) = self.replay(n, key, rates);
-            self.log.truncate(pass as usize);
-            self.log.valid = true;
-        }
-        self.replayed = pass;
-
-        // The heap holds every live link at its current key (after a
-        // cold start: every link, at version 0).
+        // The heap holds every link, at version 0.
         self.heap.reset(slots);
         for s in 0..slots {
-            if self.count[s] > 0 {
-                self.heap.entries.push(Entry {
-                    share: self.remaining[s].max(0.0) / self.count[s] as f64,
-                    version: self.version[s],
-                    id: self.id[s],
-                    slot: s as u32,
-                });
-            }
+            self.heap.entries.push(Entry {
+                share: self.remaining[s].max(0.0) / self.count[s] as f64,
+                version: 0,
+                id: self.id[s],
+                slot: s as u32,
+            });
         }
         self.heap.heapify();
 
@@ -449,9 +355,9 @@ impl Waterfill {
         // Progressive filling: take the most constrained resource — the
         // least current link key or the least unfixed cap — freeze its
         // unfixed flows at its share, then lower the stored key of any
-        // link whose share they pushed down. A warm solve logs each link
-        // pass until the first cap pops.
-        let mut log_key = key.as_ref();
+        // link whose share they pushed down.
+        let mut pass = 0u32;
+        let mut unfixed = n;
         while unfixed > 0 {
             let (remaining, count, version) = (&self.remaining, &self.count, &self.version);
             let link = self
@@ -477,20 +383,13 @@ impl Waterfill {
                         if !self.fixed[fi] {
                             self.freeze(fi, top.share, top.id, pass, rates);
                             unfixed -= 1;
-                            if let Some(key) = log_key {
-                                self.log.frozen.push(key(fi));
-                            }
                         }
                     }
                     debug_assert_eq!(self.count[slot], 0, "bottleneck must drain completely");
-                    if log_key.is_some() {
-                        self.log.push(top);
-                    }
                 }
                 _ => {
                     self.freeze(fc, cap_key.share, CAP_BINDING, pass, rates);
                     unfixed -= 1;
-                    log_key = None;
                 }
             }
             // The batched update: a drained link (the bottleneck among
@@ -532,127 +431,6 @@ impl Waterfill {
         }
     }
 
-    /// Replay the pass log as far as it provably matches this solve (see
-    /// the module docs), and register this solve's keys for the next
-    /// one. Returns the passes replayed and the flows left unfixed.
-    fn replay(&mut self, n: usize, key: impl Fn(usize) -> u32, rates: &mut [f64]) -> (u32, usize) {
-        let nr = self.num_resources;
-        let log = &mut self.log;
-        let prev = log.gen;
-        let gen = prev.wrapping_add(1);
-        log.gen = gen;
-        // A joined flow is one the logged solve did not have. Its links
-        // go into the (otherwise unused) heap, which both marks them and
-        // yields their least current key; the least joined cap is fixed
-        // for the whole replay, since no joined flow freezes in it.
-        if log.valid {
-            self.heap.reset(self.id.len());
-        }
-        let mut joined_cap: Option<Entry> = None;
-        for i in 0..n {
-            let k = key(i) as usize;
-            if k >= log.seen.len() {
-                log.seen.resize(k + 1, (0, 0));
-            }
-            debug_assert_ne!(log.seen[k].0, gen, "key {k} appears twice");
-            let joined = log.seen[k].0 != prev;
-            log.seen[k] = (gen, i as u32);
-            if joined && log.valid {
-                let c = Entry {
-                    share: self.cap_of[i].max(0.0) / 1.0,
-                    version: 0,
-                    id: (nr + i) as u32,
-                    slot: NONE,
-                };
-                if joined_cap.is_none_or(|j| c.before(&j)) {
-                    joined_cap = Some(c);
-                }
-                for h in self.route_off[i] as usize..self.route_off[i + 1] as usize {
-                    let s = self.route_slots[h] as usize;
-                    if self.heap.pos[s] == NONE {
-                        self.heap.pos[s] = 0;
-                        self.heap.entries.push(Entry {
-                            share: self.remaining[s].max(0.0) / self.count[s] as f64,
-                            version: 0,
-                            id: self.id[s],
-                            slot: s as u32,
-                        });
-                    }
-                }
-            }
-        }
-        if !log.valid {
-            return (0, n);
-        }
-        self.heap.heapify();
-
-        let mut pass = 0u32;
-        let mut start = 0;
-        for p in 0..self.log.passes.len() {
-            let lp = self.log.passes[p];
-            let end = lp.end as usize;
-            let logged = Entry {
-                share: lp.share,
-                version: lp.version,
-                id: lp.id,
-                slot: NONE,
-            };
-            // (a) Every flow the pass froze must still be here. (b) needs
-            // no check: the log ends before the first cap pop.
-            let seen = &self.log.seen;
-            if self.log.frozen[start..end]
-                .iter()
-                .any(|&k| seen[k as usize].0 != gen)
-            {
-                break;
-            }
-            // (c) The popped link must be here, off every joined route,
-            // and at its logged key...
-            let s = self.slot_of[lp.id as usize].wrapping_sub(1);
-            if s == NONE {
-                break;
-            }
-            let s = s as usize;
-            if self.heap.pos[s] != NONE || self.count[s] == 0 {
-                break;
-            }
-            let share = self.remaining[s].max(0.0) / self.count[s] as f64;
-            if share.to_bits() != lp.share.to_bits() || self.version[s] != lp.version {
-                break;
-            }
-            // ...and no joined cap or joined link may order before it.
-            if joined_cap.is_some_and(|c| c.before(&logged)) {
-                break;
-            }
-            let (remaining, count, version) = (&self.remaining, &self.count, &self.version);
-            let joined_top = self
-                .heap
-                .peek_current(|j| (remaining[j].max(0.0) / count[j] as f64, version[j]));
-            if joined_top.is_some_and(|t| t.before(&logged)) {
-                break;
-            }
-            pass += 1;
-            self.changed.clear();
-            for j in start..end {
-                let fi = self.log.seen[self.log.frozen[j] as usize].1 as usize;
-                debug_assert!(!self.fixed[fi], "flow {fi} is logged twice");
-                self.freeze(fi, lp.share, lp.id, pass, rates);
-            }
-            debug_assert_eq!(self.count[s], 0, "replayed bottleneck must drain completely");
-            // Joined links keep a live, lower-bound key (no joined flow
-            // froze, so none drained).
-            for &c in &self.changed {
-                let c = c as usize;
-                if self.heap.pos[c] != NONE {
-                    let share = self.remaining[c].max(0.0) / self.count[c] as f64;
-                    self.heap.lower(c, share, self.version[c]);
-                }
-            }
-            start = end;
-        }
-        (pass, n - start)
-    }
-
     /// Freeze flow `fi` at share `s`: debit every slot on its route (one
     /// version bump per debit, so tie-breaks match per-flow updates) and
     /// list each debited slot once for the batched update. Its cap
@@ -672,53 +450,6 @@ impl Waterfill {
                 self.changed.push(rs as u32);
             }
         }
-    }
-}
-
-/// The warm-start log (see the module docs): the link passes of the
-/// latest warm solve up to its first cap pop, and per-key bookkeeping
-/// that tells surviving, joined and departed flows apart.
-#[derive(Debug, Default)]
-struct PassLog {
-    /// Whether the log describes the latest solve: cold solves and
-    /// [`Waterfill::forget`] clear it.
-    valid: bool,
-    passes: Vec<LoggedPass>,
-    /// Keys of the flows each pass froze, pass after pass.
-    frozen: Vec<u32>,
-    /// Per key: the warm solve that last included it, and its demand
-    /// index there.
-    seen: Vec<(u32, u32)>,
-    /// Number of the latest warm solve (keys never seen hold 0).
-    gen: u32,
-}
-
-/// One logged link pass: the popped key, and the end of the pass's
-/// frozen keys in [`PassLog::frozen`].
-#[derive(Debug, Clone, Copy)]
-struct LoggedPass {
-    share: f64,
-    version: u32,
-    id: u32,
-    end: u32,
-}
-
-impl PassLog {
-    /// Keep the first `passes` passes.
-    fn truncate(&mut self, passes: usize) {
-        self.passes.truncate(passes);
-        let end = self.passes.last().map_or(0, |p| p.end as usize);
-        self.frozen.truncate(end);
-    }
-
-    /// Close a pass popped at `top`, whose frozen keys were just pushed.
-    fn push(&mut self, top: Entry) {
-        self.passes.push(LoggedPass {
-            share: top.share,
-            version: top.version,
-            id: top.id,
-            end: self.frozen.len() as u32,
-        });
     }
 }
 
@@ -790,6 +521,14 @@ impl SlotHeap {
             self.entries[0].version = version;
             self.sift_down(0);
         }
+    }
+
+    /// Insert `e` for a slot not in the heap.
+    fn push(&mut self, e: Entry) {
+        let i = self.entries.len();
+        self.entries.push(e);
+        self.pos[e.slot as usize] = i as u32;
+        self.sift_up(i);
     }
 
     /// Take `slot` out of the heap, if it is in it.
@@ -1418,135 +1157,245 @@ mod tests {
         assert!(popped > 0 && heap.entries.is_empty());
     }
 
-    /// A flow of a warm solve: its key, route and cap.
+    /// A flow of a cascade solve: its transfer id, route and cap.
     type Keyed = (u32, Vec<ResourceId>, f64);
-
-    /// Solve `flows` warm on `wf` and cold on a fresh solver, require
-    /// the same rate bits and bindings, and return the passes replayed.
-    fn warm(wf: &mut Waterfill, caps: &[f64], flows: &[Keyed]) -> (Vec<f64>, u32) {
-        let n = flows.len();
-        let route = |i: usize| flows[i].1.as_slice();
-        let cap = |i: usize| flows[i].2;
-        let mut rates = Vec::new();
-        wf.solve_warm(n, route, cap, |i| flows[i].0, caps, (0.0, 1.0), &mut rates);
-        let mut cold = Waterfill::new(caps.len());
-        let mut cold_rates = Vec::new();
-        cold.solve(n, route, cap, caps, (0.0, 1.0), &mut cold_rates);
-        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&rates), bits(&cold_rates), "{rates:?} vs {cold_rates:?}");
-        assert_eq!(wf.bindings(), cold.bindings());
-        (rates, wf.last_passes().1)
-    }
-
-    // Resources of the warm-start tests: 0 is shared (1.0), 1 pops
-    // first (0.2), 2 is narrower still (0.1), 3 is wide (5.0). The
-    // first solve is A on {1, 0} and E on {0}: pass 1 pops link 1
-    // (A at 0.2), pass 2 link 0 (E at 0.8).
-    const WARM_CAPS: [f64; 4] = [1.0, 0.2, 0.1, 5.0];
 
     fn flow(key: u32, route: &[u32], cap: f64) -> Keyed {
         (key, rid(route), cap)
     }
 
-    fn logged() -> Waterfill {
-        let mut wf = Waterfill::new(WARM_CAPS.len());
+    /// Drives a [`Cascade`] over a changing demand set the way the
+    /// engine's leveler does, and checks every solve against a cold one.
+    struct Relevel {
+        cascade: Cascade,
+        caps: Vec<f64>,
+        keys: Vec<u32>,
+        /// Every flow seen so far, by transfer id: a departed flow's
+        /// route is still asked for.
+        known: Vec<Option<Keyed>>,
+    }
+
+    impl Relevel {
+        const TRANSFERS: usize = 16;
+
+        fn new(caps: &[f64]) -> Relevel {
+            Relevel {
+                cascade: Cascade::new(caps.len()),
+                caps: caps.to_vec(),
+                keys: Vec::new(),
+                known: vec![None; Self::TRANSFERS],
+            }
+        }
+
+        /// Solve `flows` (in demand order), require the cold solve's rate
+        /// bits and bindings, and return the rates and the passes popped
+        /// as logged.
+        fn solve(&mut self, flows: &[Keyed]) -> (Vec<f64>, u32) {
+            for &k in &self.keys {
+                if !flows.iter().any(|f| f.0 == k) {
+                    self.cascade.drop_record(k);
+                }
+            }
+            self.keys = flows.iter().map(|f| f.0).collect();
+            let mut members = vec![Vec::new(); self.caps.len()];
+            for f in flows {
+                self.known[f.0 as usize] = Some(f.clone());
+                for r in &f.1 {
+                    members[r.0 as usize].push(f.0);
+                }
+            }
+            let known = &self.known;
+            let of = |t: u32| known[t as usize].as_ref().expect("a known flow");
+            self.cascade.solve(
+                flows.len(),
+                |i| flows[i].0,
+                Self::TRANSFERS,
+                &members,
+                |t| of(t).1.as_slice(),
+                |t| of(t).2,
+                &self.caps,
+                (0.0, 1.0),
+            );
+            let rates: Vec<f64> = flows.iter().map(|f| self.cascade.rate(f.0)).collect();
+            let bindings: Vec<u32> = flows.iter().map(|f| self.cascade.binding(f.0)).collect();
+            let mut cold = Waterfill::new(self.caps.len());
+            let mut cold_rates = Vec::new();
+            let n = flows.len();
+            cold.solve(
+                n,
+                |i| flows[i].1.as_slice(),
+                |i| flows[i].2,
+                &self.caps,
+                (0.0, 1.0),
+                &mut cold_rates,
+            );
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&rates),
+                bits(&cold_rates),
+                "{rates:?} vs {cold_rates:?}"
+            );
+            assert_eq!(bindings, cold.bindings());
+            assert_eq!(self.cascade.last_work().0, cold.last_passes());
+            (rates, self.cascade.last_work().1)
+        }
+
+        fn touched(&self) -> u64 {
+            self.cascade.last_work().2
+        }
+    }
+
+    // Resources of the cascade tests: 0 is shared (1.0), 1 pops first
+    // (0.2), 2 is narrower still (0.1), 3 is wide (5.0). The first solve
+    // is A on {1, 0} and E on {0}: pass 1 pops link 1 (A at 0.2), pass 2
+    // link 0 (E at 0.8).
+    const CAPS: [f64; 4] = [1.0, 0.2, 0.1, 5.0];
+
+    fn logged() -> Relevel {
+        let mut rl = Relevel::new(&CAPS);
         let first = [flow(0, &[1, 0], 100.0), flow(1, &[0], 100.0)];
-        let (rates, replayed) = warm(&mut wf, &WARM_CAPS, &first);
-        assert_eq!((rates, replayed), (vec![0.2, 0.8], 0), "nothing to replay yet");
-        assert_eq!(wf.last_passes(), (2, 0));
-        wf
+        assert_eq!(rl.solve(&first), (vec![0.2, 0.8], 0), "nothing logged yet");
+        assert_eq!(rl.cascade.last_work().0, 2);
+        rl
     }
 
     #[test]
-    fn warm_start_replays_an_unchanged_demand_set() {
-        // Same flows, other demand order: every pass replays.
-        let mut wf = logged();
+    fn an_unchanged_demand_set_pops_every_pass_as_logged() {
+        // Same flows, other demand order: every pass pops as logged and
+        // no flow–link entry is touched.
+        let mut rl = logged();
         let again = [flow(1, &[0], 100.0), flow(0, &[1, 0], 100.0)];
-        assert_eq!(warm(&mut wf, &WARM_CAPS, &again).1, 2);
-        assert_eq!(warm(&mut wf, &WARM_CAPS, &again).1, 2);
-        // A dropped log replays nothing, and a cold solve drops it too.
-        wf.forget();
-        assert_eq!(warm(&mut wf, &WARM_CAPS, &again).1, 0);
-        let mut rates = Vec::new();
-        wf.solve(1, |_| &again[0].1, |_| 1.0, &WARM_CAPS, (0.0, 1.0), &mut rates);
-        assert_eq!(warm(&mut wf, &WARM_CAPS, &again).1, 0);
+        assert_eq!(rl.solve(&again).1, 2);
+        assert_eq!(rl.touched(), 0);
+        assert_eq!(rl.solve(&again).1, 2);
+        // Dropped state solves cold.
+        rl.cascade.invalidate();
+        assert_eq!(rl.solve(&again).1, 0);
+        assert_eq!(rl.solve(&again).1, 2);
     }
 
     #[test]
-    fn a_departed_flow_frozen_at_pass_one_stops_replay_at_once() {
-        // A and B share link 1 and freeze together at pass 1; without A
-        // that pass is not the same one.
-        let mut wf = Waterfill::new(WARM_CAPS.len());
+    fn a_departed_flow_reopens_only_the_links_it_crossed() {
+        // A and B share link 1 and freeze together at pass 1, E on link
+        // 0 at pass 2, W alone on link 3 at pass 3. Without A, links 1
+        // and 0 enter Δ: pass 1 is skipped (B is orphaned) and pass 2
+        // too, while W's pass still pops as logged.
+        let mut rl = Relevel::new(&CAPS);
         let a = flow(0, &[1, 0], 100.0);
         let b = flow(3, &[1], 100.0);
         let e = flow(1, &[0], 100.0);
-        warm(&mut wf, &WARM_CAPS, &[a, b.clone(), e.clone()]);
-        let (rates, replayed) = warm(&mut wf, &WARM_CAPS, &[e, b]);
-        assert_eq!((rates, replayed), (vec![1.0, 0.2], 0));
+        let w = flow(4, &[3], 100.0);
+        rl.solve(&[a, b.clone(), e.clone(), w.clone()]);
+        let (rates, logged) = rl.solve(&[e, b, w]);
+        assert_eq!((rates, logged), (vec![1.0, 0.2, 5.0], 1));
     }
 
     #[test]
-    fn a_joined_link_that_becomes_the_first_bottleneck_stops_replay() {
-        // D joins on {2, 0}: link 2 (0.1) now pops before the logged
-        // link 1 (0.2). The cold solve debits link 0 by D's 0.1 before
-        // A's 0.2, which leaves E exactly 0.7; replaying pass 1 first
-        // would debit in the other order and give E 0.7000000000000001.
-        let mut wf = logged();
+    fn a_joined_link_that_pops_first_debits_before_the_logged_pass() {
+        // D joins on {2, 0}: link 2 (0.1) now pops fresh before the
+        // logged link 1 (0.2), which still pops as logged and debits Δ
+        // link 0 through its watch entry. The cold solve debits link 0 by
+        // D's 0.1 before A's 0.2, which leaves E exactly 0.7; the other
+        // order would give E 0.7000000000000001.
+        let mut rl = logged();
         let now = [
             flow(2, &[2, 0], 100.0),
             flow(1, &[0], 100.0),
             flow(0, &[1, 0], 100.0),
         ];
-        let (rates, replayed) = warm(&mut wf, &WARM_CAPS, &now);
-        assert_eq!((rates, replayed), (vec![0.1, 0.7, 0.2], 0));
+        assert_eq!(rl.solve(&now), (vec![0.1, 0.7, 0.2], 1));
     }
 
     #[test]
-    fn a_joined_cap_below_the_logged_key_stops_replay() {
+    fn a_joined_cap_below_the_logged_key_pops_first() {
         // The same trap through a cap: D (cap 0.1) joins on link 0 only.
-        let mut wf = logged();
+        let mut rl = logged();
         let now = [
             flow(2, &[0], 0.1),
             flow(1, &[0], 100.0),
             flow(0, &[1, 0], 100.0),
         ];
-        let (rates, replayed) = warm(&mut wf, &WARM_CAPS, &now);
-        assert_eq!((rates, replayed), (vec![0.1, 0.7, 0.2], 0));
-        assert_eq!(wf.bindings(), &[CAP_BINDING, 0, 1]);
+        assert_eq!(rl.solve(&now), (vec![0.1, 0.7, 0.2], 1));
+        assert_eq!(rl.cascade.binding(2), CAP_BINDING);
     }
 
     #[test]
-    fn a_joined_flow_on_the_popped_link_stops_replay() {
-        let mut wf = logged();
+    fn a_joined_flow_on_the_logged_link_skips_its_pass() {
+        let mut rl = logged();
         let now = [
             flow(0, &[1, 0], 100.0),
             flow(1, &[0], 100.0),
             flow(2, &[1], 100.0),
         ];
-        let (rates, replayed) = warm(&mut wf, &WARM_CAPS, &now);
-        assert_eq!((rates, replayed), (vec![0.1, 0.9, 0.1], 0));
+        assert_eq!(rl.solve(&now), (vec![0.1, 0.9, 0.1], 0));
     }
 
     #[test]
-    fn a_cap_pop_ends_the_log() {
+    fn a_skipped_pass_orphans_its_flows_onto_their_other_links() {
+        // D (on {2, 1}) freezes at pass 1 by link 2; A (on {1, 0}) at
+        // pass 2 by link 1 with 0.5 − 0.1 = 0.4; E (on {0}) at pass 3 by
+        // link 0 with 0.6. Once D leaves, link 1 enters Δ and pass 2 is
+        // skipped: A is orphaned, so link 0 must enter Δ too. It then
+        // ties link 1 at 0.5 and wins on its lower id, binding A; a link
+        // 0 left out of Δ would pop link 1 first and bind A there.
+        let caps = [1.0, 0.5, 0.1];
+        let mut rl = Relevel::new(&caps);
+        let d = flow(2, &[2, 1], 100.0);
+        let a = flow(0, &[1, 0], 100.0);
+        let e = flow(1, &[0], 100.0);
+        let (rates, _) = rl.solve(&[d, a.clone(), e.clone()]);
+        assert_eq!(rates, vec![0.1, 0.4, 0.6]);
+        assert_eq!(rl.solve(&[a, e]), (vec![0.5, 0.5], 0));
+        assert_eq!(rl.cascade.binding(0), 0);
+    }
+
+    #[test]
+    fn reconstruction_debits_in_pass_order_not_member_order() {
+        // Q (on {1, 0}) freezes at pass 2 with 0.2 and P (on {2, 0}) at
+        // pass 1 with 0.1; link 0 lists Q before P. J then joins W on
+        // link 4, which pops fresh after both logged passes and pulls
+        // link 0 into Δ mid-solve. Reconstructed in pass order, link 0
+        // holds 1 − 0.1 − 0.2 = 0.7 before W's 0.3, as in a cold solve;
+        // in member order it would hold 1 − 0.2 − 0.1 =
+        // 0.7000000000000001 and hand E different bits.
+        let caps = [1.0, 0.2, 0.1, 5.0, 0.6];
+        let mut rl = Relevel::new(&caps);
+        let q = flow(0, &[1, 0], 100.0);
+        let p = flow(1, &[2, 0], 100.0);
+        let e = flow(2, &[0], 100.0);
+        let w = flow(3, &[4, 0], 100.0);
+        let first = [q.clone(), p.clone(), e.clone(), w.clone()];
+        assert_eq!(rl.solve(&first).0, vec![0.2, 0.1, 0.35, 0.35]);
+        let j = flow(4, &[4], 100.0);
+        let (rates, logged) = rl.solve(&[q, p, e, w, j]);
+        assert_eq!(logged, 2);
+        assert_eq!(rates[2], 1.0 - 0.1 - 0.2 - 0.3);
+        assert_ne!(rates[2], 1.0 - 0.2 - 0.1 - 0.3);
+    }
+
+    #[test]
+    fn cap_passes_pop_as_logged_until_demand_order_changes() {
         // Pass 1 pops link 2 (Z at 0.1; a link wins a tie with a cap),
         // passes 2 and 3 the tied caps of G and F (0.1, tie broken by
         // demand index), pass 4 link 1 (A at 0.2) and pass 5 link 0 (E
-        // at 0.7). Replay must stop at the first cap pass: replaying
-        // pass 4 before G's cap would debit link 0 by 0.2 before 0.1
-        // and give E 0.7000000000000001.
-        let mut wf = Waterfill::new(WARM_CAPS.len());
+        // at 0.7). In the same order all five pop as logged. Reversed,
+        // G and F are reordered: their cap passes are skipped, their caps
+        // pop fresh in the new index order before A's logged pass, and
+        // link 0 still sees 0.1 before 0.2 (else E would get
+        // 0.7000000000000001).
+        let mut rl = Relevel::new(&CAPS);
         let z = flow(6, &[2], 100.0);
         let g = flow(5, &[0], 0.1);
         let f = flow(4, &[3], 0.1);
         let a = flow(0, &[1, 0], 100.0);
         let e = flow(1, &[0], 100.0);
         let first = [z.clone(), g.clone(), f.clone(), a.clone(), e.clone()];
-        let (rates, _) = warm(&mut wf, &WARM_CAPS, &first);
-        assert_eq!(rates, [0.1, 0.1, 0.1, 0.2, 0.7]);
-        assert_eq!(wf.last_passes(), (5, 0));
-        let (rates, replayed) = warm(&mut wf, &WARM_CAPS, &[e, a, f, g, z]);
-        assert_eq!((rates, replayed), (vec![0.7, 0.2, 0.1, 0.1, 0.1], 1));
+        assert_eq!(rl.solve(&first).0, [0.1, 0.1, 0.1, 0.2, 0.7]);
+        assert_eq!(rl.solve(&first).1, 5);
+        assert_eq!(
+            rl.solve(&[e, a, f, g, z]),
+            (vec![0.7, 0.2, 0.1, 0.1, 0.1], 2)
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Warm-started full re-levels are invisible in results. The default
-//! leveler's full solves replay the previous full solve's pass log (see
-//! the `waterfill` module docs); [`SolverMode::Full`] always solves
-//! cold and is the oracle. Both must produce the same report and
-//! bottleneck profile, bit for bit, on graphs built to reach every
-//! replay stop rule: tied capacities and per-flow caps, repeated hops,
-//! contention penalties, link and node faults, and flows that join and
-//! leave at the same instant.
+//! Cascade re-levels are invisible in results. The default leveler's
+//! full solves re-solve only the links a changed flow reaches, against
+//! the previous full solve's pass log (see DESIGN §16);
+//! [`SolverMode::Full`] always solves cold and is the oracle. Both must
+//! produce the same report and bottleneck profile, bit for bit, on
+//! graphs built to reach every divergence rule: tied capacities and
+//! per-flow caps, repeated hops, contention penalties, link and node
+//! faults, flows that join and leave at the same instant, and long
+//! join/leave churn whose completions reorder the demand list.
 
 use bgq_netsim::*;
 use proptest::prelude::*;
@@ -62,11 +63,11 @@ fn case() -> impl Strategy<Value = Case> {
                 let plan = match fault {
                     0 | 1 => FaultPlan::new(),
                     // Stalls and resumes without a capacity change: the
-                    // log survives them.
+                    // cascade state survives them.
                     2 => FaultPlan::new()
                         .fail_node(10.0, node)
                         .restore_node(20.0, node),
-                    // A capacity change: the log is dropped.
+                    // A capacity change: the cascade state is dropped.
                     _ => FaultPlan::new()
                         .degrade_link(10.0, ResourceId(link), 0.5)
                         .restore_link(20.0, ResourceId(link)),
@@ -137,7 +138,7 @@ proptest! {
     }
 }
 
-/// A pinned case of the rule the log survives: a node flap stalls two
+/// A pinned case of the rule the state survives: a node flap stalls two
 /// flows and later resumes them (leaves and joins with no capacity
 /// change), while a third flow keeps its link.
 #[test]
@@ -187,4 +188,70 @@ fn node_flap_replays_and_matches_the_oracle() {
         warm_obs.waterfill_replayed_passes,
         warm_obs.waterfill_passes
     );
+}
+
+/// A long churn: `n` transfers from few sources over few links, with
+/// staggered injections and mixed sizes, so flows join and leave one or
+/// two at a time for hundreds of epochs, completions `swap_remove` the
+/// demand list, and every flow has the same per-flow cap.
+fn churn() -> impl Strategy<Value = (Vec<f64>, Vec<TransferSpec>)> {
+    let caps = proptest::collection::vec(0usize..3, 6);
+    let transfers = proptest::collection::vec(
+        (
+            0u32..4,
+            1u64..40,
+            proptest::collection::vec(0u32..6, 1..4),
+        ),
+        220..260,
+    );
+    (caps, transfers).prop_map(|(caps, ts)| {
+        let caps = caps.into_iter().map(|c| [100.0, 150.0, 300.0][c]).collect();
+        let specs = ts
+            .into_iter()
+            .map(|(src, kb, route)| {
+                TransferSpec::new(src, 4, kb * 250, route.into_iter().map(ResourceId).collect())
+            })
+            .collect();
+        (caps, specs)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn long_churn_with_tied_caps_matches_the_cold_oracle((caps, specs) in churn()) {
+        let cfg = SimConfig {
+            link_bandwidth: 100.0,
+            io_link_bandwidth: 100.0,
+            per_flow_cap: 60.0,
+            hop_latency: 0.0,
+            send_overhead: 1.5,
+            recv_overhead: 0.0,
+            rma_phase_overhead: 0.0,
+            forward_overhead: 0.0,
+            contention_penalty: 0.25,
+            contention_floor: 0.5,
+            collect_link_stats: true,
+        };
+        let sim = Simulator::new(5, caps, cfg);
+        let mut g = TransferGraph::new();
+        for s in &specs {
+            g.add(s.clone());
+        }
+        let run = |solver: SolverMode| {
+            let mut obs = SimObserver::new();
+            let report = sim.simulate(
+                &g,
+                SimOptions::new().solver(solver).profiled().observer(&mut obs),
+            );
+            (report, obs)
+        };
+        let (cold, _) = run(SolverMode::Full);
+        let (warm, warm_obs) = run(SolverMode::default());
+        prop_assert!(cold.all_delivered());
+        prop_assert_eq!(bits(&cold), bits(&warm));
+        prop_assert!(warm_obs.waterfill_runs >= 200, "{} epochs", warm_obs.waterfill_runs);
+        prop_assert!(warm_obs.waterfill_replayed_passes > 0);
+    }
 }

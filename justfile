@@ -44,8 +44,8 @@ profile:
 # disjoint-heavy pattern at 4,096 nodes), then byte-diff against the
 # committed baseline — the artifact is pure simulated time, so any diff
 # means the planner or simulator moved. Re-baseline an intentional
-# change with `UPDATE_GOLDEN=1 just exchange`. About 2.5 min at the
-# default two threads on a 2-vCPU host, 3.2 min on one thread (the
+# change with `UPDATE_GOLDEN=1 just exchange`. About 27 s at the
+# default two threads on a 2-vCPU host, 36 s on one thread (the
 # 512-node slice is separately pinned as tests/golden/exchange.csv for
 # the quick path).
 exchange:
@@ -81,6 +81,13 @@ sentinel:
         results/ledger/manifest.json results/BENCH_profile_fig6.json fig6
     cmp results/ledger/manifest.json results/ledger/baseline.json && \
         echo "results/ledger/baseline.json reproduced byte-exact"
+
+# Scaling harness for the paper's workload (not part of `verify`): a
+# random sparse exchange, four peers per node, planned direct and
+# simulated unobserved from 512 nodes up to MAX nodes, printing simulate
+# time (min of 3), the per-doubling ratio and the re-level counts.
+exchange-scaling MAX="4096":
+    cargo run --release --example exchange_scaling -- --max-nodes {{MAX}}
 
 # Full figure reproduction into results/ (coffee-break sized).
 reproduce:
