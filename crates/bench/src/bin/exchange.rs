@@ -2,7 +2,8 @@
 //! 512 → 4,096 nodes, all three algorithms per point.
 //!
 //! Usage: `exchange [--max-nodes N] [--threads N] [--out PATH]`; a bad
-//! flag or value prints the usage and exits with status 2.
+//! flag or value, or an `N` below the smallest sweep size (512), prints
+//! the usage and exits with status 2.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_exchange.json`
 //! (override with `--out`) and prints a human table. `--max-nodes 512`
@@ -12,8 +13,8 @@
 
 use bgq_bench::args::parse_value;
 use bgq_bench::{
-    exchange_json, exchange_point, exchange_row, ExchangePattern, ExchangeSweep, Experiment,
-    ExperimentSession, Row, Table,
+    exchange_json, exchange_nodes, exchange_point, exchange_row, ExchangePattern, ExchangeSweep,
+    Experiment, ExperimentSession, Row, Table,
 };
 use sdm_core::ExchangeAlgorithm;
 use std::error::Error;
@@ -42,6 +43,13 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Erro
             "--out" => cli.out = parse_value("--out", args.next())?,
             other => return Err(format!("unknown flag {other:?}").into()),
         }
+    }
+    if exchange_nodes(cli.max_nodes).is_empty() {
+        return Err(format!(
+            "--max-nodes {} is below the smallest sweep size (512)",
+            cli.max_nodes
+        )
+        .into());
     }
     Ok(cli)
 }
@@ -135,5 +143,15 @@ mod tests {
         assert!(parse(&["--max-nodes", "5000000000"]).is_err());
         assert!(parse(&["--threads", "two"]).is_err());
         assert!(parse(&["--out"]).is_err());
+    }
+
+    #[test]
+    fn a_max_below_the_smallest_size_is_an_error_not_an_empty_sweep() {
+        for n in ["0", "100", "511"] {
+            assert!(parse(&["--max-nodes", n])
+                .unwrap_err()
+                .contains("smallest sweep size"));
+        }
+        assert_eq!(parse(&["--max-nodes", "512"]).unwrap().max_nodes, 512);
     }
 }

@@ -1,8 +1,9 @@
-//! Solver scaling sweep: full vs. incremental waterfill re-leveling on
-//! the same sparse pattern, 512 → 8,192 nodes.
+//! Solver scaling sweep: cold (`SolverMode::Full`) vs. cascade waterfill
+//! re-leveling on the same sparse pattern, 512 → 8,192 nodes.
 //!
-//! Usage: `scale [--max-nodes N] [--out PATH]`; a bad flag or value
-//! prints the usage and exits with status 2.
+//! Usage: `scale [--max-nodes N] [--out PATH]`; a bad flag or value, or
+//! an `N` below the smallest sweep size (512), prints the usage and
+//! exits with status 2.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_scale.json`
 //! (override with `--out`) and prints a human table. `--max-nodes 512`
@@ -34,6 +35,13 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Erro
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
+    if scale_sizes(cli.max_nodes).is_empty() {
+        return Err(format!(
+            "--max-nodes {} is below the smallest sweep size (512)",
+            cli.max_nodes
+        )
+        .into());
+    }
     Ok(cli)
 }
 
@@ -46,16 +54,16 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("waterfill scaling sweep (full vs. incremental re-leveling)");
+    println!("waterfill scaling sweep (cold vs. cascade re-leveling)");
     println!(
         "{:>6} {:>9} {:>7} {:>12} {:>12} {:>9} {:>11} {:>8}",
         "nodes",
         "transfers",
         "shards",
-        "full ev/s",
-        "incr ev/s",
+        "cold ev/s",
+        "warm ev/s",
         "speedup",
-        "full-levels",
+        "cold solves",
         "reduced"
     );
     let mut points = Vec::new();
@@ -79,7 +87,7 @@ fn main() -> ExitCode {
     for p in &points {
         assert!(
             p.incremental.incremental_runs > p.incremental.full_runs,
-            "incremental solver showed no benefit at {} nodes ({} incremental vs {} full)",
+            "cascade solver showed no benefit at {} nodes ({} warm vs {} cold)",
             p.nodes,
             p.incremental.incremental_runs,
             p.incremental.full_runs
@@ -134,5 +142,15 @@ mod tests {
         assert!(parse(&["--report-out", "r.json"])
             .unwrap_err()
             .contains("--report-out"));
+    }
+
+    #[test]
+    fn a_max_below_the_smallest_size_is_an_error_not_an_empty_sweep() {
+        for n in ["0", "3", "511"] {
+            assert!(parse(&["--max-nodes", n])
+                .unwrap_err()
+                .contains("smallest sweep size"));
+        }
+        assert_eq!(parse(&["--max-nodes", "512"]).unwrap().max_nodes, 512);
     }
 }

@@ -1,16 +1,16 @@
 //! Scaling sweep for the waterfill solver: the same sparse transfer
-//! pattern simulated with [`SolverMode::Full`] (re-level a component's
-//! whole active set at every rate epoch) and with the default
-//! [`SolverMode::Incremental`] (re-level only the dirty flow/link
-//! closure), across partition sizes up to 8,192 nodes.
+//! pattern simulated with [`SolverMode::Full`] (a cold solve of a
+//! component's whole active set at every rate epoch) and with the
+//! default [`SolverMode::Cascade`] (warm solves that re-solve only the
+//! links a joined or departed flow reaches), across partition sizes up
+//! to 8,192 nodes.
 //!
 //! The pattern is the regime the paper's sparse workloads live in: many
 //! link-disjoint neighbor exchanges plus one dependent fan-out per
 //! D×E torus column. The fan-out chains share their source node (so
 //! injection serialization ties them into one contention component) but
 //! only partially overlap on links, which is exactly the shape where
-//! the dirty-closure machinery beats full re-levels *within* a
-//! component. Columns never share a link with each other — routes
+//! warm cascade solves beat cold re-levels *within* a component. Columns never share a link with each other — routes
 //! between nodes of one aligned D×E block stay inside the block — so
 //! the pattern decomposes into hundreds of independent components, each
 //! run as its own shard.
@@ -36,15 +36,15 @@ pub struct SolverSide {
     pub events: u64,
     /// Events per wall-clock second.
     pub events_per_sec: f64,
-    /// Re-levels over a component's entire active set.
+    /// Cold solves over a component's entire active set.
     pub full_runs: u64,
-    /// Re-levels confined to the dirty closure.
+    /// Warm cascade solves and skipped no-op re-levels.
     pub incremental_runs: u64,
     /// Simulated end time (must match the other sides bit-for-bit).
     pub makespan: f64,
 }
 
-/// Full vs. incremental comparison at one partition size.
+/// Cold (`Full`) vs. cascade comparison at one partition size.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     pub nodes: u32,
@@ -57,13 +57,13 @@ pub struct ScalePoint {
 }
 
 impl ScalePoint {
-    /// Wall-clock improvement of incremental over full re-leveling.
+    /// Wall-clock improvement of the cascade over cold re-leveling.
     pub fn speedup(&self) -> f64 {
         self.full.wall_secs / self.incremental.wall_secs
     }
 
-    /// How many full re-levels the dirty-set machinery avoided:
-    /// `full_runs(full mode) / full_runs(incremental mode)`.
+    /// How many cold solves the cascade avoided:
+    /// `full_runs(full mode) / full_runs(cascade mode)`.
     pub fn full_run_reduction(&self) -> f64 {
         self.full.full_runs as f64 / (self.incremental.full_runs.max(1)) as f64
     }
@@ -81,8 +81,8 @@ impl ScalePoint {
 /// * one dependent fan-out per column: a hub node (`d=0, e=1`) streams
 ///   3-deep put chains to 4–5 destinations in its column. The chains
 ///   share the hub (one component via injection serialization) but
-///   only the `+D` pair shares links, so a completion's dirty closure
-///   stays well under half the component.
+///   only the `+D` pair shares links, so a completion reaches a small
+///   part of the component.
 fn build_pattern(prog: &mut Program<'_>, shape: &Shape, nodes: u32) -> usize {
     let mut transfers = 0;
     for i in (0..nodes).step_by(4) {
@@ -102,7 +102,7 @@ fn build_pattern(prog: &mut Program<'_>, shape: &Shape, nodes: u32) -> usize {
         let node = |d: u32, e: u32| NodeId(base + d * ee + e);
         let hub = node(0, 1);
         // +D one hop; +D two hops (shares the first link with the
-        // previous chain — real contention, small dirty closure); -D
+        // previous chain — real contention, a small cascade); -D
         // one hop; the E-flip back to the column base. Larger D
         // extents afford a second -D chain.
         let mut dsts = vec![node(1, 1), node(2, 1), node(de - 1, 1), node(0, 0)];
@@ -227,19 +227,18 @@ mod tests {
             "the column pattern must decompose ({} shards)",
             p.shards
         );
-        // Full mode never takes the incremental path…
+        // Full mode never solves warm…
         assert_eq!(p.full.incremental_runs, 0);
         assert!(p.full.full_runs > 0);
-        // …and the incremental mode resolves most epochs without a
-        // full re-level: fan-out completions dirty only their own
-        // chain (plus the one +D link-sharer), well under the
-        // half-the-component fallback threshold.
+        // …and the cascade mode solves cold once per component (the
+        // pattern has no capacity change), every later epoch warm.
         assert!(
             p.incremental.incremental_runs > p.incremental.full_runs,
-            "incremental {} vs full {}",
+            "warm {} vs cold {}",
             p.incremental.incremental_runs,
             p.incremental.full_runs
         );
+        assert_eq!(p.incremental.full_runs, p.shards as u64);
         assert_eq!(p.full.makespan.to_bits(), p.incremental.makespan.to_bits());
         assert!(p.full.events > 0 && p.full.events == p.incremental.events);
     }

@@ -207,7 +207,7 @@ pub fn resilience_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioM
     s
 }
 
-/// scale: the 512-node full-vs-incremental waterfill comparison. The
+/// scale: the 512-node cold-vs-cascade waterfill comparison. The
 /// simulated quantities (makespan, event/solve counts) are golden; the
 /// wall-clock timings ride along under `wall.` and never serialize.
 pub fn scale_scenario(opts: &LedgerOptions) -> ScenarioManifest {

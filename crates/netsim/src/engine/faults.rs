@@ -37,25 +37,25 @@ impl FaultState {
             || self.node_down[spec.dst as usize]
     }
 
-    /// Apply the capacity-affecting part of a fault. Returns the touched
-    /// resource for `LinkFactor` faults (the caller marks it dirty for
-    /// the leveler); node transitions return `None` — their rate effects
+    /// Apply the capacity-affecting part of a fault. Returns whether it
+    /// changed a capacity (`LinkFactor` faults; the caller tells the
+    /// leveler); node transitions return `false` — their rate effects
     /// arrive through the flow re-partition that follows.
-    pub fn apply(&mut self, kind: &FaultKind, base_caps: &[f64]) -> Option<usize> {
+    pub fn apply(&mut self, kind: &FaultKind, base_caps: &[f64]) -> bool {
         match *kind {
             FaultKind::LinkFactor { resource, factor } => {
                 let ri = resource.0 as usize;
                 self.eff_caps[ri] = base_caps[ri] * factor;
                 self.dead[ri] = factor == 0.0;
-                Some(ri)
+                true
             }
             FaultKind::NodeDown { node } => {
                 self.node_down[node as usize] = true;
-                None
+                false
             }
             FaultKind::NodeUp { node } => {
                 self.node_down[node as usize] = false;
-                None
+                false
             }
         }
     }

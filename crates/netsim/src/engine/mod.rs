@@ -17,7 +17,7 @@
 //! event orderings and timings. The run surface is one method,
 //! [`Simulator::simulate`], taking [`SimOptions`] (optional fault plan,
 //! optional observer, solver mode); rate recomputation is incremental by
-//! default ([`SolverMode::Incremental`]) and bit-identical to a full
+//! default ([`SolverMode::Cascade`]) and bit-identical to a full
 //! re-level at every event — see the [`leveling`](self) submodule.
 //!
 //! Transfers that cannot interact (no shared route resource, source
@@ -47,38 +47,25 @@ use shard::{partition, PartitionOutcome};
 /// Bytes below which a flow is considered complete (absorbs float error).
 const BYTE_EPS: f64 = 1e-3;
 
-/// Default dirty-closure fraction above which an incremental re-level
-/// falls back to a full solve.
-pub const DEFAULT_FULL_FRACTION: f64 = 0.5;
-
 /// How the engine re-levels fair-share rates at each epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Both modes produce bit-identical reports; only the work differs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolverMode {
+    /// Re-solve only the links a joined or departed flow reaches,
+    /// against the previous solve's pass log (DESIGN §16), and skip
+    /// re-levels with nothing to do.
+    #[default]
+    Cascade,
     /// Re-solve the waterfill over every active flow at every epoch,
-    /// cold (the classical engine; kept as the oracle for the
-    /// incremental path and its cascade full solves).
+    /// cold (the classical engine; kept as the oracle the cascade is
+    /// tested against).
     Full,
-    /// Re-solve only the transitive closure of flows/links whose
-    /// saturation set changed, falling back to a full solve when the
-    /// closure exceeds `full_fraction` of the active set; that full
-    /// solve re-solves only the links a changed flow reaches against
-    /// the previous one's pass log. Produces bit-identical reports to
-    /// [`SolverMode::Full`] at any fraction.
-    Incremental { full_fraction: f64 },
-}
-
-impl Default for SolverMode {
-    fn default() -> SolverMode {
-        SolverMode::Incremental {
-            full_fraction: DEFAULT_FULL_FRACTION,
-        }
-    }
 }
 
 /// Options for one [`Simulator::simulate`] run: an optional fault
 /// schedule, an optional passive observer, and the solver mode.
 ///
-/// The default is a fault-free, unobserved run with the incremental
+/// The default is a fault-free, unobserved run with the cascade
 /// solver — exactly what the old `run` method did (modulo solver mode,
 /// which never changes results).
 #[derive(Debug, Default)]
@@ -314,7 +301,7 @@ impl Simulator {
     /// an unobserved run on the same inputs.
     ///
     /// The [`SolverMode`] never changes results — only how much work each
-    /// rate re-level performs (see [`SolverMode::Incremental`]).
+    /// rate re-level performs (see [`SolverMode::Cascade`]).
     ///
     /// # Panics
     /// Panics if the graph or the plan references a node or resource
@@ -604,7 +591,6 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
     // Active/stalled flows and fair-share machinery.
     let mut flows = FlowSet::new(n);
     let mut leveler = Leveler::new(specs, caps.len(), config, solver);
-    let mut rates_scratch: Vec<f64> = Vec::new();
     let mut rates_dirty = false;
     let mut epoch: u64 = 0;
 
@@ -763,8 +749,8 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
             Event::Fault(fi) => {
                 let fs = fstate.as_mut().expect("fault event without a plan");
                 let kind = &fault_events[fi as usize].kind;
-                if let Some(ri) = fs.apply(kind, caps) {
-                    leveler.note_caps_changed(ri);
+                if fs.apply(kind, caps) {
+                    leveler.note_caps_changed();
                 }
                 if let FaultKind::NodeUp { node } = *kind {
                     let ni = node as usize;
@@ -872,7 +858,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                     Some(fs) => &fs.eff_caps,
                     None => caps,
                 };
-                leveler.level(&mut flows.active, eff_caps, &mut rates_scratch);
+                leveler.level(&mut flows.active, eff_caps);
                 if let Some(ps) = pstate.as_mut() {
                     for f in &flows.active {
                         ps.note_binding(f.tid, now, leveler.binding_of(f.tid));
@@ -908,7 +894,6 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
         o.waterfill_incremental_runs += leveler.incremental_runs;
         o.waterfill_entries += leveler.solved_entries;
         o.waterfill_touched_entries += leveler.touched_entries;
-        o.closure_entries += leveler.closure_entries;
         o.waterfill_passes += leveler.passes;
         o.waterfill_replayed_passes += leveler.replayed_passes;
     }
@@ -1316,8 +1301,9 @@ mod tests {
 
     #[test]
     fn full_and_incremental_solvers_agree_bit_for_bit() {
-        // A contended fan-in with a mid-run fault: the exact scenario the
-        // dirty-set machinery handles, pinned against the full solver.
+        // A contended fan-in with a mid-run fault: warm cascade solves
+        // and a cold restart after each capacity change, pinned against
+        // the full solver.
         let s = sim(6, vec![100.0, 100.0, 80.0]);
         let mut g = TransferGraph::new();
         let a = g.add(TransferSpec::new(0, 5, 1000, vec![ResourceId(0), ResourceId(2)]));
@@ -1333,7 +1319,7 @@ mod tests {
             &g,
             SimOptions::new()
                 .faults(&plan)
-                .solver(SolverMode::Incremental { full_fraction: 1.0 }),
+                .solver(SolverMode::Cascade),
         );
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
         assert_eq!(bits(&full.delivery_time), bits(&inc.delivery_time));
@@ -1350,10 +1336,9 @@ mod tests {
     #[test]
     fn incremental_solver_skips_full_re_levels() {
         // One source node fanning out over 16 private links (a single
-        // contention component via the shared injection CPU): each join
-        // or completion dirties only the one flow on its own link, so
-        // after the first epoch the incremental solver never needs the
-        // full fallback.
+        // contention component via the shared injection CPU): with no
+        // capacity change only the first solve is cold, and every later
+        // re-level is a warm cascade solve.
         let s = Simulator::new(17, vec![100.0; 16], test_config());
         let mut g = TransferGraph::new();
         for p in 0..16u32 {
@@ -1367,30 +1352,35 @@ mod tests {
         let mut o = SimObserver::new();
         let rep = s.simulate(&g, SimOptions::new().observer(&mut o));
         assert!(rep.all_delivered());
+        assert_eq!(o.waterfill_full_runs, 1);
         assert!(o.waterfill_incremental_runs > o.waterfill_full_runs,
             "incremental {} vs full {}", o.waterfill_incremental_runs, o.waterfill_full_runs);
+        // A join on a private link touches that link alone.
+        assert!(o.waterfill_touched_entries < o.waterfill_entries);
         assert!(o.events_processed > 0);
         // The shared source keeps this a single shard.
         assert_eq!(o.shards, 1);
     }
 
     #[test]
-    fn work_counters_count_solved_and_scanned_entries() {
+    fn work_counters_count_solved_and_touched_entries() {
         // Short and long flow on one link: the joint join re-levels two
-        // one-hop flows, the short one's departure re-levels one. The
-        // incremental solver also scans link 0's one member before its
-        // closure (1 of 1 active flows) crosses the 0.5 threshold.
+        // one-hop flows, the short one's departure re-levels one. Full
+        // mode solves cold twice; the default solves cold, then warm.
         let s = sim(3, vec![100.0]);
         let mut g = TransferGraph::new();
         g.add(TransferSpec::new(0, 2, 500, vec![ResourceId(0)]));
         g.add(TransferSpec::new(1, 2, 2000, vec![ResourceId(0)]));
-        for (mode, closure) in [(SolverMode::Full, 0), (SolverMode::default(), 1)] {
+        for (mode, runs) in [(SolverMode::Full, (2, 0)), (SolverMode::Cascade, (1, 1))] {
             let mut o = SimObserver::new();
             s.simulate(&g, SimOptions::new().solver(mode).observer(&mut o));
             assert_eq!(o.waterfill_entries, 3, "{mode:?}");
             assert_eq!(o.waterfill_touched_entries, 3, "{mode:?}");
-            assert_eq!(o.closure_entries, closure, "{mode:?}");
-            assert_eq!(o.waterfill_full_runs, 2, "{mode:?}");
+            assert_eq!(
+                (o.waterfill_full_runs, o.waterfill_incremental_runs),
+                runs,
+                "{mode:?}"
+            );
             // One pass each; the second solve's only logged pass froze
             // the departed flow, so it is skipped, and the survivor is
             // re-frozen from link 0, which its departure reopened. Either
@@ -1404,10 +1394,10 @@ mod tests {
     fn warm_full_solves_replay_on_a_sparse_exchange() {
         // A 16-node ring exchange: every node sends two messages of
         // mixed sizes 1-5 hops clockwise, so routes overlap into one
-        // contention component, most re-levels fall back to a full
-        // solve, and consecutive solves differ by a flow or two. The
-        // cascade solve pops most passes as logged and touches only the
-        // entries around the links a changed flow reaches.
+        // contention component and consecutive solves differ by a flow
+        // or two. Every solve after the first is a warm cascade solve: it
+        // pops most passes as logged and touches only the entries around
+        // the links a changed flow reaches.
         let nodes = 16u32;
         let s = sim(nodes, vec![100.0; nodes as usize]);
         let mut g = TransferGraph::new();
@@ -1435,7 +1425,12 @@ mod tests {
         let (warm, warm_obs) = run(SolverMode::default());
         assert_eq!(cold, warm);
         assert_eq!(cold_obs.waterfill_replayed_passes, 0, "Full mode solves cold");
-        assert!(warm_obs.waterfill_full_runs > warm_obs.waterfill_incremental_runs);
+        assert_eq!(cold_obs.waterfill_incremental_runs, 0);
+        assert_eq!(warm_obs.waterfill_full_runs, 1);
+        assert_eq!(
+            warm_obs.waterfill_incremental_runs + 1,
+            cold_obs.waterfill_full_runs
+        );
         assert!(
             warm_obs.waterfill_replayed_passes > 0,
             "{} of {} passes replayed",
@@ -1443,8 +1438,8 @@ mod tests {
             warm_obs.waterfill_passes
         );
         assert_eq!(cold_obs.waterfill_touched_entries, cold_obs.waterfill_entries);
-        // A 16-link ring is dense: a change still reaches about half of
-        // it (628 of 1,410 entries). Sparse exchanges at paper scale
+        // A 16-link ring is dense: a change still reaches about a third of
+        // it (574 of 1,681 entries). Sparse exchanges at paper scale
         // touch 1-4% (DESIGN §16).
         assert!(
             2 * warm_obs.waterfill_touched_entries < warm_obs.waterfill_entries,

@@ -37,7 +37,7 @@ pub mod trace;
 pub mod waterfill;
 
 pub use config::SimConfig;
-pub use engine::{SimOptions, SimReport, Simulator, SolverMode, TransferStatus, DEFAULT_FULL_FRACTION};
+pub use engine::{SimOptions, SimReport, Simulator, SolverMode, TransferStatus};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use graph::{ResourceId, TransferGraph, TransferId, TransferSpec};
 pub use obs::{FaultReLevel, HeatmapSample, LinkHeatmap, ShardMerge, SimObserver};

@@ -114,32 +114,27 @@ pub struct ShardMerge {
 pub struct SimObserver {
     /// Rate recomputations performed (waterfill re-runs).
     pub waterfill_runs: u64,
-    /// Re-levels solved over the *entire* active set — either because
-    /// [`crate::SolverMode::Full`] was selected or because the dirty
-    /// closure exceeded the incremental solver's fallback threshold.
+    /// Cold solves over the entire active set: a component's first
+    /// solve, the first after a capacity change, and every solve under
+    /// [`crate::SolverMode::Full`].
     pub waterfill_full_runs: u64,
-    /// Re-levels confined to the dirty flow/link closure
-    /// ([`crate::SolverMode::Incremental`]); rates outside the closure
-    /// were reused unchanged.
+    /// Warm re-levels of [`crate::SolverMode::Cascade`]: cascade solves
+    /// against the previous solve's pass log, and re-levels skipped
+    /// because no flow joined or left and no capacity changed.
     pub waterfill_incremental_runs: u64,
     /// Flow–resource entries (route hops) across every solved demand
-    /// set, full or incremental: the waterfill's deterministic unit of
-    /// work.
+    /// set, cold or warm: the waterfill's deterministic unit of work.
     pub waterfill_entries: u64,
     /// The part of those entries the solves actually read or wrote: all
-    /// of a cold solve's, and a cascade full solve's (DESIGN §16) only
+    /// of a cold solve's, and a cascade solve's (DESIGN §16) only
     /// around the links a changed flow reaches.
     pub waterfill_touched_entries: u64,
-    /// Flow–resource entries the incremental solver scanned while
-    /// closing dirty sets. The scan stops once the closure crosses the
-    /// fallback threshold, so a fallback costs only the part scanned.
-    pub closure_entries: u64,
     /// Progressive-filling passes (popped bottlenecks) across every
-    /// solve, full or incremental.
+    /// solve, cold or warm.
     pub waterfill_passes: u64,
-    /// The part of `waterfill_passes` that cascade full solves popped
-    /// as logged from the previous full solve's pass log, at no
-    /// per-flow cost (always 0 under [`crate::SolverMode::Full`]).
+    /// The part of `waterfill_passes` that cascade solves popped as
+    /// logged from the previous solve's pass log, at no per-flow cost
+    /// (always 0 under [`crate::SolverMode::Full`]).
     pub waterfill_replayed_passes: u64,
     /// Events popped from the engine's queue (the denominator for
     /// events/sec in scaling sweeps).
@@ -181,8 +176,7 @@ impl SimObserver {
     /// Every value is an integer count cast to `f64`, so the scalars
     /// inherit the engine's bit-determinism. The work counters
     /// (`waterfill_entries`, `waterfill_touched_entries`,
-    /// `closure_entries`, `waterfill_passes`,
-    /// `waterfill_replayed_passes`) are not exported: the committed
+    /// `waterfill_passes`, `waterfill_replayed_passes`) are not exported: the committed
     /// ledger baseline pins this exact set of names.
     ///
     /// [`bgq_obs::ScenarioManifest`]: https://docs.rs/bgq-obs
@@ -241,7 +235,6 @@ impl SimObserver {
         self.waterfill_incremental_runs += local.waterfill_incremental_runs;
         self.waterfill_entries += local.waterfill_entries;
         self.waterfill_touched_entries += local.waterfill_touched_entries;
-        self.closure_entries += local.closure_entries;
         self.waterfill_passes += local.waterfill_passes;
         self.waterfill_replayed_passes += local.waterfill_replayed_passes;
         self.events_processed += local.events_processed;

@@ -27,7 +27,7 @@
 //!   construction — and the run-level per-link rollup redistributes the
 //!   same seconds;
 //! * profiles are bit-identical between [`crate::SolverMode::Full`] and
-//!   [`crate::SolverMode::Incremental`], and a profiled run's
+//!   [`crate::SolverMode::Cascade`], and a profiled run's
 //!   [`crate::SimReport`] is bit-identical to an unprofiled one.
 
 use crate::graph::ResourceId;

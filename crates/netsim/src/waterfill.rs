@@ -56,8 +56,8 @@
 //! `cascade::Cascade` keeps the pass log and per-flow freeze records of
 //! the previous full re-level and re-solves only the links a changed
 //! flow reaches, bit-identical to a cold solve (see the `cascade` module
-//! docs). The cold solve stays the incremental sub-solve and the
-//! [`SolverMode::Full`](crate::SolverMode::Full) oracle.
+//! docs). It is the engine's only production re-level; the cold solve
+//! stays the [`SolverMode::Full`](crate::SolverMode::Full) oracle.
 
 mod cascade;
 

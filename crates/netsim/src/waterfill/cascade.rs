@@ -51,8 +51,9 @@
 //! **What drops state.** [`Cascade::invalidate`] (a capacity change)
 //! drops everything, so the next solve is cold: every flow is joined and
 //! every link is in Δ. [`Cascade::drop_record`] drops one flow's record
-//! (a departure, or an incremental sub-solve that re-solved it); the
-//! next solve treats its route as changed.
+//! (a departure); the next solve treats its route as changed. Nothing
+//! else does: the leveler runs every re-level of a component through
+//! one `Cascade`.
 
 use super::{Entry, SlotHeap, CAP_BINDING, NONE};
 use crate::graph::ResourceId;
@@ -190,8 +191,8 @@ impl Cascade {
         self.valid = false;
     }
 
-    /// Drop `tid`'s record, if it has one: it departed, or another solve
-    /// re-leveled it. The next solve re-examines every link it crosses.
+    /// Drop `tid`'s record, if it has one: it departed. The next solve
+    /// re-examines every link it crosses.
     pub(crate) fn drop_record(&mut self, tid: u32) {
         if let Some(r) = self.rec.get_mut(tid as usize) {
             if *r != NONE {
@@ -199,6 +200,12 @@ impl Cascade {
                 self.gone.push(tid);
             }
         }
+    }
+
+    /// Whether the next solve is warm: a solve ran since the state was
+    /// created or last invalidated.
+    pub(crate) fn is_warm(&self) -> bool {
+        self.valid
     }
 
     /// Flows frozen fresh by the latest solve; every other flow kept

@@ -2,7 +2,7 @@
 //! transfer graph of up to four flows over a three-link line, where each
 //! flow takes a contiguous segment of the line and one of two sizes,
 //! under no fault or one link degraded or failed and later restored.
-//! The default solver (incremental re-levels with cascade full solves)
+//! The default solver (warm cascade re-levels after one cold solve)
 //! must reproduce [`SolverMode::Full`], the cold oracle, bit for bit:
 //! report and bottleneck profile. Debug builds also check every solve
 //! of both against its max-min certificate.
@@ -84,7 +84,7 @@ fn default_solver_matches_the_cold_oracle_on_every_small_state() {
     let plans = plans();
     let graphs = graphs();
     assert_eq!(graphs.len(), 12 + 144 + 1_728 + 20_736);
-    let mut full_solves = 0;
+    let mut warm_solves = 0;
     for flows in &graphs {
         let mut g = TransferGraph::new();
         for (i, &(seg, size)) in flows.iter().enumerate() {
@@ -102,18 +102,18 @@ fn default_solver_matches_the_cold_oracle_on_every_small_state() {
                         .profiled()
                         .observer(&mut obs),
                 );
-                (r, obs.waterfill_full_runs)
+                (r, obs.waterfill_incremental_runs)
             };
             let (cold, _) = run(SolverMode::Full);
-            let (warm, full) = run(SolverMode::default());
+            let (warm, warm_runs) = run(SolverMode::default());
             assert!(cold.all_delivered(), "{flows:?} under {plan:?}");
             assert_eq!(
                 format!("{cold:?}"),
                 format!("{warm:?}"),
                 "{flows:?} under {plan:?}"
             );
-            full_solves += full;
+            warm_solves += warm_runs;
         }
     }
-    assert!(full_solves > 0);
+    assert!(warm_solves > 0);
 }

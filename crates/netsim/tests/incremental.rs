@@ -1,8 +1,8 @@
-//! The incremental waterfill solver's contract: for ANY transfer graph
-//! and ANY fault plan, [`SolverMode::Incremental`] produces a report
-//! bit-identical to [`SolverMode::Full`] — the dirty-set machinery and
-//! its fallback threshold are pure performance knobs, never visible in
-//! results.
+//! The cascade re-level's contract: for ANY transfer graph and ANY fault
+//! plan, the default [`SolverMode::Cascade`] produces a report
+//! bit-identical to [`SolverMode::Full`] — warm solves, skipped no-op
+//! re-levels and cold restarts after capacity changes are never visible
+//! in results.
 
 use bgq_netsim::*;
 use proptest::prelude::*;
@@ -84,7 +84,7 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, ctx: &str) -> Result<(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Incremental == Full on random graphs, fault-free.
+    /// Cascade == Full on random graphs, fault-free.
     #[test]
     fn incremental_matches_full_without_faults((n, caps, specs) in scenario()) {
         let sim = Simulator::new(n, caps, quick_config());
@@ -97,8 +97,8 @@ proptest! {
         assert_reports_identical(&full, &inc, "fault-free")?;
     }
 
-    /// Incremental == Full on random graphs × random fault plans: faults
-    /// exercise the repartition path (stall, resume, capacity dirtying).
+    /// Cascade == Full on random graphs × random fault plans: faults
+    /// exercise the repartition path (stall, resume, cold restarts).
     #[test]
     fn incremental_matches_full_under_random_faults(
         (n, caps, specs) in scenario(),
@@ -120,41 +120,13 @@ proptest! {
         );
         assert_reports_identical(&full, &inc, "faulted")?;
     }
-
-    /// The fallback threshold is a pure performance knob: every setting
-    /// (always-fallback through never-fallback) yields the same report.
-    #[test]
-    fn fallback_threshold_never_changes_results(
-        (n, caps, specs) in scenario(),
-        seed in 0u64..1_000,
-    ) {
-        let sim = Simulator::new(n, caps.clone(), quick_config());
-        let mut g = TransferGraph::new();
-        for s in specs {
-            g.add(s);
-        }
-        let plan = FaultPlan::random_link_faults(seed, caps.len() as u32, 20.0, 0.05, 1.0);
-        let reference = sim.simulate(
-            &g,
-            SimOptions::new().faults(&plan).solver(SolverMode::Full),
-        );
-        for full_fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let rep = sim.simulate(
-                &g,
-                SimOptions::new()
-                    .faults(&plan)
-                    .solver(SolverMode::Incremental { full_fraction }),
-            );
-            assert_reports_identical(&reference, &rep, &format!("threshold {full_fraction}"))?;
-        }
-    }
 }
 
 /// Deterministic regression: a contended fan-in plus a disjoint pair,
-/// with a mid-run degrade/restore fault, across every threshold. This is
-/// the shape that caught threshold-dependent divergence during
-/// development; keep it pinned outside proptest so the exact case always
-/// runs.
+/// with a mid-run degrade/restore fault. This is the shape that caught
+/// divergence between the incremental and full solvers during
+/// development; keep it pinned outside proptest so the exact case
+/// always runs.
 #[test]
 fn threshold_regression_contended_fan_in() {
     let sim = Simulator::new(6, vec![100.0, 100.0, 100.0], quick_config());
@@ -175,30 +147,18 @@ fn threshold_regression_contended_fan_in() {
         SimOptions::new().faults(&plan).solver(SolverMode::Full),
     );
     assert!(reference.all_delivered());
-    for full_fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let rep = sim.simulate(
-            &g,
-            SimOptions::new()
-                .faults(&plan)
-                .solver(SolverMode::Incremental { full_fraction }),
-        );
-        assert_eq!(rep.status, reference.status, "threshold {full_fraction}");
-        for (i, (x, y)) in reference
-            .delivery_time
-            .iter()
-            .zip(&rep.delivery_time)
-            .enumerate()
-        {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "delivery_time[{i}] at threshold {full_fraction}"
-            );
-        }
-        assert_eq!(
-            reference.end_time.to_bits(),
-            rep.end_time.to_bits(),
-            "end_time at threshold {full_fraction}"
-        );
+    let rep = sim.simulate(
+        &g,
+        SimOptions::new().faults(&plan).solver(SolverMode::default()),
+    );
+    assert_eq!(rep.status, reference.status);
+    for (i, (x, y)) in reference
+        .delivery_time
+        .iter()
+        .zip(&rep.delivery_time)
+        .enumerate()
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "delivery_time[{i}]");
     }
+    assert_eq!(reference.end_time.to_bits(), rep.end_time.to_bits());
 }

@@ -6,7 +6,7 @@
 //! * per-link blame sums to the network-limited total, and every blamed
 //!   link lies on the flow's route;
 //! * profiles are bit-identical between `SolverMode::Full` and
-//!   `SolverMode::Incremental`;
+//!   `SolverMode::Cascade`;
 //! * profiling is passive — the rest of the report is bit-identical to
 //!   an unprofiled run;
 //! * fault-free runs never charge a nanosecond to `stalled_by_fault`.
@@ -283,7 +283,7 @@ proptest! {
         assert_blame_consistent(&report, &g, "faulted")?;
     }
 
-    /// Attribution is solver-independent: Full and Incremental produce
+    /// Attribution is solver-independent: Full and Cascade produce
     /// bit-identical profiles (the solvers pop the same binding resource
     /// in the same order), with or without faults.
     #[test]

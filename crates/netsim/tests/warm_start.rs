@@ -1,6 +1,6 @@
-//! Cascade re-levels are invisible in results. The default leveler's
-//! full solves re-solve only the links a changed flow reaches, against
-//! the previous full solve's pass log (see DESIGN §16);
+//! Cascade re-levels are invisible in results. Every re-level of the
+//! default leveler re-solves only the links a changed flow reaches,
+//! against the previous solve's pass log (see DESIGN §16);
 //! [`SolverMode::Full`] always solves cold and is the oracle. Both must
 //! produce the same report and bottleneck profile, bit for bit, on
 //! graphs built to reach every divergence rule: tied capacities and
@@ -178,7 +178,7 @@ fn node_flap_replays_and_matches_the_oracle() {
         (r, obs)
     };
     let (cold, cold_obs) = run(SolverMode::Full);
-    let (warm, warm_obs) = run(SolverMode::Incremental { full_fraction: 0.0 });
+    let (warm, warm_obs) = run(SolverMode::default());
     assert!(cold.all_delivered());
     assert_eq!(bits(&cold), bits(&warm));
     assert_eq!(cold_obs.waterfill_replayed_passes, 0);

@@ -5,9 +5,10 @@
 //!
 //! Each row prints the pair count, the planning time, the simulate time
 //! (the minimum of three runs), its ratio to the previous row (the
-//! per-doubling growth), and, from one extra observed run, the full and
-//! incremental re-level counts and the share of demand-set flow–link
-//! entries the solves actually touched.
+//! per-doubling growth), and, from one extra observed run, the cold and
+//! warm solve counts (warm: cascade solves and skipped no-op re-levels)
+//! and the share of demand-set flow–link entries the solves actually
+//! touched.
 //!
 //! Run with: `cargo run --release --example exchange_scaling -- --max-nodes 4096`
 
@@ -44,7 +45,7 @@ fn main() {
     });
     println!(
         "{:>6}  {:>6}  {:>8}  {:>10}  {:>6}  {:>7}  {:>7}  {:>8}",
-        "nodes", "pairs", "plan_s", "simulate_s", "ratio", "full", "incr", "touched"
+        "nodes", "pairs", "plan_s", "simulate_s", "ratio", "cold", "warm", "touched"
     );
     let mut prev: Option<f64> = None;
     let mut n = 512;

@@ -6,9 +6,9 @@ verify: obs profile bench-smoke exchange sentinel
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Incremental-solver smoke check: a tiny scale sweep. The binary asserts
-# full-vs-incremental bit-identity and that the dirty-set machinery
-# actually avoided full re-levels (nonzero speedup counters).
+# Cascade-solver smoke check: a tiny scale sweep. The binary asserts
+# cold-vs-cascade bit-identity and that warm cascade solves outnumber
+# cold ones.
 bench-smoke:
     cargo run --release -p bgq-bench --bin scale -- --max-nodes 512 \
         --out results/obs/scale_smoke.json
@@ -44,8 +44,8 @@ profile:
 # disjoint-heavy pattern at 4,096 nodes), then byte-diff against the
 # committed baseline — the artifact is pure simulated time, so any diff
 # means the planner or simulator moved. Re-baseline an intentional
-# change with `UPDATE_GOLDEN=1 just exchange`. About 27 s at the
-# default two threads on a 2-vCPU host, 36 s on one thread (the
+# change with `UPDATE_GOLDEN=1 just exchange`. About 5 s at the
+# default two threads on a 2-vCPU host, 8 s on one thread (the
 # 512-node slice is separately pinned as tests/golden/exchange.csv for
 # the quick path).
 exchange:
@@ -85,7 +85,7 @@ sentinel:
 # Scaling harness for the paper's workload (not part of `verify`): a
 # random sparse exchange, four peers per node, planned direct and
 # simulated unobserved from 512 nodes up to MAX nodes, printing simulate
-# time (min of 3), the per-doubling ratio and the re-level counts.
+# time (min of 3), the per-doubling ratio and the cold/warm solve counts.
 exchange-scaling MAX="4096":
     cargo run --release --example exchange_scaling -- --max-nodes {{MAX}}
 
