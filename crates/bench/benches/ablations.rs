@@ -3,7 +3,7 @@
 //! assignment policy, and routing zone. Each bench runs the full plan +
 //! simulation so the cost of richer plans (more transfers, more events)
 //! is visible; the *simulated* outcomes of the same ablations are printed
-//! by the `fig7`/`fig10` binaries and the `ablation_policy_point` helper.
+//! by the `fig7`/`fig10` figures and the `ablation_policy_point` helper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

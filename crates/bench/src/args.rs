@@ -1,17 +1,20 @@
-//! Shared command-line handling for the figure harnesses.
+//! Shared command-line handling for `reproduce`, `profile` and
+//! `fig10_point`.
 //!
-//! Every binary accepts the same flags, parsed fallibly into a
-//! [`BenchArgs`]:
+//! They accept the same flags, parsed fallibly into a [`BenchArgs`]; a
+//! binary that writes no file for an artifact flag rejects it
+//! ([`BenchArgs::only_artifacts`]):
 //!
 //! * `--csv` — machine-readable output instead of aligned tables;
-//! * `--max-cores N` — cap for the weak-scaling sweeps (fig10/fig11);
-//! * `--coarse` — keep ~8 sizes of the 18-point message-size sweep;
+//! * `--max-cores N` — cap for the weak-scaling sweeps (fig10/fig11;
+//!   default 65,536, the committed setting);
 //! * `--threads N` — worker threads for the parallel fan-out (default:
 //!   the machine's available parallelism);
 //! * `--timing` — print per-point timings and plan-cache counters;
 //! * `--seed N` — seed for the randomized fault scenarios (`resilience`);
 //! * `--observe` — attach a metrics registry and trace recorder to the
-//!   session (implied by the two output flags below);
+//!   session (implied by the two output flags below) and write each
+//!   figure's metrics and trace under `results/obs/`;
 //! * `--metrics-out PATH` — write the session's metrics snapshot as
 //!   deterministic CSV after the run;
 //! * `--trace-out PATH` — write a Perfetto-loadable Chrome trace of a
@@ -24,11 +27,10 @@
 //!   representative scenario, for sentinel comparison.
 //!
 //! Arguments that don't start with `--` are collected into
-//! [`BenchArgs::positional`] for binaries that take operands
-//! (`fig10_point`, `sdm`).
+//! [`BenchArgs::positional`]: the figure names of `reproduce` and
+//! `profile`, the point of `fig10_point`.
 
 use crate::runner::ExperimentSession;
-use crate::table::{paper_size_sweep, Table};
 
 /// Why the command line could not be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +51,7 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::UnknownFlag(flag) => write!(
                 f,
-                "unknown flag {flag} (supported: --csv, --max-cores N, --coarse, --threads N, --timing, --seed N, --observe, --metrics-out PATH, --trace-out PATH, --profile-out PATH, --manifest-out PATH)"
+                "unknown flag {flag} (supported: --csv, --max-cores N, --threads N, --timing, --seed N, --observe, --metrics-out PATH, --trace-out PATH, --profile-out PATH, --manifest-out PATH)"
             ),
             ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             ArgError::BadValue { flag, value } => {
@@ -75,8 +77,6 @@ impl From<ArgError> for String {
 pub struct BenchArgs {
     pub csv: bool,
     pub max_cores: u32,
-    /// Cap on the number of sweep sizes (coarser, faster runs).
-    pub max_sizes: usize,
     /// Worker threads for [`ExperimentSession`].
     pub threads: usize,
     /// Print the per-point timing footer.
@@ -101,8 +101,7 @@ impl Default for BenchArgs {
     fn default() -> BenchArgs {
         BenchArgs {
             csv: false,
-            max_cores: 131_072,
-            max_sizes: usize::MAX,
+            max_cores: 65_536,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -141,7 +140,6 @@ impl BenchArgs {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--csv" => out.csv = true,
-                "--coarse" => out.max_sizes = 8,
                 "--timing" => out.timing = true,
                 "--max-cores" => {
                     out.max_cores = parse_value("--max-cores", it.next())?;
@@ -177,18 +175,26 @@ impl BenchArgs {
         Ok(out)
     }
 
-    /// The paper's size sweep, optionally coarsened (endpoints kept).
-    pub fn sizes(&self) -> Vec<u64> {
-        let all = paper_size_sweep();
-        if all.len() <= self.max_sizes {
-            return all;
+    /// Err naming the first artifact flag given that is not in
+    /// `written`: a binary must write every file it is asked for or
+    /// refuse the request.
+    pub fn only_artifacts(&self, written: &[&str]) -> Result<(), String> {
+        let given = [
+            ("--observe", self.observe),
+            ("--metrics-out", self.metrics_out.is_some()),
+            ("--trace-out", self.trace_out.is_some()),
+            ("--profile-out", self.profile_out.is_some()),
+            ("--manifest-out", self.manifest_out.is_some()),
+        ];
+        match given
+            .into_iter()
+            .find(|&(flag, set)| set && !written.contains(&flag))
+        {
+            Some((flag, _)) => Err(format!(
+                "{flag} is not supported here (this binary writes no such file)"
+            )),
+            None => Ok(()),
         }
-        let step = all.len().div_ceil(self.max_sizes);
-        let mut v: Vec<u64> = all.iter().copied().step_by(step).collect();
-        if v.last() != all.last() {
-            v.push(*all.last().unwrap());
-        }
-        v
     }
 
     /// Whether the observability layer should be attached: `--observe`,
@@ -206,15 +212,6 @@ impl BenchArgs {
             session.with_metrics(std::sync::Arc::new(bgq_obs::MetricsRegistry::new()))
         } else {
             session
-        }
-    }
-
-    /// Print a table in the configured format.
-    pub fn emit(&self, t: &Table) {
-        if self.csv {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{}", t.render());
         }
     }
 }
@@ -239,35 +236,10 @@ mod tests {
         BenchArgs::try_parse(args.iter().map(|s| s.to_string()))
     }
 
-    fn with_sizes(max_sizes: usize) -> BenchArgs {
-        BenchArgs {
-            max_sizes,
-            ..BenchArgs::default()
-        }
-    }
-
-    #[test]
-    fn full_sweep_by_default() {
-        assert_eq!(with_sizes(usize::MAX).sizes(), paper_size_sweep());
-    }
-
-    #[test]
-    fn coarse_sweep_keeps_endpoints() {
-        let s = with_sizes(8).sizes();
-        assert!(s.len() <= 9);
-        assert_eq!(*s.first().unwrap(), 1 << 10);
-        assert_eq!(*s.last().unwrap(), 128 << 20);
-        // Still strictly increasing.
-        for w in s.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-    }
-
     #[test]
     fn flags_parse() {
-        let a = parse(&["--csv", "--coarse", "--threads", "3", "--timing", "--seed", "7"]).unwrap();
+        let a = parse(&["--csv", "--threads", "3", "--timing", "--seed", "7"]).unwrap();
         assert!(a.csv && a.timing);
-        assert_eq!(a.max_sizes, 8);
         assert_eq!(a.threads, 3);
         assert_eq!(a.seed, 7);
         assert_eq!(
@@ -275,9 +247,29 @@ mod tests {
             crate::resilience::DEFAULT_SEED,
             "seed defaults to the experiment's date stamp"
         );
+        assert_eq!(
+            parse(&[]).unwrap().max_cores,
+            65_536,
+            "the weak-scaling figures stop where the committed files do"
+        );
         let a = parse(&["--max-cores", "8192", "pareto", "2048"]).unwrap();
         assert_eq!(a.max_cores, 8192);
         assert_eq!(a.positional, vec!["pareto", "2048"]);
+        assert_eq!(
+            parse(&["--coarse"]),
+            Err(ArgError::UnknownFlag("--coarse".into())),
+            "the full sweep is cheap; there is no coarse mode"
+        );
+    }
+
+    #[test]
+    fn only_artifacts_rejects_the_files_a_binary_cannot_write() {
+        let a = parse(&["--profile-out", "p.json", "--manifest-out", "m.json"]).unwrap();
+        assert_eq!(a.only_artifacts(&["--profile-out", "--manifest-out"]), Ok(()));
+        let err = a.only_artifacts(&["--profile-out", "--trace-out"]).unwrap_err();
+        assert!(err.starts_with("--manifest-out"), "{err}");
+        assert!(parse(&["--observe"]).unwrap().only_artifacts(&[]).is_err());
+        assert_eq!(parse(&["--csv", "--timing"]).unwrap().only_artifacts(&[]), Ok(()));
     }
 
     #[test]

@@ -1,116 +1,54 @@
-//! One-command reproduction: drives every figure [`Experiment`] through a
-//! shared [`ExperimentSession`] and writes the outputs under `results/`.
-//! The weak-scaling figures honour `--max-cores` (default 131,072 —
-//! hours of simulation; use `--max-cores 16384` for a coffee-break run);
-//! `--threads N` fans independent points across workers and `--timing`
-//! prints per-figure point timings with plan-cache counters.
+//! The figure driver: regenerates the paper's figures from the registry
+//! in [`bgq_bench::figures`].
 //!
 //! ```text
-//! cargo run --release -p bgq-bench --bin reproduce -- --coarse --max-cores 16384 --threads 4
+//! reproduce [FIGURE...] [--threads N] [--timing] [--max-cores N] [--seed N]
+//!           [--csv] [--observe] [--metrics-out PATH] [--trace-out PATH]
+//!           [--profile-out PATH] [--manifest-out PATH]
 //! ```
+//!
+//! With no `FIGURE` it writes every registry figure to its committed
+//! file under `results/` (about 20 s on two threads; `--csv` is
+//! rejected there, since each file keeps its own format). With `FIGURE`
+//! operands it prints those figures to stdout, byte-identical to their
+//! committed files unless `--csv` asks for bare CSV tables.
+//!
+//! `--metrics-out`, `--trace-out`, `--profile-out` and `--manifest-out`
+//! need exactly one named figure that has the artifact; `--observe`
+//! writes `results/obs/<figure>.metrics.csv` and, where the figure has
+//! one, `results/obs/<figure>.trace.json` for each selected figure. A
+//! request that cannot be met exits 2 before anything is written.
 
-use bgq_bench::experiments::{Fig10, Fig11, Fig5, Fig6, Fig7};
-use bgq_bench::resilience::{default_sizes, Resilience};
-use bgq_bench::runner::{Experiment, ExperimentSession};
-use bgq_bench::{fig10_scales, fig11_scales, trace_for, write_artifact, BenchArgs};
-use bgq_obs::MetricsSnapshot;
-use std::fs;
-use std::io::Write as _;
+use bgq_bench::figures::{produce, select, Format};
+use bgq_bench::{write_artifact, BenchArgs};
 
-fn write_out(name: &str, contents: &str) {
-    fs::create_dir_all("results").expect("create results/");
-    let path = format!("results/{name}");
-    let mut f = fs::File::create(&path).unwrap_or_else(|e| panic!("create {path}: {e}"));
-    f.write_all(contents.as_bytes()).expect("write results");
-    println!("wrote {path}");
+fn write(path: &str, contents: &str) {
+    if let Err(e) = write_artifact(path, contents) {
+        eprintln!("write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
 }
 
-/// Run one experiment on the session and write its table (plus footer for
-/// text outputs; CSV files stay machine-readable) to `results/<file>`.
-fn run_to_file<E: Experiment>(session: &ExperimentSession, exp: &E, file: &str, csv: bool) {
-    eprintln!("{}...", exp.name());
-    let run = session.run(exp);
-    let table = run.table(&exp.columns());
-    let mut out = if csv { table.to_csv() } else { table.render() };
-    if !csv {
-        if let Some(footer) = exp.footer(&run.rows) {
-            out.push_str(&footer);
-            out.push('\n');
-        }
-    }
-    if session.timing() {
-        eprint!("{}", session.timing_summary(exp.name(), &run));
-    }
-    write_out(file, &out);
-}
-
-/// With `--observe`: write `results/obs/<name>.metrics.csv` (the
-/// registry delta this figure contributed since the previous snapshot)
-/// and `results/obs/<name>.trace.json` (the figure's representative
-/// trace), then advance the snapshot cursor. No-op otherwise.
-fn observe_figure(session: &ExperimentSession, prev: &mut Option<MetricsSnapshot>, name: &str) {
-    let Some(registry) = session.metrics() else {
-        return;
-    };
-    let snap = registry.snapshot();
-    let delta = match prev.as_ref() {
-        Some(p) => snap.delta_from(p),
-        None => snap.clone(),
-    };
-    let metrics_path = format!("results/obs/{name}.metrics.csv");
-    write_artifact(&metrics_path, &delta.to_csv())
-        .unwrap_or_else(|e| panic!("write {metrics_path}: {e}"));
-    println!("wrote {metrics_path}");
-    if let Some(rec) = trace_for(name, session.cache()) {
-        let trace_path = format!("results/obs/{name}.trace.json");
-        write_artifact(&trace_path, &rec.to_chrome_json())
-            .unwrap_or_else(|e| panic!("write {trace_path}: {e}"));
-        println!("wrote {trace_path}");
-    }
-    // Re-snapshot: trace building itself exercises the planner/cache,
-    // and the next figure's delta must not inherit that.
-    *prev = Some(registry.snapshot());
+fn usage(e: String) -> ! {
+    eprintln!("{e}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args = BenchArgs::parse();
-    let sizes = args.sizes();
-    let session = args.session();
-    let mut cursor: Option<MetricsSnapshot> = None;
-
-    run_to_file(&session, &Fig5 { sizes: sizes.clone() }, "fig5.txt", false);
-    observe_figure(&session, &mut cursor, "fig5");
-    run_to_file(&session, &Fig6 { sizes: sizes.clone() }, "fig6.txt", false);
-    observe_figure(&session, &mut cursor, "fig6");
-    run_to_file(&session, &Fig7 { sizes }, "fig7.txt", false);
-    observe_figure(&session, &mut cursor, "fig7");
-
-    run_to_file(
-        &session,
-        &Resilience::new(default_sizes(), args.seed),
-        "resilience.csv",
-        true,
-    );
-    observe_figure(&session, &mut cursor, "resilience");
-
-    eprintln!("weak scaling up to {} cores...", args.max_cores);
-    let fig10 = Fig10 {
-        scales: fig10_scales(args.max_cores),
-    };
-    run_to_file(&session, &fig10, "fig10.csv", true);
-    observe_figure(&session, &mut cursor, "fig10");
-    let fig11 = Fig11 {
-        scales: fig11_scales(args.max_cores),
-    };
-    run_to_file(&session, &fig11, "fig11.csv", true);
-    observe_figure(&session, &mut cursor, "fig11");
-
-    println!(
-        "\nremaining harnesses (each prints to stdout):\n  \
-         cargo run --release -p bgq-bench --bin fig8_9\n  \
-         cargo run --release -p bgq-bench --bin thresholds\n  \
-         cargo run --release -p bgq-bench --bin utilization\n  \
-         cargo run --release -p bgq-bench --bin diversity\n  \
-         cargo run --release -p bgq-bench --bin storage"
-    );
+    let figures = select(&args).unwrap_or_else(|e| usage(e));
+    let to_files = args.positional.is_empty();
+    for fig in figures {
+        let format = if args.csv { Format::Csv } else { fig.format() };
+        let (text, artifacts) = produce(fig, &args, format).unwrap_or_else(|e| usage(e));
+        if to_files {
+            write(&format!("results/{}", fig.file), &text);
+        } else {
+            print!("{text}");
+        }
+        for (path, contents) in &artifacts {
+            write(path, contents);
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Every figure harness of this crate, expressed as an
 //! [`Experiment`]: a list of independent points plus a pure
-//! `run_point`. The binaries in `src/bin/` are thin drivers that hand
-//! these to an [`ExperimentSession`](crate::runner::ExperimentSession);
-//! `reproduce` loops over them to regenerate the whole paper.
+//! `run_point`. The figure registry ([`crate::figures`]) names them,
+//! titles them and hands them to an
+//! [`ExperimentSession`](crate::runner::ExperimentSession); `reproduce`
+//! drives the registry.
 
 use std::collections::HashSet;
 
@@ -237,7 +238,7 @@ impl Experiment for PatternHistogram {
     fn footer(&self, _rows: &[Row]) -> Option<String> {
         let total: u64 = self.sizes.iter().sum();
         Some(format!(
-            "total data: {:.2} GB ({:.0}% of dense)\n",
+            "total data: {:.2} GB ({:.0}% of dense)",
             total as f64 / 1e9,
             100.0 * bgq_workloads::sparsity_fraction(&self.sizes, DEFAULT_MAX_BYTES)
         ))
@@ -472,7 +473,7 @@ impl Experiment for ModelVsSim {
     }
 }
 
-/// The four Figure-2 scenarios measured by the `utilization` harness.
+/// The four Figure-2 scenarios measured by the `utilization` figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UtilScenario {
     DirectPair,
@@ -873,9 +874,17 @@ impl Experiment for GammaSensitivity {
             vec![d / m],
         )
     }
+
+    fn footer(&self, _rows: &[Row]) -> Option<String> {
+        Some(
+            "\n[the headline 2x is γ-independent because the selected proxy paths are\n \
+             link-disjoint; γ only prices paths that overlap (Figs. 6/7/10)]"
+                .into(),
+        )
+    }
 }
 
-/// The storage backends compared by the `storage` harness.
+/// The storage backends compared by the `storage` figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageTarget {
     DevNull,
@@ -1018,7 +1027,8 @@ mod tests {
         let sizes = vec![64 << 10, 128 << 20];
         let session = ExperimentSession::new(1);
         let run = session.run(&Fig5 { sizes: sizes.clone() });
-        let sweep = crate::micro::fig5_sweep(&sizes);
+        let fresh = PlanCache::new();
+        let sweep: Vec<_> = sizes.iter().map(|&b| fig5_point(&fresh, b)).collect();
         assert_eq!(run.rows.len(), 2);
         assert_eq!(run.rows[0].metrics[1], sweep[0].direct);
         assert_eq!(run.rows[1].metrics[2], sweep[1].multipath);

@@ -93,11 +93,6 @@ pub fn run_io_point_with(cache: &PlanCache, cores: u32, rank_sizes: &[u64]) -> I
     }
 }
 
-/// [`run_io_point_with`] against a private, single-use cache.
-pub fn run_io_point(cores: u32, rank_sizes: &[u64]) -> IoPoint {
-    run_io_point_with(&PlanCache::new(), cores, rank_sizes)
-}
-
 /// One Figure-10 point: weak-scaling aggregation throughput for a pattern.
 pub fn fig10_point_with(cache: &PlanCache, cores: u32, pattern: Pattern, seed: u64) -> IoPoint {
     run_io_point_with(cache, cores, &pattern_sizes(pattern, cores, seed))

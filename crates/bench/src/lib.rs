@@ -1,28 +1,32 @@
 //! # bgq-bench
 //!
 //! Harness library that regenerates every figure of Bui et al. (ICPP
-//! 2014) on the simulated BG/Q substrate. Each `fig*` binary in
-//! `src/bin/` prints the same rows/series the paper reports:
+//! 2014) on the simulated BG/Q substrate. The figure registry
+//! ([`figures::FIGURES`]) lists each figure with its title lines, its
+//! experiments and its committed file under `results/`. The binaries in
+//! `src/bin/`:
 //!
-//! | binary | reproduces |
+//! | binary | does |
 //! |---|---|
-//! | `fig5` | 2-node put with/without 4 proxies, 1 KB–128 MB |
-//! | `fig6` | 256-node group coupling with/without proxy groups |
-//! | `fig7` | throughput vs. number of proxy groups (2/3/4/4+direct) |
-//! | `fig8_9` | histograms of the two sparse data patterns |
-//! | `fig10` | weak-scaling aggregation throughput vs. MPI collective I/O |
-//! | `fig11` | HACC I/O write throughput vs. default MPI collective I/O |
-//! | `thresholds` | §IV.B cost-model thresholds and speedups |
+//! | `reproduce` | regenerates every registry figure into `results/`; `reproduce FIGURE…` prints those figures |
+//! | `fig10_point` | one weak-scaling point of Fig. 10/11 as a CSV row |
+//! | `profile` | bottleneck-attribution report of a figure's representative run |
+//! | `sdm` | planner front end: plan a transfer or a sparse write |
+//! | `exchange` | sparse-exchange sweep, gated against `results/BENCH_exchange.json` |
+//! | `scale` | cascade-solver scaling sweep (`results/BENCH_scale.json`) |
+//! | `sentinel` | run ledger and regression sentinel |
+//! | `obs_report` | validates, diffs and cross-checks the JSON/CSV artifacts |
+//! | `perf` | end-to-end benchmark, built from its own manifest |
 //!
-//! All binaries share one flag set (see [`BenchArgs`]): `--csv`,
-//! `--max-cores N`, `--coarse`, `--threads N` and `--timing`. Sweeps run
-//! through an [`runner::ExperimentSession`], which fans independent
-//! points across worker threads over a shared [`runner::PlanCache`];
-//! output is bit-identical for any thread count.
+//! `reproduce`, `profile` and `fig10_point` share one flag set (see
+//! [`BenchArgs`]). Sweeps run through an [`runner::ExperimentSession`],
+//! which fans independent points across worker threads over a shared
+//! [`runner::PlanCache`]; output is bit-identical for any thread count.
 
 pub mod args;
 pub mod exchange;
 pub mod experiments;
+pub mod figures;
 pub mod io;
 pub mod micro;
 pub mod obs;
@@ -40,15 +44,14 @@ pub use exchange::{
 };
 pub use io::{
     ablation_policy_point, ablation_policy_point_with, fig10_point, fig10_point_with,
-    fig10_scales, fig11_point, fig11_point_with, fig11_scales, policy_point_with, run_io_point,
+    fig10_scales, fig11_point, fig11_point_with, fig11_scales, policy_point_with,
     run_io_point_with, sim_chunk_bytes, IoPoint, Pattern,
 };
 pub use micro::{
-    corner_groups, crossover, fig5_point, fig5_sweep, fig6_point, fig6_sweep, fig7_point,
-    fig7_series_labels, fig7_sweep, SweepPoint,
+    corner_groups, fig5_point, fig6_point, fig7_point, fig7_series_labels, SweepPoint,
 };
 pub use obs::{
-    emit_artifacts, fig5_trace, fig6_trace, io_trace, pair_trace, resilience_trace, trace_for,
+    fig5_trace, fig6_trace, io_trace, pair_trace, resilience_trace, trace_for,
     write_artifact, TRACE_BYTES,
 };
 pub use profile::{

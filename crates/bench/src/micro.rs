@@ -2,9 +2,7 @@
 //!
 //! Each figure has a cache-aware per-point function (`fig5_point`,
 //! `fig6_point`, `fig7_point`) — the unit of parallel work for the
-//! [`Experiment`](crate::runner::Experiment) harnesses — plus the
-//! original whole-sweep entry point, kept as a sequential wrapper over a
-//! private [`PlanCache`].
+//! [`Experiment`](crate::runner::Experiment) harnesses.
 
 use crate::runner::PlanCache;
 use bgq_comm::{Machine, Program};
@@ -73,12 +71,6 @@ pub fn fig5_point(cache: &PlanCache, bytes: u64) -> SweepPoint {
         direct,
         multipath,
     }
-}
-
-/// Figure 5 over a whole size sweep (sequential; see [`fig5_point`]).
-pub fn fig5_sweep(sizes: &[u64]) -> Vec<SweepPoint> {
-    let cache = PlanCache::new();
-    sizes.iter().map(|&b| fig5_point(&cache, b)).collect()
 }
 
 /// The two corner groups of Figures 6 and 7: the first and last
@@ -158,83 +150,6 @@ pub fn fig6_point(cache: &PlanCache, bytes: u64) -> SweepPoint {
     }
 }
 
-/// Figure 6 over a whole size sweep (sequential; see [`fig6_point`]).
-pub fn fig6_sweep(sizes: &[u64]) -> Vec<SweepPoint> {
-    let cache = PlanCache::new();
-    sizes.iter().map(|&b| fig6_point(&cache, b)).collect()
-}
-
-fn group_sweep(
-    machine: &Machine,
-    sources: &[NodeId],
-    dests: &[NodeId],
-    groups: &[ProxyGroup],
-    include_direct: bool,
-    sizes: &[u64],
-) -> Vec<SweepPoint> {
-    let npairs = sources.len() as f64;
-    sizes
-        .iter()
-        .map(|&bytes| {
-            let mut pd = Program::new(machine);
-            let hd = plan_group_direct(&mut pd, sources, dests, bytes);
-            let direct = hd.throughput(&pd.run()) / npairs;
-
-            let mut pm = Program::new(machine);
-            let hm = plan_group_via(
-                &mut pm,
-                sources,
-                dests,
-                bytes,
-                groups,
-                include_direct,
-                &MultipathOptions::default(),
-            );
-            let multipath = hm.throughput(&pm.run()) / npairs;
-            SweepPoint {
-                bytes,
-                direct,
-                multipath,
-            }
-        })
-        .collect()
-}
-
-/// One Figure-7 series: a proxy-group count and its per-pair throughputs.
-#[derive(Debug, Clone)]
-pub struct Fig7Series {
-    pub label: String,
-    pub groups_used: usize,
-    pub include_direct: bool,
-    pub throughput: Vec<f64>,
-}
-
-/// Figure 7: two groups of 32 nodes in the 512-node `4x4x4x4x2`
-/// partition; vary the number of proxy groups (2, 3, 4, and 4+direct as
-/// the over-provisioned "5th group is the source itself" case) against
-/// the no-proxy baseline.
-///
-/// The first groups come from the disjointness-checked search; once those
-/// are exhausted, forced axis placements (the paper's `A±`, `B±`) pad the
-/// list, intentionally allowing the link sharing whose effect the figure
-/// demonstrates.
-pub fn fig7_sweep(sizes: &[u64]) -> (Vec<f64>, Vec<Fig7Series>) {
-    let cache = PlanCache::new();
-    let points: Vec<(f64, Vec<f64>)> = sizes.iter().map(|&b| fig7_point(&cache, b)).collect();
-    let baseline: Vec<f64> = points.iter().map(|p| p.0).collect();
-    let series = fig7_series_labels()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (label, groups_used, include_direct))| Fig7Series {
-            label,
-            groups_used,
-            include_direct,
-            throughput: points.iter().map(|p| p.1[i]).collect(),
-        })
-        .collect();
-    (baseline, series)
-}
-
 /// The fixed Figure-7 series: `(label, groups used, include direct)`.
 pub fn fig7_series_labels() -> Vec<(String, usize, bool)> {
     [(2usize, false), (3, false), (4, false), (4, true)]
@@ -294,7 +209,10 @@ fn fig7_pool(cache: &PlanCache, machine: &Machine, sources: &[NodeId], dests: &[
 }
 
 /// One Figure-7 point: `(no-proxy baseline, per-series throughput)` at
-/// one message size, in [`fig7_series_labels`] order.
+/// one message size, in [`fig7_series_labels`] order. Two groups of 32
+/// nodes in the 512-node `4x4x4x4x2` partition; the series vary the
+/// number of proxy groups (2, 3, 4, and 4+direct as the over-provisioned
+/// "5th group is the source itself" case) against the no-proxy baseline.
 pub fn fig7_point(cache: &PlanCache, bytes: u64) -> (f64, Vec<f64>) {
     let machine = cache.machine(standard_shape(512).unwrap(), &SimConfig::default());
     let (sources, dests) = corner_groups(&machine, 32);
@@ -308,27 +226,30 @@ pub fn fig7_point(cache: &PlanCache, bytes: u64) -> (f64, Vec<f64>) {
     let series = fig7_series_labels()
         .into_iter()
         .map(|(_, count, include_direct)| {
-            let groups = &pool[..count];
-            group_sweep(&machine, &sources, &dests, groups, include_direct, &[bytes])[0]
-                .multipath
+            let mut pm = Program::new(&machine);
+            let hm = plan_group_via(
+                &mut pm,
+                &sources,
+                &dests,
+                bytes,
+                &pool[..count],
+                include_direct,
+                &MultipathOptions::default(),
+            );
+            hm.throughput(&pm.run()) / npairs
         })
         .collect();
     (baseline, series)
 }
 
-/// The crossover point of a sweep: the smallest size where multipath
-/// overtakes direct, with the direct throughput there (the paper annotates
-/// Fig. 5 with "(256KB, 1.4GB/s)" and Fig. 6 with "(512KB, 1.58GB/s)").
-pub fn crossover(points: &[SweepPoint]) -> Option<(u64, f64)> {
-    points
-        .iter()
-        .find(|p| p.multipath >= p.direct)
-        .map(|p| (p.bytes, p.direct))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fig5_sweep(sizes: &[u64]) -> Vec<SweepPoint> {
+        let cache = PlanCache::new();
+        sizes.iter().map(|&b| fig5_point(&cache, b)).collect()
+    }
 
     #[test]
     fn fig5_shape_matches_paper() {
@@ -359,7 +280,11 @@ mod tests {
     fn fig5_crossover_near_256kb() {
         let sizes: Vec<u64> = crate::table::paper_size_sweep();
         let pts = fig5_sweep(&sizes);
-        let (bytes, thr) = crossover(&pts).expect("multipath must eventually win");
+        let p = pts
+            .iter()
+            .find(|p| p.multipath >= p.direct)
+            .expect("multipath must eventually win");
+        let (bytes, thr) = (p.bytes, p.direct);
         assert!(
             (64 << 10..=1 << 20).contains(&bytes),
             "crossover {bytes} too far from 256KB"
@@ -372,10 +297,7 @@ mod tests {
 
     #[test]
     fn fig7_more_groups_help_then_hurt() {
-        let sizes = [32u64 << 20];
-        let (baseline, series) = fig7_sweep(&sizes);
-        let b = baseline[0];
-        let t: Vec<f64> = series.iter().map(|s| s.throughput[0]).collect();
+        let (b, t) = fig7_point(&PlanCache::new(), 32 << 20);
         // 3 groups better than 2.
         assert!(t[1] > t[0], "3 groups {:.3e} !> 2 groups {:.3e}", t[1], t[0]);
         // 3+ groups beat the no-proxy baseline.
@@ -388,15 +310,5 @@ mod tests {
             t[3],
             best
         );
-    }
-
-    #[test]
-    fn crossover_helper() {
-        let pts = vec![
-            SweepPoint { bytes: 1, direct: 10.0, multipath: 5.0 },
-            SweepPoint { bytes: 2, direct: 10.0, multipath: 15.0 },
-        ];
-        assert_eq!(crossover(&pts), Some((2, 10.0)));
-        assert_eq!(crossover(&pts[..1]), None);
     }
 }

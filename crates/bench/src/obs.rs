@@ -1,7 +1,7 @@
 //! Trace builders and artifact writers for the observability layer.
 //!
-//! Each figure harness can emit two deterministic artifacts after its
-//! run (see [`BenchArgs`](crate::BenchArgs)):
+//! A figure run can emit two deterministic observability artifacts (see
+//! [`produce`](crate::figures::produce)):
 //!
 //! * `--metrics-out PATH` — the session registry's snapshot as sorted
 //!   CSV (`MetricsSnapshot::to_csv`), byte-identical for any thread
@@ -274,57 +274,6 @@ pub fn write_artifact(path: &str, contents: &str) -> std::io::Result<()> {
         }
     }
     std::fs::write(path, contents)
-}
-
-/// Emit the artifacts a figure binary was asked for: the session's
-/// metrics snapshot (`--metrics-out`), the figure's representative
-/// trace (`--trace-out`), its bottleneck-attribution profile
-/// (`--profile-out`) and its run-ledger manifest (`--manifest-out`).
-/// Call once, after the run.
-pub fn emit_artifacts(args: &crate::BenchArgs, session: &crate::ExperimentSession, figure: &str) {
-    if let Some(path) = &args.metrics_out {
-        let snap = session
-            .metrics()
-            .expect("output paths imply observation")
-            .snapshot();
-        write_artifact(path, &snap.to_csv()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &args.trace_out {
-        match trace_for(figure, session.cache()) {
-            Some(rec) => {
-                write_artifact(path, &rec.to_chrome_json())
-                    .unwrap_or_else(|e| panic!("write {path}: {e}"));
-                eprintln!("wrote {path}");
-            }
-            None => eprintln!("no representative trace for {figure}; skipping {path}"),
-        }
-    }
-    if let Some(path) = &args.profile_out {
-        match crate::profile::profile_for(figure, session.cache()) {
-            Some(art) => {
-                art.validate()
-                    .unwrap_or_else(|e| panic!("profile accounting broken: {e}"));
-                write_artifact(path, &art.to_json())
-                    .unwrap_or_else(|e| panic!("write {path}: {e}"));
-                eprintln!("wrote {path}");
-            }
-            None => eprintln!("no representative profile for {figure}; skipping {path}"),
-        }
-    }
-    if let Some(path) = &args.manifest_out {
-        match crate::sentinel::manifest_for(figure, session.cache()) {
-            Some(manifest) => {
-                manifest
-                    .validate()
-                    .unwrap_or_else(|e| panic!("manifest broken: {e}"));
-                write_artifact(path, &manifest.to_json())
-                    .unwrap_or_else(|e| panic!("write {path}: {e}"));
-                eprintln!("wrote {path}");
-            }
-            None => eprintln!("no representative manifest for {figure}; skipping {path}"),
-        }
-    }
 }
 
 #[cfg(test)]

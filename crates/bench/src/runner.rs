@@ -321,7 +321,7 @@ pub trait Experiment: Sync {
     /// The unit of parallel work (a message size, a core count, …).
     type Point: Send + Sync;
 
-    /// Short identifier used in filenames and the `--timing` footer.
+    /// Short identifier used in the `--timing` footer.
     fn name(&self) -> &'static str;
 
     /// Column headers for the output table.
@@ -410,9 +410,9 @@ impl ExperimentSession {
         }
     }
 
-    /// Enable or disable the `--timing` footer printed by [`report`].
+    /// Enable or disable the `--timing` footer printed by [`tabulate`].
     ///
-    /// [`report`]: ExperimentSession::report
+    /// [`tabulate`]: ExperimentSession::tabulate
     pub fn with_timing(mut self, timing: bool) -> ExperimentSession {
         self.timing = timing;
         self
@@ -503,24 +503,15 @@ impl ExperimentSession {
         }
     }
 
-    /// Run `exp` and print its table (CSV when `csv` is set), any footer,
-    /// and — when timing is enabled — the per-point timing summary with
-    /// cache hit/miss counters. Returns the run for further use.
-    pub fn report<E: Experiment>(&self, exp: &E, csv: bool) -> ExperimentRun {
+    /// Run `exp` and return its table and footer. With timing enabled the
+    /// per-point summary with cache counters goes to stderr, so stdout
+    /// carries only the figure.
+    pub fn tabulate<E: Experiment>(&self, exp: &E) -> (Table, Option<String>) {
         let run = self.run(exp);
-        let table = run.table(&exp.columns());
-        if csv {
-            print!("{}", table.to_csv());
-        } else {
-            print!("{}", table.render());
-        }
-        if let Some(footer) = exp.footer(&run.rows) {
-            println!("{footer}");
-        }
         if self.timing {
-            print!("{}", self.timing_summary(exp.name(), &run));
+            eprint!("{}", self.timing_summary(exp.name(), &run));
         }
-        run
+        (run.table(&exp.columns()), exp.footer(&run.rows))
     }
 
     /// The `--timing` footer: slowest points, totals, and planning-cache

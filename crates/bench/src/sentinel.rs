@@ -281,7 +281,7 @@ pub fn run_ledger(cache: &PlanCache, opts: &LedgerOptions) -> RunManifest {
     m
 }
 
-/// The single-scenario manifest for a figure binary's `--manifest-out`,
+/// The single-scenario manifest for a figure's `--manifest-out`,
 /// or `None` for figures without a simulated execution (mirrors
 /// [`crate::profile::profile_for`] scenario-for-scenario).
 pub fn manifest_for(figure: &str, cache: &PlanCache) -> Option<RunManifest> {

@@ -1,7 +1,7 @@
 # Common development tasks. Run with `just <target>`.
 
 # Build, test, and lint — the gate every change must pass.
-verify: obs profile bench-smoke exchange sentinel
+verify: obs profile bench-smoke exchange sentinel reproduce
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
@@ -16,7 +16,7 @@ bench-smoke:
 # Observability smoke check: run fig5 with artifacts, then validate them
 # (JSON parses, CSV sorted/deduplicated, nothing undelivered).
 obs:
-    cargo run --release -p bgq-bench --bin fig5 -- --coarse --threads 4 \
+    cargo run --release -p bgq-bench --bin reproduce -- fig5 --threads 4 \
         --metrics-out results/obs/fig5.metrics.csv \
         --trace-out results/obs/fig5.trace.json
     cargo run --release -p bgq-bench --bin obs_report -- --check \
@@ -89,9 +89,22 @@ sentinel:
 exchange-scaling MAX="4096":
     cargo run --release --example exchange_scaling -- --max-nodes {{MAX}}
 
-# Full figure reproduction into results/ (coffee-break sized).
+# Figure gate: regenerate every registry figure into results/ (about
+# 20 s at two threads; fig10 to 65,536 cores is most of it), then fail
+# on any difference from the committed figure files. After an
+# intentional change, `UPDATE_GOLDEN=1 just reproduce` accepts the
+# regenerated files for commit.
 reproduce:
-    cargo run --release -p bgq-bench --bin reproduce -- --coarse --max-cores 16384 --threads 4 --timing
+    cargo run --release -p bgq-bench --bin reproduce -- --max-cores 65536 --threads 4 --timing
+    @if [ -n "${UPDATE_GOLDEN:-}" ]; then \
+        echo "accepted the regenerated figure files under results/"; \
+    elif [ -n "$(git status --porcelain -- results/*.txt results/*.csv)" ]; then \
+        git status --short -- results/*.txt results/*.csv; \
+        git --no-pager diff --stat -- results/; \
+        echo "figure files differ from the committed ones"; exit 1; \
+    else \
+        echo "results/ figure files reproduced byte-exact"; \
+    fi
 
 # Machinery + ablation benches.
 bench:
