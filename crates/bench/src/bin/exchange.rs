@@ -16,6 +16,7 @@ use bgq_bench::{
     exchange_json, exchange_nodes, exchange_point, exchange_row, ExchangePattern, ExchangeSweep,
     Experiment, ExperimentSession, Row, Table,
 };
+use bgq_netsim::SimConfig;
 use sdm_core::ExchangeAlgorithm;
 use std::error::Error;
 use std::process::ExitCode;
@@ -73,7 +74,7 @@ fn main() -> ExitCode {
     let sweep = ExchangeSweep::new(max_nodes);
     let session = ExperimentSession::new(threads);
     let points = session.map(&sweep.points(), |cache, &(nodes, pattern)| {
-        exchange_point(cache, nodes, pattern)
+        exchange_point(cache, &SimConfig::default(), nodes, pattern)
     });
     let rows: Vec<Row> = points.iter().map(exchange_row).collect();
     let columns = sweep.columns();

@@ -1,53 +1,37 @@
 //! Solver scaling sweep: cold (`SolverMode::Full`) vs. cascade waterfill
 //! re-leveling on the same sparse pattern, 512 → 8,192 nodes.
 //!
-//! Usage: `scale [--max-nodes N] [--out PATH]`; a bad flag or value, or
-//! an `N` below the smallest sweep size (512), prints the usage and
+//! Usage: `scale [--out PATH]`; a bad flag or value prints the usage and
 //! exits with status 2.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_scale.json`
-//! (override with `--out`) and prints a human table. `--max-nodes 512`
-//! is the smoke configuration used by `just bench-smoke`.
+//! (override with `--out`) and prints a human table. Every field is
+//! simulated time or a count, so `just scale` byte-checks the committed
+//! file.
 
 use bgq_bench::args::parse_value;
-use bgq_bench::scale::{scale_json, scale_point, scale_sizes};
+use bgq_bench::scale::{scale_json, scale_point, SCALE_SIZES};
+use bgq_netsim::SimConfig;
 use std::error::Error;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: scale [--max-nodes N] [--out PATH]";
+const USAGE: &str = "usage: scale [--out PATH]";
 
-#[derive(Debug)]
-struct Cli {
-    max_nodes: u32,
-    out: String,
-}
-
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Error>> {
-    let mut cli = Cli {
-        max_nodes: 8192,
-        out: String::from("results/BENCH_scale.json"),
-    };
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<String, Box<dyn Error>> {
+    let mut out = String::from("results/BENCH_scale.json");
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--max-nodes" => cli.max_nodes = parse_value("--max-nodes", args.next())?,
-            "--out" => cli.out = parse_value("--out", args.next())?,
+            "--out" => out = parse_value("--out", args.next())?,
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
-    if scale_sizes(cli.max_nodes).is_empty() {
-        return Err(format!(
-            "--max-nodes {} is below the smallest sweep size (512)",
-            cli.max_nodes
-        )
-        .into());
-    }
-    Ok(cli)
+    Ok(out)
 }
 
 fn main() -> ExitCode {
-    let Cli { max_nodes, out } = match parse_cli(std::env::args().skip(1)) {
-        Ok(cli) => cli,
+    let out = match parse_cli(std::env::args().skip(1)) {
+        Ok(out) => out,
         Err(e) => {
             eprintln!("scale: {e}\n{USAGE}");
             return ExitCode::from(2);
@@ -56,29 +40,21 @@ fn main() -> ExitCode {
 
     println!("waterfill scaling sweep (cold vs. cascade re-leveling)");
     println!(
-        "{:>6} {:>9} {:>7} {:>12} {:>12} {:>9} {:>11} {:>8}",
-        "nodes",
-        "transfers",
-        "shards",
-        "cold ev/s",
-        "warm ev/s",
-        "speedup",
-        "cold solves",
-        "reduced"
+        "{:>6} {:>9} {:>7} {:>7} {:>13} {:>11} {:>8}",
+        "nodes", "transfers", "shards", "events", "cold solves", "warm solves", "reduced"
     );
     let mut points = Vec::new();
-    for nodes in scale_sizes(max_nodes) {
-        let p = scale_point(nodes);
+    for nodes in SCALE_SIZES {
+        let p = scale_point(nodes, &SimConfig::default());
         println!(
-            "{:>6} {:>9} {:>7} {:>12.0} {:>12.0} {:>8.2}x {:>5} -> {:<4} {:>6.1}x",
+            "{:>6} {:>9} {:>7} {:>7} {:>5} -> {:<4} {:>11} {:>7.1}x",
             p.nodes,
             p.transfers,
             p.shards,
-            p.full.events_per_sec,
-            p.incremental.events_per_sec,
-            p.speedup(),
+            p.incremental.events,
             p.full.full_runs,
             p.incremental.full_runs,
+            p.incremental.incremental_runs,
             p.full_run_reduction()
         );
         points.push(p);
@@ -112,45 +88,28 @@ fn main() -> ExitCode {
 mod tests {
     use super::parse_cli;
 
-    fn parse(s: &[&str]) -> Result<super::Cli, String> {
+    fn parse(s: &[&str]) -> Result<String, String> {
         parse_cli(s.iter().map(|a| a.to_string())).map_err(|e| e.to_string())
     }
 
     #[test]
     fn flags_parse() {
-        let cli = parse(&["--max-nodes", "512", "--out", "s.json"]).unwrap();
-        assert_eq!((cli.max_nodes, cli.out.as_str()), (512, "s.json"));
-        let cli = parse(&[]).unwrap();
-        assert_eq!(cli.max_nodes, 8192);
-        assert_eq!(cli.out, "results/BENCH_scale.json");
+        assert_eq!(parse(&["--out", "s.json"]).unwrap(), "s.json");
+        assert_eq!(parse(&[]).unwrap(), "results/BENCH_scale.json");
     }
 
     #[test]
     fn bad_input_is_an_error_not_a_panic() {
         assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
-        assert!(parse(&["--max-nodes"])
+        assert!(parse(&["--out"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--max-nodes", "512"])
             .unwrap_err()
-            .contains("needs a value"));
-        assert!(parse(&["--max-nodes", "lots"])
-            .unwrap_err()
-            .contains("\"lots\""));
-        assert!(parse(&["--max-nodes", "-512"]).is_err());
-        assert!(parse(&["--out"]).is_err());
+            .contains("--max-nodes"));
         assert!(parse(&["--threads", "2"])
             .unwrap_err()
             .contains("--threads"));
         assert!(parse(&["--report-out", "r.json"])
             .unwrap_err()
             .contains("--report-out"));
-    }
-
-    #[test]
-    fn a_max_below_the_smallest_size_is_an_error_not_an_empty_sweep() {
-        for n in ["0", "3", "511"] {
-            assert!(parse(&["--max-nodes", n])
-                .unwrap_err()
-                .contains("smallest sweep size"));
-        }
-        assert_eq!(parse(&["--max-nodes", "512"]).unwrap().max_nodes, 512);
     }
 }

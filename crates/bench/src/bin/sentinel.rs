@@ -143,9 +143,7 @@ fn main() -> ExitCode {
 
     eprintln!("running ledger scenarios...");
     let cache = PlanCache::new();
-    // Wall-clock metrics never serialize, so drop them up front: the
-    // diff below must see exactly what the baseline file holds.
-    let manifest = run_ledger(&cache, &opts).without_wall();
+    let manifest = run_ledger(&cache, &opts);
 
     // Self-check before anything touches disk: the artifact must
     // round-trip byte-exactly, or the baseline workflow is unsound.

@@ -135,14 +135,10 @@ impl ExchangePoint {
 
 /// Evaluate one sweep point: build the pattern once, lower + simulate it
 /// under each algorithm. Panics if any algorithm leaves payload
-/// undelivered — the exchange contract is all-or-nothing.
-pub fn exchange_point(cache: &PlanCache, nodes: u32, pattern: ExchangePattern) -> ExchangePoint {
-    exchange_point_with(cache, &SimConfig::default(), nodes, pattern)
-}
-
-/// [`exchange_point`] under an explicit simulator config — the
-/// run-ledger uses this to replay the sweep cell on a degraded machine.
-pub fn exchange_point_with(
+/// undelivered — the exchange contract is all-or-nothing. The run-ledger
+/// passes a degraded `sim` to replay the sweep cell on a weakened
+/// machine; the sweep passes the default.
+pub fn exchange_point(
     cache: &PlanCache,
     sim: &SimConfig,
     nodes: u32,
@@ -259,7 +255,7 @@ impl Experiment for ExchangeSweep {
     }
 
     fn run_point(&self, cache: &PlanCache, &(nodes, pattern): &Self::Point) -> Row {
-        exchange_row(&exchange_point(cache, nodes, pattern))
+        exchange_row(&exchange_point(cache, &SimConfig::default(), nodes, pattern))
     }
 
     fn footer(&self, rows: &[Row]) -> Option<String> {
@@ -325,6 +321,7 @@ mod tests {
         let cache = PlanCache::new();
         let p = exchange_point(
             &cache,
+            &SimConfig::default(),
             512,
             ExchangePattern::DisjointHeavy { bytes: 32 << 20 },
         );
@@ -348,6 +345,7 @@ mod tests {
         let cache = PlanCache::new();
         let p = exchange_point(
             &cache,
+            &SimConfig::default(),
             512,
             ExchangePattern::Sparse {
                 fanout: 2,
@@ -358,6 +356,7 @@ mod tests {
         bgq_obs::json::validate(&json).expect("BENCH_exchange.json must be valid JSON");
         let again = exchange_json(&[exchange_point(
             &PlanCache::new(),
+            &SimConfig::default(),
             512,
             ExchangePattern::Sparse {
                 fanout: 2,

@@ -39,8 +39,7 @@ pub mod table;
 
 pub use args::{ArgError, BenchArgs};
 pub use exchange::{
-    exchange_json, exchange_nodes, exchange_patterns, exchange_point, exchange_point_with,
-    exchange_row, AlgoResult, ExchangePattern, ExchangePoint, ExchangeSweep, EXCHANGE_SEED,
+    exchange_json, exchange_nodes, exchange_patterns, exchange_point, exchange_row, AlgoResult, ExchangePattern, ExchangePoint, ExchangeSweep, EXCHANGE_SEED,
 };
 pub use io::{
     ablation_policy_point, ablation_policy_point_with, fig10_point, fig10_point_with,
@@ -55,16 +54,15 @@ pub use obs::{
     write_artifact, TRACE_BYTES,
 };
 pub use profile::{
-    binding_trace, coupling_profile, coupling_profile_with, exchange_profile,
-    exchange_profile_with, fig6_profile, io_profile, io_profile_with, pair_profile,
-    pair_profile_with, profile_for, profile_for_with_trace, render_report, resilience_profile,
-    resilience_profile_with, resource_label, run_profile, run_profiled,
+    binding_trace, coupling_profile, exchange_profile, fig6_profile, io_profile, pair_profile,
+    profile_for, profile_for_with_trace, render_report, resilience_profile, resource_label,
+    run_profile, run_profiled,
 };
 pub use resilience::{
     default_scenarios, fault_plan_for, resilience_point, Resilience, ResiliencePoint, Scenario,
 };
 pub use runner::{CacheStats, Experiment, ExperimentRun, ExperimentSession, PlanCache, Row};
-pub use scale::{scale_json, scale_point, scale_point_with, scale_sizes, ScalePoint, SolverSide};
+pub use scale::{scale_json, scale_point, ScalePoint, SolverSide, SCALE_SIZES};
 pub use sentinel::{history_line, manifest_for, run_ledger, LedgerOptions};
 pub use table::{fmt_bytes, fmt_gbs, paper_size_sweep, Table};
 

@@ -112,14 +112,10 @@ pub fn run_profile(
 
 /// Direct-vs-multipath profile pair on an `nodes`-node partition: the
 /// corner pair, one `direct` run and one 4-proxy `multipath` run —
-/// the profile twin of [`crate::obs::pair_trace`].
-pub fn pair_profile(cache: &PlanCache, nodes: u32, bytes: u64) -> ProfileArtifact {
-    pair_profile_with(cache, &SimConfig::default(), nodes, bytes)
-}
-
-/// [`pair_profile`] under an explicit simulator config — the run-ledger
-/// uses this to profile the same scenario on a degraded machine.
-pub fn pair_profile_with(
+/// the profile twin of [`crate::obs::pair_trace`]. The run-ledger
+/// passes a degraded `sim` to profile the same scenario on a weakened
+/// machine; every other caller passes the default.
+pub fn pair_profile(
     cache: &PlanCache,
     sim: &SimConfig,
     nodes: u32,
@@ -168,16 +164,6 @@ pub fn pair_profile_with(
 /// same seconds redistributed across the proxy-path links.
 pub fn coupling_profile(
     cache: &PlanCache,
-    nodes: u32,
-    pairs: u32,
-    bytes: u64,
-) -> ProfileArtifact {
-    coupling_profile_with(cache, &SimConfig::default(), nodes, pairs, bytes)
-}
-
-/// [`coupling_profile`] under an explicit simulator config.
-pub fn coupling_profile_with(
-    cache: &PlanCache,
     sim: &SimConfig,
     nodes: u32,
     pairs: u32,
@@ -222,18 +208,13 @@ pub fn coupling_profile_with(
 /// The fig6-scale coupling profile: 128 conflicting pairs between the
 /// opposed slabs of the 2048-node partition (see [`coupling_profile`]).
 pub fn fig6_profile(cache: &PlanCache, bytes: u64) -> ProfileArtifact {
-    coupling_profile(cache, 2048, 128, bytes)
+    coupling_profile(cache, &SimConfig::default(), 2048, 128, bytes)
 }
 
 /// Sparse collective-write profile at `cores` (the weak-scaling plan:
 /// nodes → aggregators → bridges → IONs), uniform 1 MB ranks — the
 /// profile twin of [`crate::obs::io_trace`].
-pub fn io_profile(cache: &PlanCache, cores: u32) -> ProfileArtifact {
-    io_profile_with(cache, &SimConfig::default(), cores)
-}
-
-/// [`io_profile`] under an explicit simulator config.
-pub fn io_profile_with(cache: &PlanCache, sim: &SimConfig, cores: u32) -> ProfileArtifact {
+pub fn io_profile(cache: &PlanCache, sim: &SimConfig, cores: u32) -> ProfileArtifact {
     let shape = shape_for_cores(cores).expect("standard partition");
     let machine = cache.machine(shape, sim);
     let map = RankMap::default_map(shape, CORES_PER_NODE);
@@ -261,12 +242,7 @@ pub fn io_profile_with(cache: &PlanCache, sim: &SimConfig, cores: u32) -> Profil
 /// Fault-injection profile: the fig5 pair under the direct-route cut —
 /// the `direct` run shows the stall charged to `stalled_by_fault`, the
 /// `multipath` run routes around the cut and stays network-limited.
-pub fn resilience_profile(cache: &PlanCache, bytes: u64) -> ProfileArtifact {
-    resilience_profile_with(cache, &SimConfig::default(), bytes)
-}
-
-/// [`resilience_profile`] under an explicit simulator config.
-pub fn resilience_profile_with(
+pub fn resilience_profile(
     cache: &PlanCache,
     sim: &SimConfig,
     bytes: u64,
@@ -305,12 +281,7 @@ pub fn resilience_profile_with(
 /// own routes (each flow bound by its protocol cap on a disjoint
 /// pattern); the `proxy_multipath` run shows the same payload spread
 /// over the ledger's claimed links.
-pub fn exchange_profile(cache: &PlanCache, bytes: u64) -> ProfileArtifact {
-    exchange_profile_with(cache, &SimConfig::default(), bytes)
-}
-
-/// [`exchange_profile`] under an explicit simulator config.
-pub fn exchange_profile_with(cache: &PlanCache, sim: &SimConfig, bytes: u64) -> ProfileArtifact {
+pub fn exchange_profile(cache: &PlanCache, sim: &SimConfig, bytes: u64) -> ProfileArtifact {
     let machine = cache.machine(standard_shape(512).unwrap(), sim);
     let map = crate::exchange::ExchangePattern::DisjointHeavy { bytes }
         .build(512, crate::exchange::EXCHANGE_SEED);
@@ -331,13 +302,14 @@ pub fn exchange_profile_with(cache: &PlanCache, sim: &SimConfig, bytes: u64) -> 
 /// figures without a simulated execution. Mirrors
 /// [`crate::obs::trace_for`] scenario-for-scenario.
 pub fn profile_for(figure: &str, cache: &PlanCache) -> Option<ProfileArtifact> {
+    let sim = &SimConfig::default();
     match figure {
-        "fig5" => Some(pair_profile(cache, 128, TRACE_BYTES)),
+        "fig5" => Some(pair_profile(cache, sim, 128, TRACE_BYTES)),
         "fig6" => Some(fig6_profile(cache, TRACE_BYTES)),
-        "fig7" => Some(pair_profile(cache, 512, TRACE_BYTES)),
-        "fig10" | "fig11" => Some(io_profile(cache, 2048)),
-        "resilience" => Some(resilience_profile(cache, TRACE_BYTES)),
-        "exchange" => Some(exchange_profile(cache, TRACE_BYTES)),
+        "fig7" => Some(pair_profile(cache, sim, 512, TRACE_BYTES)),
+        "fig10" | "fig11" => Some(io_profile(cache, sim, 2048)),
+        "resilience" => Some(resilience_profile(cache, sim, TRACE_BYTES)),
+        "exchange" => Some(exchange_profile(cache, sim, TRACE_BYTES)),
         _ => None,
     }
 }
@@ -510,7 +482,7 @@ mod tests {
         // protocol cap (1.6 < 1.8 GB/s), which is exactly why multipath
         // helps. The profiler must say so rather than invent link blame.
         let cache = PlanCache::new();
-        let art = pair_profile(&cache, 128, 4 << 20);
+        let art = pair_profile(&cache, &SimConfig::default(), 128, 4 << 20);
         art.validate().expect("profile accounting must balance");
 
         let direct = art.run("direct").unwrap();
@@ -535,7 +507,7 @@ mod tests {
         // test size): conflicting pairs collide on shared dimension
         // lines, and the profiler names them.
         let cache = PlanCache::new();
-        let art = coupling_profile(&cache, 128, 16, 4 << 20);
+        let art = coupling_profile(&cache, &SimConfig::default(), 128, 16, 4 << 20);
         art.validate().expect("profile accounting must balance");
 
         let direct = art.run("direct").unwrap();
@@ -562,7 +534,7 @@ mod tests {
         // One run per exchange algorithm over the same disjoint-heavy
         // map, so the per-algorithm link blame is directly comparable.
         let cache = PlanCache::new();
-        let art = exchange_profile(&cache, TRACE_BYTES);
+        let art = exchange_profile(&cache, &SimConfig::default(), TRACE_BYTES);
         art.validate().expect("profile accounting must balance");
 
         let direct = art.run("direct").unwrap();
@@ -612,8 +584,8 @@ mod tests {
     #[test]
     fn profile_artifact_is_deterministic() {
         let cache = PlanCache::new();
-        let a = pair_profile(&cache, 128, 1 << 20).to_json();
-        let b = pair_profile(&cache, 128, 1 << 20).to_json();
+        let a = pair_profile(&cache, &SimConfig::default(), 128, 1 << 20).to_json();
+        let b = pair_profile(&cache, &SimConfig::default(), 128, 1 << 20).to_json();
         assert_eq!(a, b, "same inputs must serialize to the same bytes");
         let back = ProfileArtifact::from_json(&a).unwrap();
         assert_eq!(back.to_json(), a, "round-trip is byte-exact");
@@ -635,7 +607,7 @@ mod tests {
     #[test]
     fn resilience_profile_charges_the_stall_to_faults() {
         let cache = PlanCache::new();
-        let art = resilience_profile(&cache, 4 << 20);
+        let art = resilience_profile(&cache, &SimConfig::default(), 4 << 20);
         art.validate().unwrap();
         let direct = art.run("direct").unwrap();
         assert!(

@@ -16,8 +16,10 @@
 //! run as its own shard.
 //!
 //! Both runs must produce bit-identical reports — the sweep asserts it
-//! — so the only thing the solver mode changes is how much each rate
-//! epoch costs in wall-clock terms.
+//! — so the solver mode changes only how many cold solves the engine
+//! does. The artifact records simulated quantities and counts alone, so
+//! it reproduces byte for byte; host time for this pattern is measured
+//! by the `perf` benchmark's `scale_hub` workload.
 //!
 //! Results go to `results/BENCH_scale.json` via the `scale` binary.
 
@@ -25,17 +27,12 @@ use bgq_comm::{Machine, Program};
 use bgq_netsim::{SimConfig, SimObserver, SimOptions, SimReport, SolverMode};
 use bgq_torus::{standard_shape, Dim, NodeId, Shape};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// One run's measurements at one partition size.
 #[derive(Debug, Clone)]
 pub struct SolverSide {
-    /// Wall-clock seconds for the simulation call.
-    pub wall_secs: f64,
     /// Events popped from the engine queues.
     pub events: u64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
     /// Cold solves over a component's entire active set.
     pub full_runs: u64,
     /// Warm cascade solves and skipped no-op re-levels.
@@ -57,11 +54,6 @@ pub struct ScalePoint {
 }
 
 impl ScalePoint {
-    /// Wall-clock improvement of the cascade over cold re-leveling.
-    pub fn speedup(&self) -> f64 {
-        self.full.wall_secs / self.incremental.wall_secs
-    }
-
     /// How many cold solves the cascade avoided:
     /// `full_runs(full mode) / full_runs(cascade mode)`.
     pub fn full_run_reduction(&self) -> f64 {
@@ -122,15 +114,11 @@ fn build_pattern(prog: &mut Program<'_>, shape: &Shape, nodes: u32) -> usize {
     transfers
 }
 
-fn timed_run(prog: &Program<'_>, solver: SolverMode) -> (SolverSide, u32, SimReport) {
+fn observed_run(prog: &Program<'_>, solver: SolverMode) -> (SolverSide, u32, SimReport) {
     let mut obs = SimObserver::new();
-    let start = Instant::now();
     let report = prog.simulate(SimOptions::new().solver(solver).observer(&mut obs));
-    let wall_secs = start.elapsed().as_secs_f64();
     let side = SolverSide {
-        wall_secs,
         events: obs.events_processed,
-        events_per_sec: obs.events_processed as f64 / wall_secs.max(1e-9),
         full_runs: obs.waterfill_full_runs,
         incremental_runs: obs.waterfill_incremental_runs,
         makespan: report.end_time,
@@ -138,23 +126,19 @@ fn timed_run(prog: &Program<'_>, solver: SolverMode) -> (SolverSide, u32, SimRep
     (side, obs.shards as u32, report)
 }
 
-/// Evaluate one partition size. Panics if the two solver modes disagree
-/// on any delivery time — bit-identity is the engine's contract.
-pub fn scale_point(nodes: u32) -> ScalePoint {
-    scale_point_with(nodes, &SimConfig::default())
-}
-
-/// [`scale_point`] under an explicit simulator config — the run-ledger
-/// uses this to replay the sweep cell on a degraded machine.
-pub fn scale_point_with(nodes: u32, sim: &SimConfig) -> ScalePoint {
+/// Evaluate one partition size under `sim` (the run-ledger passes a
+/// degraded config to replay the sweep cell on a weakened machine).
+/// Panics if the two solver modes disagree on any delivery time —
+/// bit-identity is the engine's contract.
+pub fn scale_point(nodes: u32, sim: &SimConfig) -> ScalePoint {
     let shape = standard_shape(nodes)
         .unwrap_or_else(|| panic!("no standard {nodes}-node partition"));
     let machine = Machine::new(shape, sim.clone());
     let mut prog = Program::new(&machine);
     let transfers = build_pattern(&mut prog, machine.shape(), nodes);
 
-    let (full, _, report_full) = timed_run(&prog, SolverMode::Full);
-    let (incremental, shards, report_inc) = timed_run(&prog, SolverMode::default());
+    let (full, _, report_full) = observed_run(&prog, SolverMode::Full);
+    let (incremental, shards, report_inc) = observed_run(&prog, SolverMode::default());
 
     assert_eq!(
         report_full.delivery_time, report_inc.delivery_time,
@@ -169,20 +153,14 @@ pub fn scale_point_with(nodes: u32, sim: &SimConfig) -> ScalePoint {
     }
 }
 
-/// The partition sizes of the sweep, capped at `max_nodes`.
-pub fn scale_sizes(max_nodes: u32) -> Vec<u32> {
-    [512u32, 1024, 2048, 4096, 8192]
-        .into_iter()
-        .filter(|&n| n <= max_nodes)
-        .collect()
-}
+/// The partition sizes of the sweep.
+pub const SCALE_SIZES: [u32; 5] = [512, 1024, 2048, 4096, 8192];
 
 fn json_side(out: &mut String, label: &str, s: &SolverSide) {
     let _ = write!(
         out,
-        "\"{label}\":{{\"wall_secs\":{:.6},\"events\":{},\"events_per_sec\":{:.1},\
-         \"full_runs\":{},\"incremental_runs\":{},\"makespan\":{:?}}}",
-        s.wall_secs, s.events, s.events_per_sec, s.full_runs, s.incremental_runs, s.makespan
+        "\"{label}\":{{\"events\":{},\"full_runs\":{},\"incremental_runs\":{},\"makespan\":{:?}}}",
+        s.events, s.full_runs, s.incremental_runs, s.makespan
     );
 }
 
@@ -203,8 +181,7 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
         json_side(&mut out, "incremental", &p.incremental);
         let _ = write!(
             out,
-            ",\"wall_speedup\":{:.3},\"full_run_reduction\":{:.1}}}",
-            p.speedup(),
+            ",\"full_run_reduction\":{:.1}}}",
             p.full_run_reduction()
         );
     }
@@ -220,7 +197,7 @@ mod tests {
     fn smoke_point_decomposes_shards_and_stays_bit_identical() {
         // scale_point itself asserts the two runs agree bit-for-bit;
         // the smoke checks the pattern's shape.
-        let p = scale_point(512);
+        let p = scale_point(512, &SimConfig::default());
         assert!(p.transfers > 0);
         assert!(
             p.shards > 64,
@@ -245,11 +222,23 @@ mod tests {
 
     #[test]
     fn json_artifact_is_valid() {
-        let p = scale_point(512);
+        let p = scale_point(512, &SimConfig::default());
         let json = scale_json(&[p]);
         bgq_obs::json::validate(&json).expect("BENCH_scale.json must be valid JSON");
         assert!(json.contains("\"full_run_reduction\""));
         assert!(json.contains("\"incremental\""));
         assert!(!json.contains("\"sharded\""));
+
+        // The artifact is simulated quantities only, so the 512-node
+        // row reproduces the committed file's first row byte for byte.
+        let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/BENCH_scale.json");
+        let committed = std::fs::read_to_string(&committed)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", committed.display()));
+        let row = json.strip_suffix("]}").expect("closes the points array");
+        assert!(
+            committed.starts_with(row),
+            "the 512-node row differs from results/BENCH_scale.json:\n{row}"
+        );
     }
 }

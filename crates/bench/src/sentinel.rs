@@ -12,8 +12,8 @@
 //! ratio), and the **profiler blame rollup** (top-N link blame and
 //! critical-path facts via [`ScenarioManifest::attach_profile`]) so a
 //! later regression diff can name the links that absorbed the lost
-//! time. Wall-clock quantities (the scale sweep's solver timings) are
-//! recorded under the `wall.` prefix and never serialized.
+//! time. Every metric is simulated time or a count, so an unchanged
+//! tree reproduces the baseline byte for byte.
 //!
 //! All builders take the simulator config explicitly: the sentinel
 //! binary's `--degrade-links` regression-injection knob replays the
@@ -21,15 +21,14 @@
 //! path ("halve a link capacity, watch a REGRESSED verdict name the
 //! link") is exercised end to end.
 
-use crate::exchange::{exchange_point_with, ExchangePattern};
+use crate::exchange::{exchange_point, ExchangePattern};
 use crate::obs::TRACE_BYTES;
 use crate::profile::{
-    coupling_profile_with, exchange_profile_with, io_profile_with, pair_profile_with,
-    resilience_profile_with,
+    coupling_profile, exchange_profile, io_profile, pair_profile, resilience_profile,
 };
 use crate::resilience::{fault_plan_for, Scenario};
 use crate::runner::PlanCache;
-use crate::scale::scale_point_with;
+use crate::scale::scale_point;
 use bgq_comm::Program;
 use bgq_netsim::{SimConfig, SimObserver};
 use bgq_obs::{ProfileArtifact, RunManifest, ScenarioManifest};
@@ -119,7 +118,7 @@ pub fn fig5_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifes
     s.config("bytes", TRACE_BYTES);
     s.config("proxies", 4);
     sim_config_entries(&mut s, &opts.sim);
-    let art = pair_profile_with(cache, &opts.sim, 128, TRACE_BYTES);
+    let art = pair_profile(cache, &opts.sim, 128, TRACE_BYTES);
     pair_metrics(&mut s, &art);
     s.attach_profile(&art, opts.top_blame);
     s
@@ -134,7 +133,7 @@ pub fn fig6_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifes
     s.config("pairs", 128);
     s.config("bytes", TRACE_BYTES);
     sim_config_entries(&mut s, &opts.sim);
-    let art = coupling_profile_with(cache, &opts.sim, 2048, 128, TRACE_BYTES);
+    let art = coupling_profile(cache, &opts.sim, 2048, 128, TRACE_BYTES);
     pair_metrics(&mut s, &art);
     s.attach_profile(&art, opts.top_blame);
     s
@@ -147,7 +146,7 @@ pub fn fig7_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifes
     s.config("bytes", TRACE_BYTES);
     s.config("proxies", 4);
     sim_config_entries(&mut s, &opts.sim);
-    let art = pair_profile_with(cache, &opts.sim, 512, TRACE_BYTES);
+    let art = pair_profile(cache, &opts.sim, 512, TRACE_BYTES);
     pair_metrics(&mut s, &art);
     s.attach_profile(&art, opts.top_blame);
     s
@@ -162,7 +161,7 @@ pub fn io_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest 
     s.config("nodes", CORES / CORES_PER_NODE);
     s.config("rank_bytes", 1u64 << 20);
     sim_config_entries(&mut s, &opts.sim);
-    let art = io_profile_with(cache, &opts.sim, CORES);
+    let art = io_profile(cache, &opts.sim, CORES);
     s.metric("sparse_write.throughput", run_throughput(&art, "sparse_write"));
     s.attach_profile(&art, opts.top_blame);
     s
@@ -177,7 +176,7 @@ pub fn resilience_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioM
     s.config("bytes", TRACE_BYTES);
     s.config("scenario", "direct_cut");
     sim_config_entries(&mut s, &opts.sim);
-    let art = resilience_profile_with(cache, &opts.sim, TRACE_BYTES);
+    let art = resilience_profile(cache, &opts.sim, TRACE_BYTES);
     s.attach_profile(&art, opts.top_blame);
 
     // Observed replay of the multipath side: the profile shows *where*
@@ -207,14 +206,13 @@ pub fn resilience_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioM
     s
 }
 
-/// scale: the 512-node cold-vs-cascade waterfill comparison. The
-/// simulated quantities (makespan, event/solve counts) are golden; the
-/// wall-clock timings ride along under `wall.` and never serialize.
+/// scale: the 512-node cold-vs-cascade waterfill comparison — makespan
+/// and event/solve counts.
 pub fn scale_scenario(opts: &LedgerOptions) -> ScenarioManifest {
     let mut s = ScenarioManifest::new("scale");
     s.config("nodes", 512);
     sim_config_entries(&mut s, &opts.sim);
-    let p = scale_point_with(512, &opts.sim);
+    let p = scale_point(512, &opts.sim);
     s.metric("transfers", p.transfers as f64);
     s.metric("shards", p.shards as f64);
     s.metric("makespan", p.full.makespan);
@@ -226,9 +224,6 @@ pub fn scale_scenario(opts: &LedgerOptions) -> ScenarioManifest {
         p.incremental.incremental_runs as f64,
     );
     s.metric("full_run_reduction", p.full_run_reduction());
-    s.metric("wall.full.secs", p.full.wall_secs);
-    s.metric("wall.incremental.secs", p.incremental.wall_secs);
-    s.metric("wall.speedup", p.speedup());
     s
 }
 
@@ -244,7 +239,7 @@ pub fn exchange_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioMan
     s.config("seed", crate::exchange::EXCHANGE_SEED);
     sim_config_entries(&mut s, &opts.sim);
 
-    let point = exchange_point_with(cache, &opts.sim, 512, pattern);
+    let point = exchange_point(cache, &opts.sim, 512, pattern);
     s.metric("pairs", point.pairs as f64);
     for r in &point.results {
         let name = r.algorithm.name();
@@ -260,7 +255,7 @@ pub fn exchange_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioMan
         mp.pairs_multipath as f64 / (point.pairs.max(1)) as f64,
     );
 
-    let art = exchange_profile_with(cache, &opts.sim, TRACE_BYTES);
+    let art = exchange_profile(cache, &opts.sim, TRACE_BYTES);
     s.attach_profile(&art, opts.top_blame);
     s
 }
@@ -306,16 +301,7 @@ pub fn manifest_for(figure: &str, cache: &PlanCache) -> Option<RunManifest> {
 /// the history is keyed on the manifest fingerprint so re-runs of an
 /// unchanged tree append nothing new.
 pub fn history_line(manifest: &RunManifest, report: Option<&bgq_obs::SentinelReport>) -> String {
-    let metrics: usize = manifest
-        .scenarios
-        .iter()
-        .map(|s| {
-            s.metrics
-                .iter()
-                .filter(|(k, _)| !k.starts_with("wall."))
-                .count()
-        })
-        .sum();
+    let metrics: usize = manifest.scenarios.iter().map(|s| s.metrics.len()).sum();
     let mut line = format!(
         "{{\"hash\": \"{}\", \"scenarios\": {}, \"metrics\": {metrics}",
         manifest.fingerprint(),
@@ -357,15 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn scale_scenario_keeps_wall_metrics_out_of_the_artifact() {
+    fn scale_scenario_records_simulated_quantities() {
         let opts = LedgerOptions::default();
         let s = scale_scenario(&opts);
-        assert!(s.metric_value("wall.speedup").is_some(), "kept in memory");
         assert!(s.metric_value("makespan").unwrap() > 0.0);
         assert!(s.metric_value("full_run_reduction").unwrap() >= 1.0);
-        let mut m = RunManifest::default();
-        m.push(s);
-        assert!(!m.to_json().contains("wall."), "never serialized");
+        s.validate().unwrap();
     }
 
     #[test]

@@ -46,36 +46,6 @@ impl LinkHeatmap {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// CSV rows `epoch,time,resource,bytes_in_flight`. The samples are
-    /// already sparse (zero cells never stored), so this is a plain
-    /// dump; the output is byte-identical to what the old dense samples
-    /// produced, since those skipped zero entries on the way out.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("epoch,time,resource,bytes_in_flight\n");
-        for s in &self.samples {
-            for &(r, b) in &s.bytes_in_flight {
-                if b > 0.0 {
-                    out.push_str(&format!("{},{:?},{r},{b:?}\n", s.epoch, s.time));
-                }
-            }
-        }
-        out
-    }
-
-    /// The peak bytes-in-flight seen on `resource` across all samples.
-    pub fn peak(&self, resource: usize) -> f64 {
-        let rid = resource as u32;
-        self.samples
-            .iter()
-            .filter_map(|s| {
-                s.bytes_in_flight
-                    .binary_search_by_key(&rid, |&(r, _)| r)
-                    .ok()
-                    .map(|i| s.bytes_in_flight[i].1)
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// One fault-epoch re-level: a fault event applied and the transfers it
@@ -313,22 +283,6 @@ mod tests {
         // Work counters stay out of the export the ledger baseline pins.
         assert!(s.iter().all(|(k, _)| !k.contains("passes")), "{s:?}");
         assert!(s.iter().all(|(k, _)| !k.contains("entries")), "{s:?}");
-    }
-
-    #[test]
-    fn heatmap_csv_skips_zero_cells() {
-        let hm = LinkHeatmap {
-            samples: vec![HeatmapSample {
-                time: 1.0,
-                epoch: 1,
-                bytes_in_flight: vec![(1, 500.0)],
-            }],
-        };
-        let csv = hm.to_csv();
-        assert_eq!(csv, "epoch,time,resource,bytes_in_flight\n1,1.0,1,500.0\n");
-        assert_eq!(hm.peak(1), 500.0);
-        assert_eq!(hm.peak(0), 0.0);
-        assert_eq!(hm.len(), 1);
     }
 
     #[test]

@@ -13,14 +13,11 @@
 //! Manifests inherit the workspace artifact contract: every serialized
 //! value is simulated time or an integer count, keys are sorted, floats
 //! use shortest-round-trip formatting (non-finite as `null`, restored
-//! as `INFINITY` on parse), and metrics under the
-//! [`crate::metrics::NON_GOLDEN_PREFIX`] (`wall.`) name prefix are
-//! *excluded* from serialization — so two identical runs produce
+//! as `INFINITY` on parse) — so two identical runs produce
 //! byte-identical files and [`RunManifest::from_json`] restores the
 //! exact float bits [`RunManifest::to_json`] wrote.
 
 use crate::json::{self, Value};
-use crate::metrics::NON_GOLDEN_PREFIX;
 use crate::profile::ProfileArtifact;
 
 /// Manifest schema version (`"bgq_manifest"` top-level key).
@@ -38,8 +35,7 @@ pub struct ScenarioManifest {
     /// configs agree; the sentinel reports config drift loudly.
     pub config: Vec<(String, String)>,
     /// Extracted scalar metrics `(name, value)`, sorted by name,
-    /// unique. Names under `wall.` are kept in memory but never
-    /// serialized (wall-clock is not reproducible).
+    /// unique.
     pub metrics: Vec<(String, f64)>,
     /// Profiler blame rollup `(label, seconds)`, sorted by label,
     /// unique. Labels are `"<run>/<link>"` so one scenario can carry
@@ -191,20 +187,8 @@ impl RunManifest {
         Ok(())
     }
 
-    /// A copy with every `wall.`-prefixed metric dropped — exactly what
-    /// [`to_json`](Self::to_json) serializes, so
-    /// `from_json(to_json(m))` equals `m.without_wall()`.
-    pub fn without_wall(&self) -> RunManifest {
-        let mut out = self.clone();
-        for s in &mut out.scenarios {
-            s.metrics.retain(|(k, _)| !k.starts_with(NON_GOLDEN_PREFIX));
-        }
-        out
-    }
-
     /// Deterministic JSON: sorted scenarios and keys, fixed key order,
-    /// shortest-round-trip floats, non-finite values as `null`,
-    /// `wall.`-prefixed metrics excluded.
+    /// shortest-round-trip floats, non-finite values as `null`.
     pub fn to_json(&self) -> String {
         let mut out = format!("{{\n  \"bgq_manifest\": {MANIFEST_VERSION},\n  \"scenarios\": [");
         for (si, s) in self.scenarios.iter().enumerate() {
@@ -226,12 +210,7 @@ impl RunManifest {
                 ));
             }
             out.push_str("\n      },\n      \"metrics\": {");
-            let golden: Vec<&(String, f64)> = s
-                .metrics
-                .iter()
-                .filter(|(k, _)| !k.starts_with(NON_GOLDEN_PREFIX))
-                .collect();
-            for (i, (k, v)) in golden.iter().enumerate() {
+            for (i, (k, v)) in s.metrics.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -336,7 +315,6 @@ mod tests {
         s.config("bytes", 33554432u64);
         s.metric("speedup", 2.5);
         s.metric("direct.makespan", 0.125);
-        s.metric("wall.secs", 1.5);
         s.blame("direct/n0:+A", 0.75);
         let mut m = RunManifest::default();
         m.push(s);
@@ -359,13 +337,12 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_bit_exactly_without_wall_metrics() {
+    fn json_round_trips_bit_exactly() {
         let m = sample();
         let js = m.to_json();
         json::validate(&js).unwrap();
-        assert!(!js.contains("wall."), "wall metrics never serialized");
         let back = RunManifest::from_json(&js).unwrap();
-        assert_eq!(back, m.without_wall());
+        assert_eq!(back, m);
         assert_eq!(back.to_json(), js, "re-serialization is byte-exact");
     }
 
@@ -390,11 +367,6 @@ mod tests {
         let mut changed = m.clone();
         changed.scenarios[0].metric("speedup", 2.6);
         assert_ne!(m.fingerprint(), changed.fingerprint());
-        // Wall metrics are outside the serialized view, so they cannot
-        // perturb the hash.
-        let mut walled = m.clone();
-        walled.scenarios[0].metric("wall.secs", 99.0);
-        assert_eq!(m.fingerprint(), walled.fingerprint());
     }
 
     #[test]

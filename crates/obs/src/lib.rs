@@ -11,9 +11,8 @@
 //! record integer bucket counts only, trace events carry *simulated*
 //! time, and every serializer sorts its output. Two runs of the same
 //! experiment — at any `--threads` count — produce byte-identical CSV
-//! and JSON. Quantities that cannot meet the contract (wall-clock
-//! timings) live under the [`metrics::NON_GOLDEN_PREFIX`] name prefix
-//! and are excluded from the deterministic snapshot serializers.
+//! and JSON. Wall-clock timings cannot meet the contract, so no artifact
+//! carries them.
 //!
 //! The crate has zero dependencies (std only) so it can sit below every
 //! other crate in the workspace, and the instruments are cheap enough

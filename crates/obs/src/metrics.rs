@@ -1,5 +1,5 @@
 //! Named counters, gauges and fixed-bucket histograms, snapshotable to
-//! deterministic sorted CSV/JSON.
+//! deterministic sorted CSV.
 //!
 //! Instruments are handed out as cheap `Arc` handles; hot loops hoist
 //! the handle once and update lock-free. Counters and histogram buckets
@@ -13,19 +13,13 @@
 //! hold a single last-written value and are therefore only deterministic
 //! when written from deterministic (single-threaded or value-racing-free)
 //! code — the workspace uses them for end-of-run facts, not hot paths.
-//! Wall-clock quantities must be registered under
-//! [`NON_GOLDEN_PREFIX`]; [`MetricsSnapshot::to_csv`] and
-//! [`MetricsSnapshot::to_json`] exclude them so golden artifacts never
-//! embed nondeterminism ([`MetricsSnapshot::to_csv_all`] keeps them for
-//! human inspection).
+//! The workspace registers only simulated quantities and counts (host
+//! timings go to stderr), so [`MetricsSnapshot::to_csv`] is safe to
+//! golden-pin.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Name prefix marking metrics that are *not* reproducible across runs
-/// (wall-clock timings, host facts). Excluded from golden serializers.
-pub const NON_GOLDEN_PREFIX: &str = "wall.";
 
 /// Number of atomic stripes per counter. A small power of two: enough to
 /// spread the handful of worker threads an [`ExperimentSession`] uses,
@@ -375,23 +369,15 @@ impl MetricsSnapshot {
         }
     }
 
-    fn rows(&self, include_non_golden: bool) -> Vec<(&'static str, String, String)> {
-        let keep = |name: &str| include_non_golden || !name.starts_with(NON_GOLDEN_PREFIX);
+    fn rows(&self) -> Vec<(&'static str, String, String)> {
         let mut rows = Vec::new();
         for (name, v) in &self.counters {
-            if keep(name) {
-                rows.push(("counter", name.clone(), v.to_string()));
-            }
+            rows.push(("counter", name.clone(), v.to_string()));
         }
         for (name, v) in &self.gauges {
-            if keep(name) {
-                rows.push(("gauge", name.clone(), fmt_f64(*v)));
-            }
+            rows.push(("gauge", name.clone(), fmt_f64(*v)));
         }
         for (name, (bounds, counts)) in &self.histograms {
-            if !keep(name) {
-                continue;
-            }
             for (i, &c) in counts.iter().enumerate() {
                 // Zero-padded bucket index keeps rows lexically sorted
                 // regardless of how the bound itself formats.
@@ -421,78 +407,14 @@ impl MetricsSnapshot {
         rows
     }
 
-    fn csv(&self, include_non_golden: bool) -> String {
+    /// Deterministic CSV: one `kind,name,value` row per counter, gauge
+    /// and histogram bucket/count/quantile, sorted and deduplicated.
+    /// Safe to golden-pin.
+    pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,name,value\n");
-        for (kind, name, value) in self.rows(include_non_golden) {
+        for (kind, name, value) in self.rows() {
             out.push_str(&format!("{kind},{},{value}\n", csv_field(&name)));
         }
-        out
-    }
-
-    /// Deterministic CSV: sorted, deduplicated, wall-clock
-    /// (`wall.`-prefixed) metrics excluded. Safe to golden-pin.
-    pub fn to_csv(&self) -> String {
-        self.csv(false)
-    }
-
-    /// Like [`MetricsSnapshot::to_csv`] but with the non-golden
-    /// (wall-clock) metrics included, for human inspection only.
-    pub fn to_csv_all(&self) -> String {
-        self.csv(true)
-    }
-
-    /// Deterministic JSON object (sorted keys, wall-clock metrics
-    /// excluded), for tooling that prefers structure over CSV.
-    pub fn to_json(&self) -> String {
-        let keep = |name: &str| !name.starts_with(NON_GOLDEN_PREFIX);
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in self.counters.iter().filter(|(n, _)| keep(n)) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    {}: {v}", crate::json::escape(name)));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        let mut first = true;
-        for (name, v) in self.gauges.iter().filter(|(n, _)| keep(n)) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    {}: {}", crate::json::escape(name), fmt_f64(*v)));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        let mut first = true;
-        for (name, (bounds, counts)) in self.histograms.iter().filter(|(n, _)| keep(n)) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let b: Vec<String> = bounds.iter().map(|v| fmt_f64(*v)).collect();
-            let c: Vec<String> = counts.iter().map(|v| v.to_string()).collect();
-            // JSON has no NaN/inf literal: empty-histogram quantiles
-            // serialize as null.
-            let fmt_q = |q: f64| {
-                let v = quantile_from_buckets(bounds, counts, q);
-                if v.is_finite() {
-                    fmt_f64(v)
-                } else {
-                    "null".to_string()
-                }
-            };
-            out.push_str(&format!(
-                "\n    {}: {{\"bounds\": [{}], \"counts\": [{}], \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                crate::json::escape(name),
-                b.join(", "),
-                c.join(", "),
-                fmt_q(0.5),
-                fmt_q(0.95),
-                fmt_q(0.99),
-            ));
-        }
-        out.push_str("\n  }\n}\n");
         out
     }
 }
@@ -594,15 +516,12 @@ mod tests {
         assert!(csv.contains("histogram,lat.p50,0.5"), "{csv}");
         assert!(csv.contains("histogram,lat.p95,0.95"), "{csv}");
         assert!(csv.contains("histogram,lat.p99,0.99"), "{csv}");
-        let json = snap.to_json();
-        assert!(json.contains("\"p50\": 0.5"), "{json}");
-        crate::json::validate(&json).unwrap();
-        // Empty histograms must still emit valid JSON (null quantiles).
+        // An empty histogram has no quantile: its rows read NaN.
         let reg2 = MetricsRegistry::new();
         reg2.histogram("empty", &[1.0]);
-        let j = reg2.snapshot().to_json();
-        assert!(j.contains("\"p50\": null"), "{j}");
-        crate::json::validate(&j).unwrap();
+        let csv = reg2.snapshot().to_csv();
+        assert!(csv.contains("histogram,empty.count,0"), "{csv}");
+        assert!(csv.contains("histogram,empty.p50,NaN"), "{csv}");
     }
 
     #[test]
@@ -633,17 +552,6 @@ mod tests {
         );
         assert!(csv.contains("counter,z.last,3"));
         assert!(csv.contains("gauge,m.level,3.0"));
-    }
-
-    #[test]
-    fn wall_clock_metrics_are_excluded_from_golden_output() {
-        let reg = MetricsRegistry::new();
-        reg.counter("wall.point_ms_total").add(123);
-        reg.counter("sim.events").add(7);
-        let snap = reg.snapshot();
-        assert!(!snap.to_csv().contains("wall."));
-        assert!(!snap.to_json().contains("wall."));
-        assert!(snap.to_csv_all().contains("counter,wall.point_ms_total,123"));
     }
 
     #[test]
@@ -683,14 +591,5 @@ mod tests {
         // Clean names stay unquoted so golden CSVs are unchanged.
         reg.counter("clean.name").inc();
         assert!(reg.snapshot().to_csv().contains("counter,clean.name,1"));
-    }
-
-    #[test]
-    fn snapshot_json_parses() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a\"quoted\"").inc();
-        reg.gauge("g").set(0.5);
-        reg.histogram("h", &[1.0]).observe(2.0);
-        crate::json::validate(&reg.snapshot().to_json()).expect("snapshot JSON must parse");
     }
 }

@@ -30,17 +30,13 @@ fn arb_value() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Keys: realistic metric names, `wall.`-prefixed wall-clock names (kept
-/// in memory, excluded from serialization), and names that need JSON
-/// escaping.
+/// Keys: realistic metric names and names that need JSON escaping.
 fn arb_key() -> impl Strategy<Value = String> {
     prop_oneof![
         Just("direct.makespan".to_string()),
         Just("agg.throughput".to_string()),
         Just("speedup".to_string()),
         Just("multipath.win_ratio".to_string()),
-        Just("wall.secs".to_string()),
-        Just("wall.events_per_sec".to_string()),
         Just("needs \"escaping\"\n".to_string()),
         Just("comma,key".to_string()),
         (0u32..500).prop_map(|i| format!("metric.{i:03}")),
@@ -99,18 +95,9 @@ proptest! {
         json::validate(&js).expect("manifest JSON must parse");
 
         let back = RunManifest::from_json(&js).expect("round-trip parse");
-        // The wall-clock exclusion applies to *metrics* (config and
-        // blame keys are free-form): nothing wall-prefixed survives the
-        // round trip as a metric.
-        for s in &back.scenarios {
-            prop_assert!(
-                s.metrics.iter().all(|(k, _)| !k.starts_with("wall.")),
-                "wall metrics must not serialize"
-            );
-        }
         // Equality here is f64 PartialEq on every metric/blame value:
         // bit-exact for finite floats, and inf == inf for the null path.
-        prop_assert_eq!(&back, &m.without_wall());
+        prop_assert_eq!(&back, &m);
         prop_assert_eq!(back.to_json(), js, "re-serialization is byte-exact");
         prop_assert_eq!(back.fingerprint(), m.fingerprint());
     }
@@ -137,6 +124,6 @@ proptest! {
         }
         // And the serialized round-trip self-diffs clean too.
         let back = RunManifest::from_json(&m.to_json()).unwrap();
-        prop_assert!(!sentinel::diff(&back, &m.without_wall()).has_regressions());
+        prop_assert!(!sentinel::diff(&back, &m).has_regressions());
     }
 }

@@ -1,17 +1,33 @@
 # Common development tasks. Run with `just <target>`.
 
 # Build, test, and lint — the gate every change must pass.
-verify: obs profile bench-smoke exchange sentinel reproduce
+verify: obs profile scale exchange sentinel reproduce
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Cascade-solver smoke check: a tiny scale sweep. The binary asserts
-# cold-vs-cascade bit-identity and that warm cascade solves outnumber
-# cold ones.
-bench-smoke:
-    cargo run --release -p bgq-bench --bin scale -- --max-nodes 512 \
-        --out results/obs/scale_smoke.json
+# The byte gate for artifacts regenerated in place: fail if `git status`
+# shows any of PATHS changed (or new) against the commit. After an
+# intentional change, `UPDATE_GOLDEN=1` accepts the regenerated files
+# for commit instead.
+_unchanged +PATHS:
+    @if [ -n "${UPDATE_GOLDEN:-}" ]; then \
+        echo "accepted the regenerated {{PATHS}}"; \
+    elif [ -n "$(git status --porcelain -- {{PATHS}})" ]; then \
+        git status --short -- {{PATHS}}; \
+        git --no-pager diff --stat -- {{PATHS}}; \
+        echo "{{PATHS}} differ from the committed files"; exit 1; \
+    else \
+        echo "{{PATHS}} reproduced byte-exact"; \
+    fi
+
+# Cascade-solver gate: the whole 512 → 8,192-node scale sweep (about
+# 0.1 s), written in place to results/BENCH_scale.json. The binary
+# asserts cold-vs-cascade bit-identity and that warm cascade solves
+# outnumber cold ones; every field is simulated time or a count, so the
+# file must reproduce byte for byte.
+scale: && (_unchanged "results/BENCH_scale.json")
+    cargo run --release -p bgq-bench --bin scale
 
 # Observability smoke check: run fig5 with artifacts, then validate them
 # (JSON parses, CSV sorted/deduplicated, nothing undelivered).
@@ -39,25 +55,17 @@ profile:
             results/obs/profile_fig6.json results/BENCH_profile_fig6.json; \
     fi
 
-# Sparse-exchange gate: run the full sweep (the binary validates the
-# artifact and asserts the ≥1.5× multipath-vs-direct bar on the
-# disjoint-heavy pattern at 4,096 nodes), then byte-diff against the
-# committed baseline — the artifact is pure simulated time, so any diff
-# means the planner or simulator moved. Re-baseline an intentional
-# change with `UPDATE_GOLDEN=1 just exchange`. About 5 s at the
-# default two threads on a 2-vCPU host, 8 s on one thread (the
-# 512-node slice is separately pinned as tests/golden/exchange.csv for
-# the quick path).
-exchange:
-    cargo run --release -p bgq-bench --bin exchange -- \
-        --out results/obs/exchange.json
-    @if [ -n "${UPDATE_GOLDEN:-}" ]; then \
-        cp results/obs/exchange.json results/BENCH_exchange.json; \
-        echo "re-baselined results/BENCH_exchange.json"; \
-    else \
-        cmp results/obs/exchange.json results/BENCH_exchange.json && \
-            echo "results/BENCH_exchange.json reproduced byte-exact"; \
-    fi
+# Sparse-exchange gate: run the full sweep in place (the binary
+# validates the artifact and asserts the ≥1.5× multipath-vs-direct bar
+# on the disjoint-heavy pattern at 4,096 nodes), then fail on any diff
+# to the committed results/BENCH_exchange.json — the artifact is pure
+# simulated time, so any diff means the planner or simulator moved.
+# Accept an intentional change with `UPDATE_GOLDEN=1 just exchange`.
+# About 5 s at the default two threads on a 2-vCPU host, 8 s on one
+# thread (the 512-node slice is separately pinned as
+# tests/golden/exchange.csv for the quick path).
+exchange: && (_unchanged "results/BENCH_exchange.json")
+    cargo run --release -p bgq-bench --bin exchange
 
 # Run-ledger + regression sentinel: run the scenario sweep, validate the
 # manifest artifact, cross-check it against the committed fig6 profile,
@@ -94,17 +102,8 @@ exchange-scaling MAX="4096":
 # on any difference from the committed figure files. After an
 # intentional change, `UPDATE_GOLDEN=1 just reproduce` accepts the
 # regenerated files for commit.
-reproduce:
+reproduce: && (_unchanged "results/*.txt" "results/*.csv")
     cargo run --release -p bgq-bench --bin reproduce -- --max-cores 65536 --threads 4 --timing
-    @if [ -n "${UPDATE_GOLDEN:-}" ]; then \
-        echo "accepted the regenerated figure files under results/"; \
-    elif [ -n "$(git status --porcelain -- results/*.txt results/*.csv)" ]; then \
-        git status --short -- results/*.txt results/*.csv; \
-        git --no-pager diff --stat -- results/; \
-        echo "figure files differ from the committed ones"; exit 1; \
-    else \
-        echo "results/ figure files reproduced byte-exact"; \
-    fi
 
 # Machinery + ablation benches.
 bench:
@@ -121,11 +120,14 @@ cover:
     fi
 
 # Regenerate the golden reference CSVs (and the pinned fig5 trace and
-# profile) after an intentional model change.
+# profile) and every committed artifact under results/ after an
+# intentional model change.
 update-golden:
     UPDATE_GOLDEN=1 cargo test --release --test golden
     UPDATE_GOLDEN=1 cargo test --release --test observability
     UPDATE_GOLDEN=1 cargo test --release --test profile_golden
     UPDATE_GOLDEN=1 just profile
+    UPDATE_GOLDEN=1 just reproduce
+    UPDATE_GOLDEN=1 just scale
     UPDATE_GOLDEN=1 just exchange
     UPDATE_GOLDEN=1 just sentinel

@@ -15,6 +15,7 @@
 
 use bgq_bench::experiments::Fig5;
 use bgq_bench::{profile_for, ExperimentSession};
+use bgq_netsim::SimConfig;
 use std::path::Path;
 
 fn fig5_profile_json(threads: usize) -> String {
@@ -69,7 +70,11 @@ fn exchange_profile_matches_golden_and_accounts_to_elapsed() {
     // map. `validate()` is the accounting pin: every transfer's
     // cap/link-blame/serialization decomposition must sum to its
     // elapsed time, so the per-algorithm link blame is trustworthy.
-    let art = bgq_bench::exchange_profile(ExperimentSession::new(1).cache(), 32 << 20);
+    let art = bgq_bench::exchange_profile(
+        ExperimentSession::new(1).cache(),
+        &SimConfig::default(),
+        32 << 20,
+    );
     art.validate().expect("exchange profile accounting must balance");
     for run in &art.runs {
         let blamed: f64 = run.link_blame().iter().map(|(_, s)| s).sum();
