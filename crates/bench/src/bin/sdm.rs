@@ -76,7 +76,8 @@ fn parse_flags(cmd: &str, args: impl IntoIterator<Item = String>) -> Result<Flag
 }
 
 /// The partition of `--nodes` (default 512) and the `--src`/`--dst`
-/// endpoints (default its first and last node), which must lie in it.
+/// endpoints (default its first and last node), which must lie in it
+/// and differ.
 fn partition(f: &Flags) -> Result<(u32, Shape, NodeId, NodeId), String> {
     let nodes = f.nodes.unwrap_or(512);
     let shape = standard_shape(nodes).ok_or(format!("no standard {nodes}-node partition"))?;
@@ -88,6 +89,11 @@ fn partition(f: &Flags) -> Result<(u32, Shape, NodeId, NodeId), String> {
                 "{flag} {node} is out of range for a {nodes}-node partition (0..{nodes})"
             ));
         }
+    }
+    if src == dst {
+        return Err(format!(
+            "--src and --dst are both {src}: a transfer needs two distinct nodes"
+        ));
     }
     Ok((nodes, shape, NodeId(src), NodeId(dst)))
 }
@@ -255,5 +261,17 @@ mod tests {
         let f = flags("probe", &["--nodes", "128", "--dst", "127"]).unwrap();
         let (nodes, _, src, dst) = partition(&f).unwrap();
         assert_eq!((nodes, src, dst), (128, NodeId(0), NodeId(127)));
+    }
+
+    #[test]
+    fn equal_endpoints_are_errors() {
+        for cmd in ["plan", "probe"] {
+            let f = flags(cmd, &["--src", "5", "--dst", "5"]).unwrap();
+            let e = partition(&f).unwrap_err();
+            assert!(e.contains("--src and --dst are both 5"), "{e}");
+        }
+        // A lone `--dst 0` meets the default `--src 0`.
+        let f = flags("probe", &["--dst", "0"]).unwrap();
+        assert!(partition(&f).is_err());
     }
 }

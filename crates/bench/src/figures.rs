@@ -169,6 +169,16 @@ impl Figure {
         self.file.split_once('.').map_or(self.file, |(stem, _)| stem)
     }
 
+    /// The core counts up to `max_cores` of a weak-scaling figure's
+    /// sweep (ascending), or `None` for a figure without such a sweep.
+    fn scales(&self, max_cores: u32) -> Option<Vec<u32>> {
+        match self.name() {
+            "fig10" => Some(fig10_scales(max_cores)),
+            "fig11" => Some(fig11_scales(max_cores)),
+            _ => None,
+        }
+    }
+
     /// The layout of the committed file.
     pub fn format(&self) -> Format {
         if self.file.ends_with(".csv") {
@@ -263,8 +273,25 @@ impl Artifact {
 /// The figures `args` selects: the named ones, or the whole registry
 /// (the committed set) when none is named. Rejects, before anything
 /// runs, flags the selection cannot honour: a path flag needs exactly
-/// one named figure, and `--csv` applies to stdout only.
+/// one named figure, `--csv` applies to stdout only, and `--max-cores`
+/// must leave every selected weak-scaling figure at least one point.
 pub fn select(args: &BenchArgs) -> Result<Vec<&'static Figure>, String> {
+    let figures = selection(args)?;
+    for fig in &figures {
+        if fig.scales(args.max_cores).is_some_and(|s| s.is_empty()) {
+            let first = fig.scales(u32::MAX).expect("a weak-scaling figure")[0];
+            return Err(format!(
+                "--max-cores {} leaves {} without a point (it starts at {first} cores)",
+                args.max_cores,
+                fig.name()
+            ));
+        }
+    }
+    Ok(figures)
+}
+
+/// [`select`] before the `--max-cores` check.
+fn selection(args: &BenchArgs) -> Result<Vec<&'static Figure>, String> {
     let requests = Artifact::ALL.map(|a| a.request(args));
     if let Some((flag, ..)) = requests.iter().find(|(_, path, _)| path.is_some()) {
         if args.positional.len() != 1 {
@@ -383,6 +410,19 @@ mod tests {
         let err = select(&args(&["fig5", "fig6", "--trace-out", "t.json"])).unwrap_err();
         assert!(err.contains("--trace-out"), "{err}");
         assert!(select(&args(&["fig5", "--trace-out", "t.json"])).is_ok());
+    }
+
+    #[test]
+    fn max_cores_must_leave_every_selected_sweep_a_point() {
+        // With no operand an empty sweep would overwrite the committed
+        // fig10/fig11 files with bare headers.
+        let err = select(&args(&["--max-cores", "5"])).unwrap_err();
+        assert!(err.contains("fig10") && err.contains("2048 cores"), "{err}");
+        let err = select(&args(&["fig11", "--max-cores", "4096"])).unwrap_err();
+        assert!(err.contains("fig11") && err.contains("8192 cores"), "{err}");
+        assert!(select(&args(&["fig10", "--max-cores", "4096"])).is_ok());
+        assert!(select(&args(&["fig5", "--max-cores", "5"])).is_ok());
+        assert!(select(&args(&["--max-cores", "8192"])).is_ok());
     }
 
     #[test]

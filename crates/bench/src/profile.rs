@@ -205,10 +205,18 @@ pub fn coupling_profile(
     }
 }
 
-/// The fig6-scale coupling profile: 128 conflicting pairs between the
-/// opposed slabs of the 2048-node partition (see [`coupling_profile`]).
-pub fn fig6_profile(cache: &PlanCache, bytes: u64) -> ProfileArtifact {
-    coupling_profile(cache, &SimConfig::default(), 2048, 128, bytes)
+/// Partition size of the fig6-scale coupling profile.
+pub const FIG6_NODES: u32 = 2048;
+/// Conflicting pairs of the fig6-scale coupling profile.
+pub const FIG6_PAIRS: u32 = 128;
+
+/// The fig6-scale coupling profile: [`FIG6_PAIRS`] conflicting pairs
+/// between the opposed slabs of the [`FIG6_NODES`]-node partition,
+/// [`TRACE_BYTES`] each (see [`coupling_profile`]). The committed
+/// `results/BENCH_profile_fig6.json` and the ledger's `fig6` scenario
+/// are both this run.
+pub fn fig6_profile(cache: &PlanCache, sim: &SimConfig) -> ProfileArtifact {
+    coupling_profile(cache, sim, FIG6_NODES, FIG6_PAIRS, TRACE_BYTES)
 }
 
 /// Sparse collective-write profile at `cores` (the weak-scaling plan:
@@ -305,7 +313,7 @@ pub fn profile_for(figure: &str, cache: &PlanCache) -> Option<ProfileArtifact> {
     let sim = &SimConfig::default();
     match figure {
         "fig5" => Some(pair_profile(cache, sim, 128, TRACE_BYTES)),
-        "fig6" => Some(fig6_profile(cache, TRACE_BYTES)),
+        "fig6" => Some(fig6_profile(cache, sim)),
         "fig7" => Some(pair_profile(cache, sim, 512, TRACE_BYTES)),
         "fig10" | "fig11" => Some(io_profile(cache, sim, 2048)),
         "resilience" => Some(resilience_profile(cache, sim, TRACE_BYTES)),

@@ -1,6 +1,7 @@
 //! Scaling sweep for the waterfill solver: the same sparse transfer
-//! pattern simulated with [`SolverMode::Full`] (a cold solve of a
-//! component's whole active set at every rate epoch) and with the
+//! pattern simulated with [`SolverMode::Full`] (the cascade's state
+//! dropped before every rate epoch, so each solves the component's
+//! whole active set cold) and with the
 //! default [`SolverMode::Cascade`] (warm solves that re-solve only the
 //! links a joined or departed flow reaches), across partition sizes up
 //! to 8,192 nodes.
@@ -10,8 +11,9 @@
 //! D×E torus column. The fan-out chains share their source node (so
 //! injection serialization ties them into one contention component) but
 //! only partially overlap on links, which is exactly the shape where
-//! warm cascade solves beat cold re-levels *within* a component. Columns never share a link with each other — routes
-//! between nodes of one aligned D×E block stay inside the block — so
+//! warm cascade solves beat cold re-levels *within* a component.
+//! Columns never share a link with each other — routes between nodes of
+//! one aligned D×E block stay inside the block — so
 //! the pattern decomposes into hundreds of independent components, each
 //! run as its own shard.
 //!

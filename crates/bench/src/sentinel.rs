@@ -24,7 +24,8 @@
 use crate::exchange::{exchange_point, ExchangePattern};
 use crate::obs::TRACE_BYTES;
 use crate::profile::{
-    coupling_profile, exchange_profile, io_profile, pair_profile, resilience_profile,
+    exchange_profile, fig6_profile, io_profile, pair_profile, resilience_profile, FIG6_NODES,
+    FIG6_PAIRS,
 };
 use crate::resilience::{fault_plan_for, Scenario};
 use crate::runner::PlanCache;
@@ -129,11 +130,11 @@ pub fn fig5_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifes
 /// pins, so `obs_report --cross` can check the two artifacts agree.
 pub fn fig6_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest {
     let mut s = ScenarioManifest::new("fig6");
-    s.config("nodes", 2048);
-    s.config("pairs", 128);
+    s.config("nodes", FIG6_NODES);
+    s.config("pairs", FIG6_PAIRS);
     s.config("bytes", TRACE_BYTES);
     sim_config_entries(&mut s, &opts.sim);
-    let art = coupling_profile(cache, &opts.sim, 2048, 128, TRACE_BYTES);
+    let art = fig6_profile(cache, &opts.sim);
     pair_metrics(&mut s, &art);
     s.attach_profile(&art, opts.top_blame);
     s

@@ -310,6 +310,16 @@ impl<'m> SparseMover<'m> {
                 links: direct_links(),
             });
         }
+        // A self-transfer crosses no link, so no proxy path can be
+        // disjoint from its route or carry any of its load.
+        if src == dst {
+            self.count("planner.direct_no_disjoint");
+            return Ok(PlanOutcome {
+                handle: direct_gated(prog, src, dst, bytes, &self.multipath),
+                decision: Decision::Direct(DirectReason::NoDisjointPaths),
+                links: direct_links(),
+            });
+        }
         let direct_dead = match health {
             Some(h) => direct_links().iter().any(|l| h.dead_links.contains(l)),
             None => false,
@@ -574,6 +584,26 @@ mod tests {
         assert_eq!(out.handle.tokens.len(), 1, "one direct put");
         let snap = reg.snapshot();
         assert_eq!(snap.counter("planner.direct_requested"), Some(1));
+        assert_eq!(snap.counter("planner.multipath_chosen"), None);
+    }
+
+    #[test]
+    fn self_transfers_go_direct_without_a_proxy_search() {
+        // A self-transfer has an empty route: proxies cannot help it,
+        // however large it is.
+        let m = machine();
+        let reg = Arc::new(MetricsRegistry::new());
+        let mover = SparseMover::new(&m).with_metrics(Arc::clone(&reg));
+        let mut p = Program::new(&m);
+        let out = mover
+            .plan(&mut p, PlanRequest::new(NodeId(5), NodeId(5), 128 << 20))
+            .unwrap();
+        assert_eq!(out.decision, Decision::Direct(DirectReason::NoDisjointPaths));
+        assert_eq!(out.handle.tokens.len(), 1, "one direct put");
+        assert!(out.links.is_empty());
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("planner.direct_no_disjoint"), Some(1));
+        assert_eq!(snap.counter("planner.proxy.candidates_tried"), None);
         assert_eq!(snap.counter("planner.multipath_chosen"), None);
     }
 

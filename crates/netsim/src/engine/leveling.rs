@@ -22,12 +22,13 @@
 //! (no flow joined or left, no capacity changed since the last solve)
 //! keeps every rate and skips the solve. A capacity change drops the
 //! cascade's state, so the next solve is cold. [`SolverMode::Full`]
-//! always solves cold, as the oracle `tests/warm_start.rs` compares
+//! drops the state before every re-level, so each one is a cold solve
+//! of the same cascade: the oracle `tests/warm_start.rs` compares
 //! against.
 
 use crate::config::SimConfig;
 use crate::graph::{ResourceId, TransferSpec};
-use crate::waterfill::{Cascade, Waterfill};
+use crate::waterfill::Cascade;
 
 use super::flow_state::ActiveFlow;
 use super::SolverMode;
@@ -51,19 +52,10 @@ impl<'a> Demands<'a> {
     }
 }
 
-/// The solver behind a [`Leveler`].
-#[derive(Debug)]
-enum Solver {
-    /// [`SolverMode::Cascade`]: the persistent solve state.
-    Cascade(Cascade),
-    /// [`SolverMode::Full`]: a cold solve at every re-level, and its
-    /// rate scratch.
-    Cold(Waterfill, Vec<f64>),
-}
-
 #[derive(Debug)]
 pub(crate) struct Leveler<'a> {
-    solver: Solver,
+    cascade: Cascade,
+    mode: SolverMode,
     demands: Demands<'a>,
     /// The config's `(contention_penalty, contention_floor)`.
     contention: (f64, f64),
@@ -102,12 +94,9 @@ impl<'a> Leveler<'a> {
         config: &SimConfig,
         mode: SolverMode,
     ) -> Leveler<'a> {
-        let solver = match mode {
-            SolverMode::Cascade => Solver::Cascade(Cascade::new(num_resources)),
-            SolverMode::Full => Solver::Cold(Waterfill::new(num_resources), Vec::new()),
-        };
         Leveler {
-            solver,
+            cascade: Cascade::new(num_resources),
+            mode,
             demands: Demands {
                 specs,
                 per_flow_cap: config.per_flow_cap,
@@ -141,9 +130,7 @@ impl<'a> Leveler<'a> {
     pub fn note_leave(&mut self, tid: u32) {
         self.changed = true;
         self.active_entries -= self.demands.route(tid).len() as u64;
-        if let Solver::Cascade(cascade) = &mut self.solver {
-            cascade.drop_record(tid);
-        }
+        self.cascade.drop_record(tid);
         for r in self.demands.route(tid) {
             let ri = r.0 as usize;
             if let Some(p) = self.res_flows[ri].iter().position(|&t| t == tid) {
@@ -156,9 +143,7 @@ impl<'a> Leveler<'a> {
     /// cascade's pass log assumed: the next solve is cold.
     pub fn note_caps_changed(&mut self) {
         self.changed = true;
-        if let Solver::Cascade(cascade) = &mut self.solver {
-            cascade.invalidate();
-        }
+        self.cascade.invalidate();
     }
 
     /// The binding resource of transfer `tid` as of the last re-level
@@ -170,30 +155,19 @@ impl<'a> Leveler<'a> {
     /// Re-level `active` at an epoch boundary and write the new rates
     /// into the flows.
     pub fn level(&mut self, active: &mut [ActiveFlow], caps: &[f64]) {
+        // `Full` drops the cascade's state before every re-level, so each
+        // one solves cold and none is skipped.
+        if self.mode == SolverMode::Full {
+            self.cascade.invalidate();
+            self.changed = true;
+        }
         let demands = self.demands;
         let Leveler {
-            solver,
+            cascade,
             res_flows,
             binding,
             ..
         } = self;
-        let cascade = match solver {
-            Solver::Cascade(cascade) => cascade,
-            Solver::Cold(wf, rates) => {
-                let route = |i: usize| demands.route(active[i].tid);
-                let cap = |i: usize| demands.cap(active[i].tid);
-                wf.solve(active.len(), route, cap, caps, self.contention, rates);
-                for ((f, &r), &b) in active.iter_mut().zip(rates.iter()).zip(wf.bindings()) {
-                    f.rate = r;
-                    binding[f.tid as usize] = b;
-                }
-                self.full_runs += 1;
-                self.solved_entries += wf.last_entries() as u64;
-                self.touched_entries += wf.last_entries() as u64;
-                self.passes += wf.last_passes() as u64;
-                return;
-            }
-        };
         // With no join, departure or capacity change the active order
         // and every rate are what the last solve left.
         if !std::mem::take(&mut self.changed) {

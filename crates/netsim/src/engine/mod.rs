@@ -56,9 +56,10 @@ pub enum SolverMode {
     /// re-levels with nothing to do.
     #[default]
     Cascade,
-    /// Re-solve the waterfill over every active flow at every epoch,
-    /// cold (the classical engine; kept as the oracle the cascade is
-    /// tested against).
+    /// Drop the cascade's state before every re-level, so each one
+    /// solves every active flow cold and none is skipped: the same
+    /// solver with nothing to reuse, the oracle the warm path is tested
+    /// against.
     Full,
 }
 

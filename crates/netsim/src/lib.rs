@@ -8,9 +8,10 @@
 //! The simulator is topology-agnostic: it executes a [`TransferGraph`] — a
 //! DAG of point-to-point transfers whose routes are explicit lists of
 //! [`ResourceId`]s (directed links). Bandwidth on contended links is shared
-//! max-min fairly ([`Waterfill`]), message injection is serialized per node
-//! with a fixed CPU overhead, and store-and-forward protocols are expressed
-//! as transfer dependencies. The `bgq-comm` crate binds this engine to the
+//! max-min fairly by one progressive-filling solver (the [`waterfill`]
+//! module; [`Waterfill`] runs it as one-shot solves), message injection is
+//! serialized per node with a fixed CPU overhead, and store-and-forward
+//! protocols are expressed as transfer dependencies. The `bgq-comm` crate binds this engine to the
 //! `bgq-torus` topology.
 //!
 //! ## Example

@@ -10,54 +10,49 @@
 //! BG/Q torus behaves at the message level when several messages contend
 //! for a link (the Messaging Unit arbitrates packet slots fairly).
 //!
-//! ## Layout
+//! ## One solver
 //!
-//! A solve works on flat arrays only. The links the demand set touches
-//! are renumbered into dense *slots* (first-touch order). Per-slot state
-//! is struct-of-arrays, and both adjacencies — flow → slots (route
-//! order) and slot → flows (ascending flow index) — are CSR tables built
-//! in two linear passes.
+//! Every allocation comes from one progressive-filling loop,
+//! `cascade::Cascade`: persistent solver state that keeps the previous
+//! solve's pass log and per-flow freeze records and re-solves only the
+//! links a changed flow reaches (see the `cascade` module docs). With its
+//! state dropped it is a cold solve of the whole demand set. The engine
+//! runs every re-level through it; [`SolverMode::Full`](crate::SolverMode::Full)
+//! drops the state before each one, and [`Waterfill`] is one cold solve
+//! per call over a demand slice.
+//!
+//! ## Heap and batched update
 //!
 //! The next link bottleneck comes from an *indexed* min-heap holding at
-//! most one entry per slot, keyed `(share, version, resource id)`. When a
-//! bottleneck freezes its flows, every slot those flows cross is debited
-//! once per crossing — the same subtractions, in the same order, as a
-//! per-flow update — and then looked at once per bottleneck: a batched
-//! share update. A debit can only raise a slot's key (the version always
-//! grows, and in exact arithmetic the share cannot fall), so a raised
-//! key stays in the heap as a stale lower bound and is refreshed only if
-//! it reaches the top; a share that float rounding pushed *below* the
-//! stored one is sifted up at once. Slots whose flows all froze
-//! elsewhere are dropped when they surface. Most debited slots never
-//! surface before the last flow freezes, so most updates cost one
-//! division and one comparison instead of a heap operation.
+//! most one entry per link slot, keyed `(share, version, resource id)`.
+//! When a bottleneck freezes its flows, every slot those flows cross is
+//! debited once per crossing — the same subtractions, in the same order,
+//! as a per-flow update — and then looked at once per bottleneck: a
+//! batched share update. A debit can only raise a slot's key (the version
+//! always grows, and in exact arithmetic the share cannot fall), so a
+//! raised key stays in the heap as a stale lower bound and is refreshed
+//! only if it reaches the top; a share that float rounding pushed *below*
+//! the stored one is sifted up at once. Most debited slots never surface
+//! before the last flow freezes, so most updates cost one division and
+//! one comparison instead of a heap operation.
 //!
-//! The per-flow cap resources stay out of the heap: a cap's key
-//! `(cap, 0, num_resources + flow)` never changes while its flow is
-//! unfixed, so one sort by that key per solve lets a cursor yield the
-//! least live cap, skipping frozen flows at no heap cost. Each step
-//! takes the lesser of that cap and the heap's top.
+//! A flow's cap is a one-flow resource keyed `(cap, 0, num_resources +
+//! demand index)`, which never changes while the flow is unfixed. Each
+//! step takes the least of the link heap's top and the least live cap.
 //!
 //! ## Exactness
 //!
-//! The allocation is bit-identical to the lazy-deletion formulation this
-//! replaced (kept as the oracle in `tests/waterfill_oracle.rs`). That
-//! solver pushed a fresh heap entry after every debit and skipped entries
-//! whose version had moved on, so the entry it popped was the minimum
-//! over the *latest* key of each live resource, caps included. Here every
-//! stored key is a lower bound of its slot's latest key, so a top whose
-//! key is current is the least link key, and the cursor's cap the least
-//! cap key; the lesser of the two is that same minimum. Pop order, every
-//! share, every debit and every tie-break (versions still advance once
-//! per debit) are therefore the same floats in the same order.
-//!
-//! ## Cascade re-levels
-//!
-//! `cascade::Cascade` keeps the pass log and per-flow freeze records of
-//! the previous full re-level and re-solves only the links a changed
-//! flow reaches, bit-identical to a cold solve (see the `cascade` module
-//! docs). It is the engine's only production re-level; the cold solve
-//! stays the [`SolverMode::Full`](crate::SolverMode::Full) oracle.
+//! The allocation is bit-identical to the lazy-deletion formulation the
+//! flat solver replaced, kept as the test oracle in
+//! `tests/common/reference.rs`. That solver pushed a fresh heap entry
+//! after every debit and skipped entries whose version had moved on, so
+//! the entry it popped was the minimum over the *latest* key of each live
+//! resource, caps included. Here every stored key is a lower bound of its
+//! slot's latest key, so a top whose key is current is the least link
+//! key, and the lesser of it and the least cap key is that same minimum.
+//! Pop order, every share, every debit and every tie-break (versions
+//! still advance once per debit) are therefore the same floats in the
+//! same order.
 
 mod cascade;
 
@@ -71,8 +66,8 @@ use std::fmt;
 /// flow's own rate cap (its private virtual resource) fixed its rate.
 pub const CAP_BINDING: u32 = u32::MAX;
 
-/// A slot absent from the heap (or the slot field of a cap's key); in
-/// the cascade also an absent pass or link.
+/// A slot absent from the heap (or the slot field of a logged key); in
+/// the cascade also an absent pass, link or record.
 const NONE: u32 = u32::MAX;
 
 /// Relative slack the max-min certificate grants float rounding.
@@ -85,45 +80,21 @@ pub struct FlowDemand<'a> {
     pub cap: f64,
 }
 
-/// Reusable scratch state for water-filling computations.
+/// One-shot max-min fair solves over a demand slice.
 ///
-/// Allocate once per simulation (sized by the number of real resources) and
-/// call [`Waterfill::compute`] at every rate recomputation; internal buffers
-/// are recycled so steady-state computation does not allocate. Debug
-/// builds check every allocation against its max-min certificate (see
-/// [`certify`]) before returning it.
+/// Each call is a cold solve of the engine's solver: a flow's index in
+/// the slice is its transfer id and demand index. Allocate once per
+/// resource space (sized by the number of real resources) and reuse it;
+/// its buffers are recycled across calls. Debug builds check every
+/// allocation against its max-min certificate (see [`certify`]) before
+/// returning it.
 #[derive(Debug)]
 pub struct Waterfill {
-    num_resources: usize,
-    /// Resource id → slot + 1 during a solve, 0 otherwise. Zero means
-    /// unmapped so the table is allocated zeroed, and a solve touches
-    /// only the entries of the links it routes over.
-    slot_of: Vec<u32>,
-    /// Per-slot resource id (the tie-break of equal shares and versions).
-    id: Vec<u32>,
-    remaining: Vec<f64>,
-    count: Vec<u32>,
-    version: Vec<u32>,
-    /// Flow → slots, CSR: offsets, then slots in route order.
-    route_off: Vec<u32>,
-    route_slots: Vec<u32>,
-    /// Slot → flows, CSR: offsets, then ascending flow indices.
-    member_off: Vec<u32>,
-    members: Vec<u32>,
-    heap: SlotHeap,
-    /// Per-flow rate cap, and the flows sorted by `(cap, flow)`.
-    cap_of: Vec<f64>,
-    by_cap: Vec<u32>,
-    /// Slots debited while freezing the current bottleneck, once each.
-    changed: Vec<u32>,
-    /// Bottleneck pass that last listed each slot in `changed`.
-    stamp: Vec<u32>,
-    fixed: Vec<bool>,
+    cascade: Cascade,
+    /// Per resource: the flows of the current call crossing it, once per
+    /// crossing. Empty between calls.
+    members: Vec<Vec<u32>>,
     binding: Vec<u32>,
-    /// Passes of the most recent solve.
-    passes: u32,
-    #[cfg(debug_assertions)]
-    certifier: Certifier,
 }
 
 impl Waterfill {
@@ -131,26 +102,9 @@ impl Waterfill {
     /// resources.
     pub fn new(num_resources: usize) -> Waterfill {
         Waterfill {
-            num_resources,
-            slot_of: vec![0; num_resources],
-            id: Vec::new(),
-            remaining: Vec::new(),
-            count: Vec::new(),
-            version: Vec::new(),
-            route_off: Vec::new(),
-            route_slots: Vec::new(),
-            member_off: Vec::new(),
-            members: Vec::new(),
-            heap: SlotHeap::default(),
-            cap_of: Vec::new(),
-            by_cap: Vec::new(),
-            changed: Vec::new(),
-            stamp: Vec::new(),
-            fixed: Vec::new(),
+            cascade: Cascade::new(num_resources),
+            members: vec![Vec::new(); num_resources],
             binding: Vec::new(),
-            passes: 0,
-            #[cfg(debug_assertions)]
-            certifier: Certifier::new(num_resources),
         }
     }
 
@@ -162,18 +116,6 @@ impl Waterfill {
     /// free.
     pub fn bindings(&self) -> &[u32] {
         &self.binding
-    }
-
-    /// Flow–resource entries (route hops, with multiplicity) in the most
-    /// recent compute's demand set — the unit of work of a solve.
-    pub(crate) fn last_entries(&self) -> usize {
-        self.route_slots.len()
-    }
-
-    /// Progressive-filling passes of the most recent compute (one per
-    /// popped bottleneck).
-    pub(crate) fn last_passes(&self) -> u32 {
-        self.passes
     }
 
     /// Compute max-min fair rates with ideal sharing (no contention
@@ -195,8 +137,8 @@ impl Waterfill {
     ///
     /// # Panics
     /// Panics if a route references a resource with non-positive capacity
-    /// or out of range of `capacities`, if γ is negative, or if the floor
-    /// is outside `(0, 1]`.
+    /// or out of range of `capacities`, if a cap is not positive, if γ is
+    /// negative, or if the floor is outside `(0, 1]`.
     pub fn compute_with_penalty(
         &mut self,
         flows: &[FlowDemand<'_>],
@@ -205,255 +147,43 @@ impl Waterfill {
         contention_floor: f64,
         rates: &mut Vec<f64>,
     ) {
-        self.solve(
-            flows.len(),
-            |i| flows[i].route,
-            |i| flows[i].cap,
+        let n = flows.len();
+        for (fi, f) in flows.iter().enumerate() {
+            for r in f.route {
+                let ri = r.0 as usize;
+                assert!(
+                    ri < self.members.len(),
+                    "route references unknown resource {ri}"
+                );
+                self.members[ri].push(fi as u32);
+            }
+        }
+        self.cascade.invalidate();
+        self.cascade.solve(
+            n,
+            |i| i as u32,
+            n,
+            &self.members,
+            |t| flows[t as usize].route,
+            |t| flows[t as usize].cap,
             capacities,
             (contention_penalty, contention_floor),
-            rates,
-        )
-    }
-
-    /// [`compute_with_penalty`](Self::compute_with_penalty) over a demand
-    /// set given by accessors instead of a slice, so a caller that holds
-    /// routes and caps elsewhere (the engine's leveler) builds no demand
-    /// vector per solve. `contention` is `(penalty, floor)`.
-    pub(crate) fn solve<'r>(
-        &mut self,
-        n: usize,
-        route: impl Fn(usize) -> &'r [ResourceId],
-        cap: impl Fn(usize) -> f64,
-        capacities: &[f64],
-        contention: (f64, f64),
-        rates: &mut Vec<f64>,
-    ) {
-        let (contention_penalty, contention_floor) = contention;
-        assert!(
-            capacities.len() >= self.num_resources,
-            "capacity table smaller than resource space"
-        );
-        assert!(
-            contention_penalty >= 0.0,
-            "contention penalty must be non-negative"
-        );
-        assert!(
-            contention_floor > 0.0 && contention_floor <= 1.0,
-            "contention floor must be in (0, 1]"
         );
         rates.clear();
-        rates.resize(n, 0.0);
+        rates.extend((0..n as u32).map(|t| self.cascade.rate(t)));
         self.binding.clear();
-        self.binding.resize(n, CAP_BINDING);
-        self.route_slots.clear();
-        self.passes = 0;
-        if n == 0 {
-            return;
-        }
-        let nr = self.num_resources;
-
-        // Pass 1: map every route hop to a slot (first touch allocates
-        // one), count hops per slot, and lay the routes out as CSR.
-        self.id.clear();
-        self.remaining.clear();
-        self.count.clear();
-        self.cap_of.clear();
-        self.route_off.clear();
-        self.route_off.push(0);
-        for fi in 0..n {
-            let c = cap(fi);
-            assert!(c > 0.0, "flow {fi} has non-positive cap");
-            self.cap_of.push(c);
-            for r in route(fi) {
-                let ri = r.0 as usize;
-                assert!(ri < nr, "route references unknown resource {ri}");
-                let mut s = self.slot_of[ri].wrapping_sub(1);
-                if s == u32::MAX {
-                    let c = capacities[ri];
-                    assert!(c > 0.0, "resource {ri} has non-positive capacity");
-                    s = self.id.len() as u32;
-                    self.slot_of[ri] = s + 1;
-                    self.id.push(ri as u32);
-                    self.remaining.push(c);
-                    self.count.push(0);
-                }
-                self.count[s as usize] += 1;
-                self.route_slots.push(s);
-            }
-            self.route_off.push(self.route_slots.len() as u32);
-        }
-        let slots = self.id.len();
-
-        // Derate shared links by the arbitration penalty (per-flow caps
-        // are not links and are never derated).
-        if contention_penalty > 0.0 && contention_floor < 1.0 {
-            for s in 0..slots {
-                let c = self.count[s];
-                if c > 1 {
-                    let eff =
-                        (1.0 / (1.0 + contention_penalty * (c - 1) as f64)).max(contention_floor);
-                    self.remaining[s] *= eff;
-                }
-            }
-        }
-
-        // Pass 2: invert the routes into slot → flows CSR. Flows are
-        // scattered in index order, so each member list is ascending.
-        self.member_off.clear();
-        self.member_off.push(0);
-        let mut total = 0u32;
-        for &c in &self.count {
-            total += c;
-            self.member_off.push(total);
-        }
-        self.members.clear();
-        self.members.resize(total as usize, 0);
-        // `stamp` serves as the scatter cursor here and is reset below.
-        self.stamp.clear();
-        self.stamp.extend_from_slice(&self.member_off[..slots]);
-        for fi in 0..n {
-            let hops = self.route_off[fi] as usize..self.route_off[fi + 1] as usize;
-            for &s in &self.route_slots[hops] {
-                let at = &mut self.stamp[s as usize];
-                self.members[*at as usize] = fi as u32;
-                *at += 1;
-            }
-        }
-        self.version.clear();
-        self.version.resize(slots, 0);
-        self.stamp.clear();
-        self.stamp.resize(slots, 0);
-        self.fixed.clear();
-        self.fixed.resize(n, false);
-
-        // The heap holds every link, at version 0.
-        self.heap.reset(slots);
-        for s in 0..slots {
-            self.heap.entries.push(Entry {
-                share: self.remaining[s].max(0.0) / self.count[s] as f64,
-                version: 0,
-                id: self.id[s],
-                slot: s as u32,
-            });
-        }
-        self.heap.heapify();
-
-        // A cap is a one-flow resource whose key never changes while its
-        // flow is unfixed: share `cap / 1`, version 0, id `nr + flow`
-        // (above every link id). Sorting by that key once replaces one
-        // heap entry per flow.
-        let cap_of = &self.cap_of;
-        self.by_cap.clear();
-        self.by_cap.extend(0..n as u32);
-        self.by_cap.sort_unstable_by(|&a, &b| {
-            cap_of[a as usize]
-                .total_cmp(&cap_of[b as usize])
-                .then(a.cmp(&b))
-        });
-        let mut next_cap = 0;
-
-        // Progressive filling: take the most constrained resource — the
-        // least current link key or the least unfixed cap — freeze its
-        // unfixed flows at its share, then lower the stored key of any
-        // link whose share they pushed down.
-        let mut pass = 0u32;
-        let mut unfixed = n;
-        while unfixed > 0 {
-            let (remaining, count, version) = (&self.remaining, &self.count, &self.version);
-            let link = self
-                .heap
-                .peek_current(|s| (remaining[s].max(0.0) / count[s] as f64, version[s]));
-            while self.fixed[self.by_cap[next_cap] as usize] {
-                next_cap += 1;
-            }
-            let fc = self.by_cap[next_cap] as usize;
-            let cap_key = Entry {
-                share: self.cap_of[fc].max(0.0) / 1.0,
-                version: 0,
-                id: (nr + fc) as u32,
-                slot: NONE,
-            };
-            pass += 1;
-            self.changed.clear();
-            match link {
-                Some(top) if top.before(&cap_key) => {
-                    let slot = top.slot as usize;
-                    for k in self.member_off[slot] as usize..self.member_off[slot + 1] as usize {
-                        let fi = self.members[k] as usize;
-                        if !self.fixed[fi] {
-                            self.freeze(fi, top.share, top.id, pass, rates);
-                            unfixed -= 1;
-                        }
-                    }
-                    debug_assert_eq!(self.count[slot], 0, "bottleneck must drain completely");
-                }
-                _ => {
-                    self.freeze(fc, cap_key.share, CAP_BINDING, pass, rates);
-                    unfixed -= 1;
-                }
-            }
-            // The batched update: a drained link (the bottleneck among
-            // them) leaves the heap; any other debited link is lowered
-            // if its share fell, and otherwise left as a lower bound.
-            for &c in &self.changed {
-                let c = c as usize;
-                if self.count[c] == 0 {
-                    self.heap.remove(c);
-                } else {
-                    let share = self.remaining[c].max(0.0) / self.count[c] as f64;
-                    self.heap.lower(c, share, self.version[c]);
-                }
-            }
-        }
-        self.passes = pass;
-
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.certifier.check(
-            n,
-            &route,
-            &cap,
-            capacities,
-            contention,
-            rates,
-            &self.binding,
-        ) {
-            panic!("waterfill allocation failed its max-min certificate: {e}");
-        }
-
-        // Unmap the touched resources. Versions restart at zero on every
-        // call, so the allocation (including share-tie resolution, which
-        // compares versions) is a pure function of the demand set — a
-        // sub-solve over one contention component returns bit-identical
-        // rates to the same component inside a full solve, no matter what
-        // calls came before.
-        for &ri in &self.id {
-            self.slot_of[ri as usize] = 0;
-        }
-    }
-
-    /// Freeze flow `fi` at share `s`: debit every slot on its route (one
-    /// version bump per debit, so tie-breaks match per-flow updates) and
-    /// list each debited slot once for the batched update. Its cap
-    /// retires with it: the cap cursor skips fixed flows.
-    #[inline]
-    fn freeze(&mut self, fi: usize, s: f64, bind: u32, pass: u32, rates: &mut [f64]) {
-        self.fixed[fi] = true;
-        rates[fi] = s;
-        self.binding[fi] = bind;
-        for k in self.route_off[fi] as usize..self.route_off[fi + 1] as usize {
-            let rs = self.route_slots[k] as usize;
-            self.remaining[rs] -= s;
-            self.count[rs] -= 1;
-            self.version[rs] = self.version[rs].wrapping_add(1);
-            if self.stamp[rs] != pass {
-                self.stamp[rs] = pass;
-                self.changed.push(rs as u32);
+        self.binding
+            .extend((0..n as u32).map(|t| self.cascade.binding(t)));
+        for f in flows {
+            for r in f.route {
+                self.members[r.0 as usize].clear();
             }
         }
     }
 }
 
-/// A resource's key in the filling order (`slot` is [`NONE`] for caps).
+/// A resource's key in the filling order (`slot` is [`NONE`] for a
+/// logged key; a cap's key carries its flow there).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     share: f64,
@@ -476,9 +206,9 @@ impl Entry {
 }
 
 /// Indexed binary min-heap with at most one entry per slot; `pos`
-/// tracks where each slot sits, so lowering its key is one sift. Stored
-/// keys may lag behind the current ones, but only ever from below (see
-/// [`peek_current`](Self::peek_current)).
+/// tracks where each slot sits ([`NONE`] when absent), so lowering its
+/// key is one sift. Stored keys may lag behind the current ones, but
+/// only ever from below (see [`peek_current`](Self::peek_current)).
 #[derive(Debug, Default)]
 struct SlotHeap {
     entries: Vec<Entry>,
@@ -486,22 +216,6 @@ struct SlotHeap {
 }
 
 impl SlotHeap {
-    fn reset(&mut self, slots: usize) {
-        self.entries.clear();
-        self.pos.clear();
-        self.pos.resize(slots, NONE);
-    }
-
-    /// Establish heap order over entries pushed unordered, in O(len).
-    fn heapify(&mut self) {
-        for (i, e) in self.entries.iter().enumerate() {
-            self.pos[e.slot as usize] = i as u32;
-        }
-        for i in (0..self.entries.len() / 2).rev() {
-            self.sift_down(i);
-        }
-    }
-
     /// The slot with the least *current* key, given `current(slot)`: its
     /// `(share, version)` now.
     ///
@@ -694,8 +408,8 @@ pub fn certify(
     )
 }
 
-/// Reusable per-resource tallies for [`certify`]; a check resets only
-/// the resources it touched.
+/// Reusable per-resource tallies for [`certify`]; a check first resets
+/// only the resources the previous one touched.
 #[derive(Debug)]
 struct Certifier {
     load: Vec<f64>,
@@ -721,32 +435,16 @@ impl Certifier {
         route: impl Fn(usize) -> &'r [ResourceId],
         cap: impl Fn(usize) -> f64,
         capacities: &[f64],
-        contention: (f64, f64),
+        (penalty, floor): (f64, f64),
         rates: &[f64],
         bindings: &[u32],
     ) -> Result<(), CertificateError> {
-        let verdict = self.verdict(n, route, cap, capacities, contention, rates, bindings);
-        for &r in &self.touched {
+        for r in self.touched.drain(..) {
             let r = r as usize;
             self.load[r] = 0.0;
             self.peak[r] = 0.0;
             self.hops[r] = 0;
         }
-        self.touched.clear();
-        verdict
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn verdict<'r>(
-        &mut self,
-        n: usize,
-        route: impl Fn(usize) -> &'r [ResourceId],
-        cap: impl Fn(usize) -> f64,
-        capacities: &[f64],
-        (penalty, floor): (f64, f64),
-        rates: &[f64],
-        bindings: &[u32],
-    ) -> Result<(), CertificateError> {
         for (flow, &rate) in rates.iter().enumerate().take(n) {
             if !(rate.is_finite() && rate >= 0.0) {
                 return Err(CertificateError::BadRate { flow, rate });
@@ -812,6 +510,10 @@ impl Certifier {
         Ok(())
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/common/reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -940,7 +642,6 @@ mod tests {
         let mut rates = Vec::new();
         wf.compute(&demands, &[10.0, 4.0], &mut rates);
         assert_eq!(wf.bindings(), &[1, 0, 1]);
-        assert_eq!(wf.last_entries(), 4);
     }
 
     #[test]
@@ -1103,8 +804,10 @@ mod tests {
         // and are removed. Every peek must still find the least current
         // key of a brute-force scan.
         let n = 64;
-        let mut heap = SlotHeap::default();
-        heap.reset(n);
+        let mut heap = SlotHeap {
+            entries: Vec::new(),
+            pos: vec![NONE; n],
+        };
         let mut x = 0x9E37_79B9u32;
         let mut rnd = |m: u32| {
             x ^= x << 13;
@@ -1121,10 +824,8 @@ mod tests {
         let mut current: Vec<Option<(f64, u32)>> =
             (0..n).map(|_| Some((rnd(8) as f64, 0))).collect();
         for (s, k) in current.iter().enumerate() {
-            heap.entries
-                .push(entry(s, k.expect("all slots start live")));
+            heap.push(entry(s, k.expect("all slots start live")));
         }
-        heap.heapify();
         let mut popped = 0;
         loop {
             for _ in 0..3 {
@@ -1165,10 +866,14 @@ mod tests {
     }
 
     /// Drives a [`Cascade`] over a changing demand set the way the
-    /// engine's leveler does, and checks every solve against a cold one.
+    /// engine's leveler does — membership lists kept across solves,
+    /// appended on a join and `swap_remove`d on a departure — and checks
+    /// every solve against the lazy-deletion [`reference`].
     struct Relevel {
         cascade: Cascade,
         caps: Vec<f64>,
+        contention: (f64, f64),
+        members: Vec<Vec<u32>>,
         keys: Vec<u32>,
         /// Every flow seen so far, by transfer id: a departed flow's
         /// route is still asked for.
@@ -1176,67 +881,72 @@ mod tests {
     }
 
     impl Relevel {
-        const TRANSFERS: usize = 16;
+        const TRANSFERS: usize = 32;
 
         fn new(caps: &[f64]) -> Relevel {
             Relevel {
                 cascade: Cascade::new(caps.len()),
                 caps: caps.to_vec(),
+                contention: (0.0, 1.0),
+                members: vec![Vec::new(); caps.len()],
                 keys: Vec::new(),
                 known: vec![None; Self::TRANSFERS],
             }
         }
 
-        /// Solve `flows` (in demand order), require the cold solve's rate
-        /// bits and bindings, and return the rates and the passes popped
-        /// as logged.
+        /// Solve `flows` (in demand order), require the reference's rate
+        /// bits, bindings and pass count, and return the rates and the
+        /// passes popped as logged.
         fn solve(&mut self, flows: &[Keyed]) -> (Vec<f64>, u32) {
-            for &k in &self.keys {
-                if !flows.iter().any(|f| f.0 == k) {
-                    self.cascade.drop_record(k);
+            let before = std::mem::take(&mut self.keys);
+            for &k in &before {
+                if flows.iter().any(|f| f.0 == k) {
+                    continue;
                 }
+                self.cascade.drop_record(k);
+                for r in &self.known[k as usize].as_ref().expect("a known flow").1 {
+                    let m = &mut self.members[r.0 as usize];
+                    let at = m.iter().position(|&t| t == k).expect("a member");
+                    m.swap_remove(at);
+                }
+            }
+            for f in flows {
+                if !before.contains(&f.0) {
+                    for r in &f.1 {
+                        self.members[r.0 as usize].push(f.0);
+                    }
+                }
+                self.known[f.0 as usize] = Some(f.clone());
             }
             self.keys = flows.iter().map(|f| f.0).collect();
-            let mut members = vec![Vec::new(); self.caps.len()];
-            for f in flows {
-                self.known[f.0 as usize] = Some(f.clone());
-                for r in &f.1 {
-                    members[r.0 as usize].push(f.0);
-                }
-            }
             let known = &self.known;
             let of = |t: u32| known[t as usize].as_ref().expect("a known flow");
             self.cascade.solve(
                 flows.len(),
                 |i| flows[i].0,
                 Self::TRANSFERS,
-                &members,
+                &self.members,
                 |t| of(t).1.as_slice(),
                 |t| of(t).2,
                 &self.caps,
-                (0.0, 1.0),
+                self.contention,
             );
             let rates: Vec<f64> = flows.iter().map(|f| self.cascade.rate(f.0)).collect();
             let bindings: Vec<u32> = flows.iter().map(|f| self.cascade.binding(f.0)).collect();
-            let mut cold = Waterfill::new(self.caps.len());
-            let mut cold_rates = Vec::new();
-            let n = flows.len();
-            cold.solve(
-                n,
-                |i| flows[i].1.as_slice(),
-                |i| flows[i].2,
-                &self.caps,
-                (0.0, 1.0),
-                &mut cold_rates,
-            );
+            let demands: Vec<FlowDemand> = flows
+                .iter()
+                .map(|f| FlowDemand {
+                    route: &f.1,
+                    cap: f.2,
+                })
+                .collect();
+            let (penalty, floor) = self.contention;
+            let (want, want_bindings, want_passes) =
+                reference::solve(&demands, &self.caps, penalty, floor);
             let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&rates),
-                bits(&cold_rates),
-                "{rates:?} vs {cold_rates:?}"
-            );
-            assert_eq!(bindings, cold.bindings());
-            assert_eq!(self.cascade.last_work().0, cold.last_passes());
+            assert_eq!(bits(&rates), bits(&want), "{rates:?} vs {want:?}");
+            assert_eq!(bindings, want_bindings);
+            assert_eq!(self.cascade.last_work().0, want_passes);
             (rates, self.cascade.last_work().1)
         }
 
@@ -1396,6 +1106,67 @@ mod tests {
             rl.solve(&[e, a, f, g, z]),
             (vec![0.7, 0.2, 0.1, 0.1, 0.1], 2)
         );
+    }
+
+    #[test]
+    fn warm_solves_match_the_reference_under_churn() {
+        // Seeded churn the way the engine's active list moves, one event
+        // per solve: a join appends (a departed flow may rejoin, as a
+        // stalled one does), a departure `swap_remove`s, now and then two
+        // flows trade places, and a capacity change drops the state.
+        // Capacities and caps come from a few values whose sums round
+        // differently in different orders, so a debit out of order shows
+        // in the last bit; every solve must match the reference.
+        const VALUES: [f64; 5] = [1.0, 0.2, 0.1, 0.7, 3.0];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rnd = move |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        let mut warm = 0;
+        for contention in [(0.0, 1.0), (0.5, 0.5), (0.25, 0.8)] {
+            for _ in 0..40 {
+                let nres = 6 + rnd(14);
+                let caps: Vec<f64> = (0..nres).map(|_| VALUES[rnd(5)]).collect();
+                let flows: Vec<Keyed> = (0..Relevel::TRANSFERS as u32)
+                    .map(|t| {
+                        let route: Vec<u32> = (0..1 + rnd(5)).map(|_| rnd(nres) as u32).collect();
+                        flow(t, &route, [0.1, 0.3, 100.0][rnd(3)])
+                    })
+                    .collect();
+                let mut rl = Relevel::new(&caps);
+                rl.contention = contention;
+                let mut active: Vec<u32> = Vec::new();
+                for _ in 0..96 {
+                    match rnd(8) {
+                        0..=1 if !active.is_empty() => {
+                            active.swap_remove(rnd(active.len()));
+                        }
+                        0..=5 => {
+                            let t = rnd(Relevel::TRANSFERS) as u32;
+                            if !active.contains(&t) {
+                                active.push(t);
+                            }
+                        }
+                        6 if active.len() > 1 => {
+                            let (i, j) = (rnd(active.len()), rnd(active.len()));
+                            active.swap(i, j);
+                        }
+                        _ => {
+                            rl.caps[rnd(nres)] = VALUES[rnd(5)];
+                            rl.cascade.invalidate();
+                        }
+                    }
+                    warm += rl.cascade.is_warm() as u32;
+                    let now: Vec<Keyed> =
+                        active.iter().map(|&t| flows[t as usize].clone()).collect();
+                    rl.solve(&now);
+                }
+            }
+        }
+        assert!(warm > 9000, "only {warm} warm solves");
     }
 
     #[test]

@@ -50,10 +50,12 @@
 //!
 //! **What drops state.** [`Cascade::invalidate`] (a capacity change)
 //! drops everything, so the next solve is cold: every flow is joined and
-//! every link is in Δ. [`Cascade::drop_record`] drops one flow's record
-//! (a departure); the next solve treats its route as changed. Nothing
-//! else does: the leveler runs every re-level of a component through
-//! one `Cascade`.
+//! every link is in Δ. That cold solve is the only other one there is:
+//! `SolverMode::Full` and the one-shot `Waterfill` invalidate before
+//! every solve. [`Cascade::drop_record`] drops one flow's record (a
+//! departure); the next solve treats its route as changed. Nothing else
+//! does: the leveler runs every re-level of a component through one
+//! `Cascade`.
 
 use super::{Entry, SlotHeap, CAP_BINDING, NONE};
 use crate::graph::ResourceId;
@@ -239,10 +241,10 @@ impl Cascade {
     }
 
     /// Max-min fair rates of the demand set `tid_at(0..n)` (the engine's
-    /// active list), bit-identical to [`super::Waterfill::solve`] over the
-    /// same demands in the same order. `members[r]` lists the flows
-    /// crossing link `r`, once per crossing. Afterwards [`fresh`]
-    /// names the flows whose record this solve rewrote.
+    /// active list), bit-identical to a cold solve of the same demands in
+    /// the same order. `members[r]` lists the flows crossing link `r`,
+    /// once per crossing. Afterwards [`fresh`] names the flows whose
+    /// record this solve rewrote.
     ///
     /// [`fresh`]: Self::fresh
     #[allow(clippy::too_many_arguments)]
@@ -418,8 +420,7 @@ impl Cascade {
                 }
             };
             self.next_log.push(p);
-            // The batched update of the cold solve (see the module docs
-            // of `waterfill`).
+            // The batched update (see the module docs of `waterfill`).
             for &c in &self.changed {
                 let c = c as usize;
                 if self.count[c] == 0 {
@@ -660,8 +661,8 @@ impl Cascade {
         }
     }
 
-    /// Debug builds check every cascade solve against its max-min
-    /// certificate, like every cold solve.
+    /// Debug builds check every solve, warm or cold, against its
+    /// max-min certificate.
     #[cfg(debug_assertions)]
     fn certify<'r>(
         &mut self,

@@ -3,9 +3,10 @@
 //! flow takes a contiguous segment of the line and one of two sizes,
 //! under no fault or one link degraded or failed and later restored.
 //! The default solver (warm cascade re-levels after one cold solve)
-//! must reproduce [`SolverMode::Full`], the cold oracle, bit for bit:
-//! report and bottleneck profile. Debug builds also check every solve
-//! of both against its max-min certificate.
+//! must reproduce [`SolverMode::Full`] (the same cascade, cold at every
+//! re-level) bit for bit: report and bottleneck profile. Debug builds
+//! also check every solve of both against its max-min certificate,
+//! which does not share the solver's code.
 
 use bgq_netsim::*;
 

@@ -1,12 +1,15 @@
 //! Cascade re-levels are invisible in results. Every re-level of the
 //! default leveler re-solves only the links a changed flow reaches,
 //! against the previous solve's pass log (see DESIGN §16);
-//! [`SolverMode::Full`] always solves cold and is the oracle. Both must
-//! produce the same report and bottleneck profile, bit for bit, on
-//! graphs built to reach every divergence rule: tied capacities and
-//! per-flow caps, repeated hops, contention penalties, link and node
-//! faults, flows that join and leave at the same instant, and long
-//! join/leave churn whose completions reorder the demand list.
+//! [`SolverMode::Full`] drops that log before every re-level, so it
+//! always solves cold and is the oracle. Both must produce the same
+//! report and bottleneck profile, bit for bit, on graphs built to reach
+//! every divergence rule: tied capacities and per-flow caps, repeated
+//! hops, contention penalties, link and node faults, flows that join
+//! and leave at the same instant, and long join/leave churn whose
+//! completions reorder the demand list. Warm and cold share the
+//! cascade's pop and freeze code; the churn test in `src/waterfill.rs`
+//! checks warm solves against the independent lazy-deletion reference.
 
 use bgq_netsim::*;
 use proptest::prelude::*;

@@ -1,139 +1,23 @@
-//! The flat-array waterfill against the solver it replaced.
+//! The engine's solver, solving cold, against the solver it replaced.
 //!
-//! `reference` below is the lazy-deletion progressive filling the engine
-//! ran before the indexed-heap rewrite, kept as a test-only oracle: a
-//! binary heap receives a fresh `(share, version, resource)` entry after
-//! every flow–resource debit, and entries whose version moved on are
-//! skipped when popped. [`Waterfill`] must reproduce its rates bit for
-//! bit and its bindings exactly on every demand set — including
-//! tie-heavy ones, where the pop order decides the last ULP — and every
-//! allocation must pass the independent max-min certificate
-//! ([`certify`]).
+//! `reference` (`tests/common/reference.rs`) is the lazy-deletion
+//! progressive filling the engine ran before the indexed-heap rewrite,
+//! kept as a test-only oracle: a binary heap receives a fresh `(share,
+//! version, resource)` entry after every flow–resource debit, and
+//! entries whose version moved on are skipped when popped.
+//! [`Waterfill`], one cold cascade solve per call, must reproduce its
+//! rates bit for bit and its bindings exactly on every demand set —
+//! including tie-heavy ones, where the pop order decides the last ULP —
+//! and every allocation must pass the independent max-min certificate
+//! ([`certify`]). The cascade's warm solves meet the same oracle in the
+//! churn test of `src/waterfill.rs`.
 
+use bgq_netsim::waterfill::CAP_BINDING;
 use bgq_netsim::{certify, FlowDemand, ResourceId, Waterfill};
 use proptest::prelude::*;
 
-mod reference {
-    use bgq_netsim::waterfill::CAP_BINDING;
-    use bgq_netsim::FlowDemand;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Share(f64);
-
-    impl Eq for Share {}
-
-    impl PartialOrd for Share {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl Ord for Share {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0)
-        }
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    struct HeapEntry {
-        share: Share,
-        version: u32,
-        resource: u32,
-    }
-
-    /// Rates and bindings of the lazy-deletion solver. Resources
-    /// `0..nr` are real; `nr + fi` is flow `fi`'s private cap resource.
-    pub fn solve(
-        flows: &[FlowDemand<'_>],
-        capacities: &[f64],
-        penalty: f64,
-        floor: f64,
-    ) -> (Vec<f64>, Vec<u32>) {
-        let nr = capacities.len();
-        let total = nr + flows.len();
-        let mut remaining = vec![0.0f64; total];
-        let mut count = vec![0u32; total];
-        let mut version = vec![0u32; total];
-        let mut flows_on: Vec<Vec<u32>> = vec![Vec::new(); total];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut rates = vec![0.0; flows.len()];
-        let mut binding = vec![CAP_BINDING; flows.len()];
-        for (fi, f) in flows.iter().enumerate() {
-            for r in f.route {
-                let ri = r.0 as usize;
-                if count[ri] == 0 {
-                    remaining[ri] = capacities[ri];
-                    touched.push(ri as u32);
-                }
-                count[ri] += 1;
-                flows_on[ri].push(fi as u32);
-            }
-            let pi = nr + fi;
-            remaining[pi] = f.cap;
-            count[pi] = 1;
-            flows_on[pi].push(fi as u32);
-            touched.push(pi as u32);
-        }
-        if penalty > 0.0 && floor < 1.0 {
-            for &ri in &touched {
-                let ri = ri as usize;
-                if ri < nr && count[ri] > 1 {
-                    let eff = (1.0 / (1.0 + penalty * (count[ri] - 1) as f64)).max(floor);
-                    remaining[ri] *= eff;
-                }
-            }
-        }
-        let mut fixed = vec![false; flows.len()];
-        let mut unfixed = flows.len();
-        let mut heap = BinaryHeap::new();
-        for &ri in &touched {
-            let r = ri as usize;
-            heap.push(Reverse(HeapEntry {
-                share: Share(remaining[r].max(0.0) / count[r] as f64),
-                version: version[r],
-                resource: ri,
-            }));
-        }
-        while unfixed > 0 {
-            let Reverse(entry) = heap.pop().expect("a constrained resource remains");
-            let ri = entry.resource as usize;
-            if count[ri] == 0 || entry.version != version[ri] {
-                continue;
-            }
-            let s = remaining[ri].max(0.0) / count[ri] as f64;
-            for &fi in &flows_on[ri] {
-                let fi = fi as usize;
-                if fixed[fi] {
-                    continue;
-                }
-                fixed[fi] = true;
-                unfixed -= 1;
-                rates[fi] = s;
-                binding[fi] = if ri < nr { ri as u32 } else { CAP_BINDING };
-                let resources = flows[fi]
-                    .route
-                    .iter()
-                    .map(|r| r.0 as usize)
-                    .chain(std::iter::once(nr + fi));
-                for rr in resources {
-                    remaining[rr] -= s;
-                    count[rr] -= 1;
-                    version[rr] = version[rr].wrapping_add(1);
-                    if count[rr] > 0 {
-                        heap.push(Reverse(HeapEntry {
-                            share: Share(remaining[rr].max(0.0) / count[rr] as f64),
-                            version: version[rr],
-                            resource: rr as u32,
-                        }));
-                    }
-                }
-            }
-        }
-        (rates, binding)
-    }
-}
+#[path = "common/reference.rs"]
+mod reference;
 
 /// One demand set: capacities, `(route, cap)` flows, and the contention
 /// `(penalty, floor)`.
@@ -188,7 +72,7 @@ fn check_against_oracle(wf: &mut Waterfill, case: &Case) -> Result<(), TestCaseE
         .collect();
     let mut rates = Vec::new();
     wf.compute_with_penalty(&demands, caps, *penalty, *floor, &mut rates);
-    let (want_rates, want_bindings) = reference::solve(&demands, caps, *penalty, *floor);
+    let (want_rates, want_bindings, _) = reference::solve(&demands, caps, *penalty, *floor);
     for (i, (got, want)) in rates.iter().zip(&want_rates).enumerate() {
         prop_assert_eq!(
             got.to_bits(),

@@ -105,10 +105,6 @@ exchange-scaling MAX="4096":
 reproduce: && (_unchanged "results/*.txt" "results/*.csv")
     cargo run --release -p bgq-bench --bin reproduce -- --max-cores 65536 --threads 4 --timing
 
-# Machinery + ablation benches.
-bench:
-    cargo bench
-
 # Coverage via cargo-llvm-cov when installed; otherwise fall back to a
 # plain verbose test run (this container has no coverage tooling baked in).
 cover:
