@@ -40,10 +40,7 @@ pub enum ArgError {
     /// A flag that needs a value was last on the line.
     MissingValue(&'static str),
     /// A flag value that did not parse.
-    BadValue {
-        flag: &'static str,
-        value: String,
-    },
+    BadValue { flag: &'static str, value: String },
 }
 
 impl std::fmt::Display for ArgError {
@@ -153,7 +150,8 @@ impl BenchArgs {
                 }
                 "--observe" => out.observe = true,
                 "--metrics-out" => {
-                    out.metrics_out = Some(it.next().ok_or(ArgError::MissingValue("--metrics-out"))?);
+                    out.metrics_out =
+                        Some(it.next().ok_or(ArgError::MissingValue("--metrics-out"))?);
                 }
                 "--trace-out" => {
                     out.trace_out = Some(it.next().ok_or(ArgError::MissingValue("--trace-out"))?);
@@ -265,11 +263,19 @@ mod tests {
     #[test]
     fn only_artifacts_rejects_the_files_a_binary_cannot_write() {
         let a = parse(&["--profile-out", "p.json", "--manifest-out", "m.json"]).unwrap();
-        assert_eq!(a.only_artifacts(&["--profile-out", "--manifest-out"]), Ok(()));
-        let err = a.only_artifacts(&["--profile-out", "--trace-out"]).unwrap_err();
+        assert_eq!(
+            a.only_artifacts(&["--profile-out", "--manifest-out"]),
+            Ok(())
+        );
+        let err = a
+            .only_artifacts(&["--profile-out", "--trace-out"])
+            .unwrap_err();
         assert!(err.starts_with("--manifest-out"), "{err}");
         assert!(parse(&["--observe"]).unwrap().only_artifacts(&[]).is_err());
-        assert_eq!(parse(&["--csv", "--timing"]).unwrap().only_artifacts(&[]), Ok(()));
+        assert_eq!(
+            parse(&["--csv", "--timing"]).unwrap().only_artifacts(&[]),
+            Ok(())
+        );
     }
 
     #[test]
@@ -331,7 +337,10 @@ mod tests {
         );
         assert!(matches!(
             parse(&["--max-cores", "lots"]),
-            Err(ArgError::BadValue { flag: "--max-cores", .. })
+            Err(ArgError::BadValue {
+                flag: "--max-cores",
+                ..
+            })
         ));
         // Errors render a usable message.
         let msg = parse(&["--bogus"]).unwrap_err().to_string();

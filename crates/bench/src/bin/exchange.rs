@@ -91,7 +91,9 @@ fn main() -> ExitCode {
     // all-direct baseline by ≥1.5× on the disjoint-heavy pattern.
     if let Some(big) = points
         .iter()
-        .filter(|p| matches!(p.pattern, ExchangePattern::DisjointHeavy { bytes: b } if b >= 32 << 20))
+        .filter(
+            |p| matches!(p.pattern, ExchangePattern::DisjointHeavy { bytes: b } if b >= 32 << 20),
+        )
         .max_by_key(|p| p.nodes)
     {
         assert!(
@@ -105,7 +107,8 @@ fn main() -> ExitCode {
             "disjoint-heavy at {} nodes: {:.2}x over direct ({} of {} pairs multipath)",
             big.nodes,
             big.speedup(),
-            big.result(ExchangeAlgorithm::ProxyMultipath).pairs_multipath,
+            big.result(ExchangeAlgorithm::ProxyMultipath)
+                .pairs_multipath,
             big.pairs
         );
     }
@@ -131,15 +134,22 @@ mod tests {
     #[test]
     fn flags_parse() {
         let cli = parse(&["--max-nodes", "512", "--threads", "2", "--out", "x.json"]).unwrap();
-        assert_eq!((cli.max_nodes, cli.threads, cli.out.as_str()), (512, 2, "x.json"));
+        assert_eq!(
+            (cli.max_nodes, cli.threads, cli.out.as_str()),
+            (512, 2, "x.json")
+        );
         assert_eq!(parse(&[]).unwrap().max_nodes, 4096);
     }
 
     #[test]
     fn bad_input_is_an_error_not_a_panic() {
         assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
-        assert!(parse(&["--max-nodes"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--max-nodes", "many"]).unwrap_err().contains("\"many\""));
+        assert!(parse(&["--max-nodes"])
+            .unwrap_err()
+            .contains("needs a value"));
+        assert!(parse(&["--max-nodes", "many"])
+            .unwrap_err()
+            .contains("\"many\""));
         assert!(parse(&["--max-nodes", "-1"]).is_err());
         assert!(parse(&["--max-nodes", "5000000000"]).is_err());
         assert!(parse(&["--threads", "two"]).is_err());

@@ -78,19 +78,28 @@ mod tests {
             assert!(err.contains("no standard partition"), "{err}");
             assert!(err.contains(USAGE), "{err}");
         }
-        assert!(parse(&["lots", "uniform"]).unwrap_err().contains("bad core count"));
+        assert!(parse(&["lots", "uniform"])
+            .unwrap_err()
+            .contains("bad core count"));
     }
 
     #[test]
     fn operands_must_be_exactly_two() {
         assert_eq!(parse(&["2048", "uniform", "extra"]), Err(USAGE.into()));
         assert_eq!(parse(&["2048"]), Err(USAGE.into()));
-        assert!(parse(&["2048", "zipf"]).unwrap_err().contains("unknown pattern"));
+        assert!(parse(&["2048", "zipf"])
+            .unwrap_err()
+            .contains("unknown pattern"));
     }
 
     #[test]
     fn artifact_flags_are_rejected() {
-        for flag in ["--metrics-out", "--trace-out", "--profile-out", "--manifest-out"] {
+        for flag in [
+            "--metrics-out",
+            "--trace-out",
+            "--profile-out",
+            "--manifest-out",
+        ] {
             let err = parse(&["2048", "uniform", flag, "x"]).unwrap_err();
             assert!(err.starts_with(flag), "{err}");
         }

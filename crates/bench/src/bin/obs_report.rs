@@ -91,7 +91,10 @@ fn check_metrics_csv(path: &str, contents: &str) -> Checked {
             continue;
         }
         let Some((kind, name, value)) = split_metrics_row(line) else {
-            problems.push(format!("line {}: not kind,name,value: {line:?}", lineno + 1));
+            problems.push(format!(
+                "line {}: not kind,name,value: {line:?}",
+                lineno + 1
+            ));
             continue;
         };
         keys.push((kind.to_string(), name.clone()));
@@ -157,7 +160,10 @@ fn check_profile_json(path: &str, contents: &str) -> Checked {
                 }
                 if undelivered > 0 {
                     println!("  *** WARNING: {undelivered} transfer(s) UNDELIVERED ***");
-                    problems.push(format!("{undelivered} undelivered transfer(s) in {}", run.name));
+                    problems.push(format!(
+                        "{undelivered} undelivered transfer(s) in {}",
+                        run.name
+                    ));
                 }
             }
         }
@@ -174,9 +180,8 @@ fn check_manifest_json(path: &str, contents: &str) -> Checked {
     match RunManifest::from_json(contents) {
         Ok(m) => {
             if m.to_json() != contents {
-                problems.push(
-                    "manifest does not re-serialize byte-exactly (hand-edited?)".to_string(),
-                );
+                problems
+                    .push("manifest does not re-serialize byte-exactly (hand-edited?)".to_string());
             }
             println!(
                 "{path}: manifest {} with {} scenario(s)",
@@ -333,7 +338,8 @@ fn check_artifact(path: &str, contents: &str) -> Result<Checked, String> {
     }
 }
 
-const USAGE: &str = "usage: obs_report [--check] FILE...  (.csv = metrics, .json = trace, profile or manifest)
+const USAGE: &str =
+    "usage: obs_report [--check] FILE...  (.csv = metrics, .json = trace, profile or manifest)
        obs_report [--check] --diff NEW BASELINE
        obs_report [--check] --cross MANIFEST PROFILE SCENARIO";
 
@@ -505,7 +511,10 @@ mod tests {
         // A write that died mid-stream: valid prefix, no closing brace.
         let e = check_artifact("p.json", "{\"bgq_profile\": 1, \"runs\": [{\"na")
             .expect_err("truncated JSON must not pass");
-        assert!(e.contains("p.json") && e.contains("truncated or invalid JSON"), "{e}");
+        assert!(
+            e.contains("p.json") && e.contains("truncated or invalid JSON"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -185,7 +185,10 @@ fn cmd_probe(flags: &Flags) -> Result<(), String> {
     println!("partition {shape}, {src} -> {dst}");
     println!("link-disjoint single-proxy paths : {}", r.disjoint_paths);
     println!("theoretical ceiling (2L)         : {}", r.upper_bound);
-    println!("mean detour                      : {:.1} hops", r.mean_detour_hops);
+    println!(
+        "mean detour                      : {:.1} hops",
+        r.mean_detour_hops
+    );
     println!(
         "potential speedup (k/2)          : {:.1}x",
         sdm_core::CostModel::asymptotic_speedup(r.disjoint_paths as u32)

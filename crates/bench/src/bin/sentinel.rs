@@ -172,9 +172,7 @@ fn main() -> ExitCode {
         Err(_) => None,
     };
 
-    let report = baseline
-        .as_ref()
-        .map(|b| sentinel::diff(&manifest, b));
+    let report = baseline.as_ref().map(|b| sentinel::diff(&manifest, b));
 
     if let Some(path) = &cli.history {
         match append_history(path, &history_line(&manifest, report.as_ref()), &hash) {
@@ -203,8 +201,7 @@ fn main() -> ExitCode {
 
     print!("{}", report.render());
     if let Some(path) = &cli.markdown_out {
-        write_artifact(path, &report.to_markdown())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        write_artifact(path, &report.to_markdown()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }
 

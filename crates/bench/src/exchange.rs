@@ -144,8 +144,8 @@ pub fn exchange_point(
     nodes: u32,
     pattern: ExchangePattern,
 ) -> ExchangePoint {
-    let shape = standard_shape(nodes)
-        .unwrap_or_else(|| panic!("no standard {nodes}-node partition"));
+    let shape =
+        standard_shape(nodes).unwrap_or_else(|| panic!("no standard {nodes}-node partition"));
     let machine = cache.machine(shape, sim);
     let map = pattern.build(nodes, EXCHANGE_SEED);
     let results = ExchangeAlgorithm::ALL
@@ -255,7 +255,12 @@ impl Experiment for ExchangeSweep {
     }
 
     fn run_point(&self, cache: &PlanCache, &(nodes, pattern): &Self::Point) -> Row {
-        exchange_row(&exchange_point(cache, &SimConfig::default(), nodes, pattern))
+        exchange_row(&exchange_point(
+            cache,
+            &SimConfig::default(),
+            nodes,
+            pattern,
+        ))
     }
 
     fn footer(&self, rows: &[Row]) -> Option<String> {

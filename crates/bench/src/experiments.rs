@@ -460,7 +460,14 @@ impl Experiment for ModelVsSim {
         let sim_direct = hd.completed_at(&pd.run());
 
         let mut pm = Program::new(&machine);
-        let hm = plan_via_proxies(&mut pm, src, dst, bytes, &proxies, &MultipathOptions::default());
+        let hm = plan_via_proxies(
+            &mut pm,
+            src,
+            dst,
+            bytes,
+            &proxies,
+            &MultipathOptions::default(),
+        );
         let sim_proxy = hm.completed_at(&pm.run());
 
         Row::text(vec![
@@ -522,9 +529,15 @@ impl Experiment for Utilization {
     }
 
     fn columns(&self) -> Vec<String> {
-        ["scenario", "active links %", "mean util %", "peak util %", "GB/s"]
-            .map(String::from)
-            .to_vec()
+        [
+            "scenario",
+            "active links %",
+            "mean util %",
+            "peak util %",
+            "GB/s",
+        ]
+        .map(String::from)
+        .to_vec()
     }
 
     fn points(&self) -> Vec<UtilScenario> {
@@ -564,8 +577,14 @@ impl Experiment for Utilization {
                     )
                     .proxies();
                 measure(&machine, |p| {
-                    let h =
-                        plan_via_proxies(p, src, dst, bytes, &proxies, &MultipathOptions::default());
+                    let h = plan_via_proxies(
+                        p,
+                        src,
+                        dst,
+                        bytes,
+                        &proxies,
+                        &MultipathOptions::default(),
+                    );
                     (h.bytes, h.tokens)
                 })
             }
@@ -676,7 +695,10 @@ impl Experiment for Diversity {
             r.disjoint_paths.to_string(),
             r.upper_bound.to_string(),
             format!("{:.1}", r.mean_detour_hops),
-            format!("{:.1}x", CostModel::asymptotic_speedup(r.disjoint_paths as u32)),
+            format!(
+                "{:.1}x",
+                CostModel::asymptotic_speedup(r.disjoint_paths as u32)
+            ),
         ])
     }
 
@@ -717,7 +739,8 @@ fn pair_times(
         )
         .proxies();
     let mut pm = Program::new(machine);
-    let t_multi = plan_via_proxies(&mut pm, src, dst, PAIR_BYTES, &px, opts).completed_at(&pm.run());
+    let t_multi =
+        plan_via_proxies(&mut pm, src, dst, PAIR_BYTES, &px, opts).completed_at(&pm.run());
     (t_direct, t_multi)
 }
 
@@ -790,7 +813,11 @@ impl Experiment for AblationForwarding {
         Self::strategies()
     }
 
-    fn run_point(&self, cache: &PlanCache, (label, opts): &(&'static str, MultipathOptions)) -> Row {
+    fn run_point(
+        &self,
+        cache: &PlanCache,
+        (label, opts): &(&'static str, MultipathOptions),
+    ) -> Row {
         let machine = fig5_machine(cache);
         let (d, m) = pair_times(cache, &machine, 4, opts);
         Row::new(
@@ -830,10 +857,7 @@ impl Experiment for AblationPolicy {
             AssignPolicy::BalancedGreedy => "balanced over all IONs (paper)",
             AssignPolicy::PsetLocal => "pset-local",
         };
-        Row::new(
-            vec![label.into(), format!("{:.3}", gbs / 1e9)],
-            vec![gbs],
-        )
+        Row::new(vec![label.into(), format!("{:.3}", gbs / 1e9)], vec![gbs])
     }
 }
 
@@ -1026,7 +1050,9 @@ mod tests {
     fn fig5_experiment_matches_sweep() {
         let sizes = vec![64 << 10, 128 << 20];
         let session = ExperimentSession::new(1);
-        let run = session.run(&Fig5 { sizes: sizes.clone() });
+        let run = session.run(&Fig5 {
+            sizes: sizes.clone(),
+        });
         let fresh = PlanCache::new();
         let sweep: Vec<_> = sizes.iter().map(|&b| fig5_point(&fresh, b)).collect();
         assert_eq!(run.rows.len(), 2);
@@ -1047,7 +1073,9 @@ mod tests {
 
     #[test]
     fn fig10_points_cover_both_patterns_in_order() {
-        let exp = Fig10 { scales: vec![2048, 4096] };
+        let exp = Fig10 {
+            scales: vec![2048, 4096],
+        };
         assert_eq!(
             exp.points(),
             vec![

@@ -58,8 +58,8 @@ pub fn sim_chunk_bytes(total: u64, nodes: u32) -> u64 {
 /// Run one aggregation experiment (both approaches) for per-rank sizes,
 /// reusing `cache`'s machine and aggregator table for the shape.
 pub fn run_io_point_with(cache: &PlanCache, cores: u32, rank_sizes: &[u64]) -> IoPoint {
-    let shape = shape_for_cores(cores)
-        .unwrap_or_else(|| panic!("no standard partition for {cores} cores"));
+    let shape =
+        shape_for_cores(cores).unwrap_or_else(|| panic!("no standard partition for {cores} cores"));
     let machine = cache.machine(shape, &SimConfig::default());
     let map = RankMap::default_map(shape, CORES_PER_NODE);
     let data: Vec<(NodeId, u64)> = coalesce_to_nodes(&map, rank_sizes);

@@ -101,20 +101,18 @@ pub fn fig6_point(cache: &PlanCache, bytes: u64) -> SweepPoint {
     // The A-opposed slab: same B/C/D/E footprint, A = 3.
     let dests: Vec<NodeId> = (3 * n / 4..3 * n / 4 + 256).map(NodeId).collect();
 
-    let plane0: (Vec<NodeId>, Vec<NodeId>) =
-        (sources[..128].to_vec(), dests[..128].to_vec());
-    let plane1: (Vec<NodeId>, Vec<NodeId>) =
-        (sources[128..].to_vec(), dests[128..].to_vec());
+    let plane0: (Vec<NodeId>, Vec<NodeId>) = (sources[..128].to_vec(), dests[..128].to_vec());
+    let plane1: (Vec<NodeId>, Vec<NodeId>) = (sources[128..].to_vec(), dests[128..].to_vec());
 
     let cfg = ProxySearchConfig::default();
     let planes: Vec<Plane> = [plane0, plane1]
-            .into_iter()
-            .map(|(s, d)| {
-                let groups = cache.proxy_groups(machine.shape(), Zone::Z2, &s, &d, &cfg);
-                assert!(groups.len() >= 3, "fig6 expects 3 proxy groups per plane");
-                (s, d, groups)
-            })
-            .collect();
+        .into_iter()
+        .map(|(s, d)| {
+            let groups = cache.proxy_groups(machine.shape(), Zone::Z2, &s, &d, &cfg);
+            assert!(groups.len() >= 3, "fig6 expects 3 proxy groups per plane");
+            (s, d, groups)
+        })
+        .collect();
 
     let npairs = sources.len() as f64;
     let mut pd = Program::new(&machine);
@@ -167,7 +165,12 @@ pub fn fig7_series_labels() -> Vec<(String, usize, bool)> {
 
 /// The Figure-7 proxy-group pool: the disjointness-checked search padded
 /// to 4 groups with forced `A±`/`B±` placements.
-fn fig7_pool(cache: &PlanCache, machine: &Machine, sources: &[NodeId], dests: &[NodeId]) -> Vec<ProxyGroup> {
+fn fig7_pool(
+    cache: &PlanCache,
+    machine: &Machine,
+    sources: &[NodeId],
+    dests: &[NodeId],
+) -> Vec<ProxyGroup> {
     let mut pool = cache
         .proxy_groups(
             machine.shape(),
@@ -299,7 +302,12 @@ mod tests {
     fn fig7_more_groups_help_then_hurt() {
         let (b, t) = fig7_point(&PlanCache::new(), 32 << 20);
         // 3 groups better than 2.
-        assert!(t[1] > t[0], "3 groups {:.3e} !> 2 groups {:.3e}", t[1], t[0]);
+        assert!(
+            t[1] > t[0],
+            "3 groups {:.3e} !> 2 groups {:.3e}",
+            t[1],
+            t[0]
+        );
         // 3+ groups beat the no-proxy baseline.
         assert!(t[1] > b);
         // Over-provisioning (4 + direct) is worse than the best setting.

@@ -155,19 +155,27 @@ pub fn resilience_point(cache: &PlanCache, bytes: u64, scenario: &Scenario) -> R
     }
     let metrics = cache.metrics().map(|m| m.as_ref());
 
-    let direct = run_resilient_observed(&machine, &plan, &policy, SRC, bytes, metrics, |prog, ctx| {
-        let stubborn = mover.clone().with_multipath(MultipathOptions {
-            gate: ctx.gate,
-            ..Default::default()
-        });
-        stubborn
-            .plan(
-                prog,
-                PlanRequest::new(SRC, DST, ctx.bytes).policy(PlanPolicy::DirectOnly),
-            )
-            .expect("direct-only planning without a health mask is infallible")
-            .handle
-    });
+    let direct = run_resilient_observed(
+        &machine,
+        &plan,
+        &policy,
+        SRC,
+        bytes,
+        metrics,
+        |prog, ctx| {
+            let stubborn = mover.clone().with_multipath(MultipathOptions {
+                gate: ctx.gate,
+                ..Default::default()
+            });
+            stubborn
+                .plan(
+                    prog,
+                    PlanRequest::new(SRC, DST, ctx.bytes).policy(PlanPolicy::DirectOnly),
+                )
+                .expect("direct-only planning without a health mask is infallible")
+                .handle
+        },
+    );
 
     let plan_resilient = |plan: &FaultPlan| {
         run_resilient_observed(&machine, plan, &policy, SRC, bytes, metrics, |prog, ctx| {
@@ -257,7 +265,11 @@ impl Experiment for Resilience {
     fn points(&self) -> Vec<(u64, Scenario)> {
         self.sizes
             .iter()
-            .flat_map(|&b| default_scenarios(self.seed).into_iter().map(move |s| (b, s)))
+            .flat_map(|&b| {
+                default_scenarios(self.seed)
+                    .into_iter()
+                    .map(move |s| (b, s))
+            })
             .collect()
     }
 

@@ -520,20 +520,16 @@ impl ExperimentSession {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "-- timing: {name} --");
-        let mut by_time: Vec<(usize, Duration)> = run
-            .point_times
-            .iter()
-            .copied()
-            .enumerate()
-            .collect();
+        let mut by_time: Vec<(usize, Duration)> =
+            run.point_times.iter().copied().enumerate().collect();
         by_time.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for &(i, dt) in by_time.iter().take(5) {
-            let label = run.rows[i]
-                .cells
-                .first()
-                .map(|s| s.as_str())
-                .unwrap_or("?");
-            let _ = writeln!(out, "  point {label:>10}  {:>8.1} ms", dt.as_secs_f64() * 1e3);
+            let label = run.rows[i].cells.first().map(|s| s.as_str()).unwrap_or("?");
+            let _ = writeln!(
+                out,
+                "  point {label:>10}  {:>8.1} ms",
+                dt.as_secs_f64() * 1e3
+            );
         }
         let busy: Duration = run.point_times.iter().sum();
         let _ = writeln!(
@@ -640,9 +636,23 @@ mod tests {
             &HashSet::new(),
             &cfg,
         );
-        let cached = cache.proxies(&shape, Zone::Z2, NodeId(0), NodeId(127), &HashSet::new(), &cfg);
+        let cached = cache.proxies(
+            &shape,
+            Zone::Z2,
+            NodeId(0),
+            NodeId(127),
+            &HashSet::new(),
+            &cfg,
+        );
         assert_eq!(cached.proxies(), fresh.proxies());
-        let again = cache.proxies(&shape, Zone::Z2, NodeId(0), NodeId(127), &HashSet::new(), &cfg);
+        let again = cache.proxies(
+            &shape,
+            Zone::Z2,
+            NodeId(0),
+            NodeId(127),
+            &HashSet::new(),
+            &cfg,
+        );
         assert!(Arc::ptr_eq(&cached, &again));
     }
 
@@ -659,7 +669,10 @@ mod tests {
             (0..37).collect()
         }
         fn run_point(&self, _cache: &PlanCache, p: &usize) -> Row {
-            Row::new(vec![p.to_string(), (2 * p).to_string()], vec![2.0 * *p as f64])
+            Row::new(
+                vec![p.to_string(), (2 * p).to_string()],
+                vec![2.0 * *p as f64],
+            )
         }
     }
 

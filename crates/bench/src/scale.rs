@@ -133,8 +133,8 @@ fn observed_run(prog: &Program<'_>, solver: SolverMode) -> (SolverSide, u32, Sim
 /// Panics if the two solver modes disagree on any delivery time —
 /// bit-identity is the engine's contract.
 pub fn scale_point(nodes: u32, sim: &SimConfig) -> ScalePoint {
-    let shape = standard_shape(nodes)
-        .unwrap_or_else(|| panic!("no standard {nodes}-node partition"));
+    let shape =
+        standard_shape(nodes).unwrap_or_else(|| panic!("no standard {nodes}-node partition"));
     let machine = Machine::new(shape, sim.clone());
     let mut prog = Program::new(&machine);
     let transfers = build_pattern(&mut prog, machine.shape(), nodes);
@@ -233,8 +233,8 @@ mod tests {
 
         // The artifact is simulated quantities only, so the 512-node
         // row reproduces the committed file's first row byte for byte.
-        let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../results/BENCH_scale.json");
+        let committed =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_scale.json");
         let committed = std::fs::read_to_string(&committed)
             .unwrap_or_else(|e| panic!("reading {}: {e}", committed.display()));
         let row = json.strip_suffix("]}").expect("closes the points array");

@@ -29,7 +29,13 @@ fn registry_files_are_exactly_the_committed_figure_files() {
 #[test]
 fn cheap_figures_reproduce_their_committed_files() {
     let args = BenchArgs::default();
-    for name in ["fig5", "fig8_9", "thresholds", "diversity", "ablation_report"] {
+    for name in [
+        "fig5",
+        "fig8_9",
+        "thresholds",
+        "diversity",
+        "ablation_report",
+    ] {
         let fig = figure(name).unwrap();
         let (text, _) = produce(fig, &args, fig.format()).unwrap();
         let committed = std::fs::read_to_string(results_dir().join(fig.file)).unwrap();

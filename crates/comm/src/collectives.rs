@@ -66,8 +66,7 @@ impl<'m> CollectiveModel<'m> {
     /// participants to a root (binomial tree, payload grows toward root;
     /// we charge the worst-level payload at every level for simplicity).
     pub fn gather_control(&self, n: u32) -> f64 {
-        let beta = (n as u64 * CONTROL_MSG_BYTES) as f64
-            / self.machine.config().link_bandwidth;
+        let beta = (n as u64 * CONTROL_MSG_BYTES) as f64 / self.machine.config().link_bandwidth;
         Self::rounds(n) * self.alpha() + beta
     }
 }
@@ -280,7 +279,9 @@ mod tests {
             .map(|e| rep.delivered_at(*e))
             .fold(0.0, f64::max);
         let modeled = cm.barrier(16);
-        assert!(scheduled > modeled * 0.1 && scheduled < modeled * 20.0,
-            "scheduled {scheduled} vs modeled {modeled}");
+        assert!(
+            scheduled > modeled * 0.1 && scheduled < modeled * 20.0,
+            "scheduled {scheduled} vs modeled {modeled}"
+        );
     }
 }

@@ -73,11 +73,7 @@ impl SparseSendMap {
     /// Build a map from raw rank triples, as the `bgq-workloads` pattern
     /// generators produce them.
     pub fn from_rank_pairs(pairs: &[(u32, u32, u64)]) -> SparseSendMap {
-        Self::from_pairs(
-            pairs
-                .iter()
-                .map(|&(s, d, b)| (NodeId(s), NodeId(d), b)),
-        )
+        Self::from_pairs(pairs.iter().map(|&(s, d, b)| (NodeId(s), NodeId(d), b)))
     }
 
     /// The messages, sorted by `(src, dst)`.
@@ -101,11 +97,7 @@ impl SparseSendMap {
 
     /// Every node that sends or receives, sorted and deduplicated.
     pub fn participants(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .pairs
-            .iter()
-            .flat_map(|&(s, d, _)| [s, d])
-            .collect();
+        let mut nodes: Vec<NodeId> = self.pairs.iter().flat_map(|&(s, d, _)| [s, d]).collect();
         nodes.sort_unstable_by_key(|n| n.0);
         nodes.dedup();
         nodes

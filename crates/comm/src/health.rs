@@ -58,9 +58,9 @@ impl HealthMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgq_netsim::ResourceId;
     use bgq_netsim::SimConfig;
     use bgq_torus::{num_links, standard_shape};
-    use bgq_netsim::ResourceId;
 
     fn machine() -> Machine {
         Machine::new(standard_shape(128).unwrap(), SimConfig::default())

@@ -21,8 +21,7 @@ pub mod scheduled;
 pub mod subcomm;
 
 pub use collectives::{
-    binomial_bcast, binomial_reduce, dissemination_barrier, CollectiveModel,
-    CONTROL_MSG_BYTES,
+    binomial_bcast, binomial_reduce, dissemination_barrier, CollectiveModel, CONTROL_MSG_BYTES,
 };
 pub use exchange::{consensus_discovery, Discovery, SparseSendMap};
 pub use health::HealthMask;

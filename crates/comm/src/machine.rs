@@ -134,7 +134,8 @@ impl Machine {
     /// non-positive; use [`Machine::try_with_filesystem`] to handle that as
     /// a [`MachineError`] instead.
     pub fn with_filesystem(self, fs: FsParams) -> Machine {
-        self.try_with_filesystem(fs).unwrap_or_else(|e| panic!("{e}"))
+        self.try_with_filesystem(fs)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`Machine::with_filesystem`].
@@ -278,8 +279,7 @@ impl Machine {
     /// directions), plus (with a filesystem) one IB link per ION and the
     /// shared file-server ingest.
     pub fn num_resources(&self) -> u32 {
-        let base =
-            num_links(&self.shape) + 2 * self.io.as_ref().map_or(0, |io| io.num_io_links());
+        let base = num_links(&self.shape) + 2 * self.io.as_ref().map_or(0, |io| io.num_io_links());
         match (&self.fs, &self.io) {
             (Some(_), Some(io)) => base + io.num_ions() + 1,
             _ => base,
@@ -475,7 +475,10 @@ mod tests {
         ));
 
         let small = Machine::new(Shape::new(2, 2, 2, 2, 2), SimConfig::default());
-        assert!(matches!(small.try_io_layout(), Err(MachineError::NoIoLayout)));
+        assert!(matches!(
+            small.try_io_layout(),
+            Err(MachineError::NoIoLayout)
+        ));
         assert!(matches!(
             small.try_with_filesystem(FsParams::default()),
             Err(MachineError::NoIoLayout)

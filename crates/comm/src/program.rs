@@ -100,13 +100,7 @@ impl<'m> Program<'m> {
     }
 
     /// Put tagged for later correlation in reports.
-    pub fn put_tagged(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        tag: u64,
-    ) -> TransferId {
+    pub fn put_tagged(&mut self, src: NodeId, dst: NodeId, bytes: u64, tag: u64) -> TransferId {
         let route = self.machine.route_resources(src, dst);
         self.graph
             .add(TransferSpec::new(src.0, dst.0, bytes, route).with_tag(tag))
@@ -148,12 +142,7 @@ impl<'m> Program<'m> {
     /// eleventh link, store-and-forward at the bridge.
     ///
     /// Returns the ION-side delivery token.
-    pub fn write_default(
-        &mut self,
-        node: NodeId,
-        bytes: u64,
-        deps: Vec<TransferId>,
-    ) -> TransferId {
+    pub fn write_default(&mut self, node: NodeId, bytes: u64, deps: Vec<TransferId>) -> TransferId {
         let io = self.machine.io_layout();
         let bridge = io.default_bridge(node);
         let fwd = self.machine.config().forward_overhead;
@@ -217,12 +206,7 @@ impl<'m> Program<'m> {
     /// after `deps` complete. Used to model collective operations whose
     /// full message schedule is not worth simulating (cost from
     /// [`crate::collectives::CollectiveModel`]).
-    pub fn modeled_sync(
-        &mut self,
-        node: NodeId,
-        cost: f64,
-        deps: Vec<TransferId>,
-    ) -> TransferId {
+    pub fn modeled_sync(&mut self, node: NodeId, cost: f64, deps: Vec<TransferId>) -> TransferId {
         self.graph.add(
             TransferSpec::new(node.0, node.0, 0, Vec::new())
                 .after(deps)
@@ -437,8 +421,8 @@ where
         }
         // Exponential backoff from when this attempt stopped making
         // progress, charged to the simulation clock.
-        not_before = report.end_time
-            + policy.base_backoff * policy.backoff_factor.powi(attempt as i32 - 1);
+        not_before =
+            report.end_time + policy.base_backoff * policy.backoff_factor.powi(attempt as i32 - 1);
     }
 }
 
@@ -566,7 +550,10 @@ mod tests {
                 assert!(ctx.gate.is_none(), "first attempt is ungated");
                 let deps = ctx.gate.into_iter().collect();
                 let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
-                TransferHandle { tokens: vec![t], bytes: ctx.bytes }
+                TransferHandle {
+                    tokens: vec![t],
+                    bytes: ctx.bytes,
+                }
             },
         );
         assert!(out.delivered);
@@ -582,12 +569,18 @@ mod tests {
         let t0 = direct_time(&m, src, dst);
         let first_link = m.route_resources(src, dst)[0];
         let plan = FaultPlan::new().fail_link(0.5 * t0, first_link);
-        let policy = RetryPolicy { max_attempts: 3, ..Default::default() };
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..Default::default()
+        };
         let out = run_resilient(&m, &plan, &policy, src, RETRY_BYTES, |p, ctx| {
             // A planner that refuses to learn: always the direct route.
             let deps = ctx.gate.into_iter().collect();
             let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
-            TransferHandle { tokens: vec![t], bytes: ctx.bytes }
+            TransferHandle {
+                tokens: vec![t],
+                bytes: ctx.bytes,
+            }
         });
         assert!(!out.delivered);
         assert_eq!(out.attempts, 3);
@@ -613,7 +606,10 @@ mod tests {
                 if ctx.health.is_healthy() {
                     // Nothing failed yet as far as the planner knows.
                     let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
-                    return TransferHandle { tokens: vec![t], bytes: ctx.bytes };
+                    return TransferHandle {
+                        tokens: vec![t],
+                        bytes: ctx.bytes,
+                    };
                 }
                 // Detour through a node whose two-leg path avoids every
                 // dead link.
@@ -637,7 +633,10 @@ mod tests {
                     .expect("a detour must exist");
                 let leg1 = p.put_after(src, via, ctx.bytes, deps, 0.0);
                 let leg2 = p.put_after(via, dst, ctx.bytes, vec![leg1], 0.0);
-                TransferHandle { tokens: vec![leg2], bytes: ctx.bytes }
+                TransferHandle {
+                    tokens: vec![leg2],
+                    bytes: ctx.bytes,
+                }
             },
         );
         assert!(out.delivered, "re-plan must route around the dead link");
@@ -653,13 +652,27 @@ mod tests {
         let t0 = direct_time(&m, src, dst);
         let first_link = m.route_resources(src, dst)[0];
         let plan = FaultPlan::new().fail_link(0.5 * t0, first_link);
-        let policy = RetryPolicy { max_attempts: 2, ..Default::default() };
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..Default::default()
+        };
         let reg = MetricsRegistry::new();
-        let out = run_resilient_observed(&m, &plan, &policy, src, RETRY_BYTES, Some(&reg), |p, ctx| {
-            let deps = ctx.gate.into_iter().collect();
-            let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
-            TransferHandle { tokens: vec![t], bytes: ctx.bytes }
-        });
+        let out = run_resilient_observed(
+            &m,
+            &plan,
+            &policy,
+            src,
+            RETRY_BYTES,
+            Some(&reg),
+            |p, ctx| {
+                let deps = ctx.gate.into_iter().collect();
+                let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
+                TransferHandle {
+                    tokens: vec![t],
+                    bytes: ctx.bytes,
+                }
+            },
+        );
         assert!(!out.delivered, "fixed route cannot dodge a permanent fault");
         let snap = reg.snapshot();
         assert_eq!(snap.counter("comm.resilient.attempts"), Some(2));
@@ -706,10 +719,16 @@ mod tests {
             |p, ctx| {
                 let deps = ctx.gate.into_iter().collect();
                 let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
-                TransferHandle { tokens: vec![t], bytes: ctx.bytes }
+                TransferHandle {
+                    tokens: vec![t],
+                    bytes: ctx.bytes,
+                }
             },
         );
-        assert!(out.delivered, "the engine itself rides out transient faults");
+        assert!(
+            out.delivered,
+            "the engine itself rides out transient faults"
+        );
         assert_eq!(out.attempts, 1, "no retry needed");
         assert!(out.completion_time > t0, "but the outage cost time");
     }

@@ -54,11 +54,7 @@ pub fn ring_allgather(
 /// to every other node, one peer per round (`n-1` rounds, peer of node `i`
 /// in round `r` is `i XOR r` for power-of-two `n`, else a shifted ring).
 /// Returns per-node completion tokens.
-pub fn pairwise_alltoall(
-    prog: &mut Program<'_>,
-    nodes: &[NodeId],
-    bytes: u64,
-) -> Vec<TransferId> {
+pub fn pairwise_alltoall(prog: &mut Program<'_>, nodes: &[NodeId], bytes: u64) -> Vec<TransferId> {
     let n = nodes.len();
     assert!(n > 0, "alltoall needs at least one node");
     if n == 1 {
@@ -118,8 +114,7 @@ pub fn binomial_scatter(
                 // Subtree payload: blocks for ranks j..min(j+stride, n).
                 let blocks = (n - j).min(stride) as u64;
                 let dep = have[i].unwrap();
-                have[j] =
-                    Some(prog.put_after(nodes[i], nodes[j], bytes * blocks, vec![dep], 0.0));
+                have[j] = Some(prog.put_after(nodes[i], nodes[j], bytes * blocks, vec![dep], 0.0));
             }
         }
         stride /= 2;

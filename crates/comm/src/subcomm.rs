@@ -45,10 +45,7 @@ impl SubComm {
             }
         }
         buckets.sort_by_key(|(c, _)| *c);
-        buckets
-            .into_iter()
-            .map(|(_, v)| SubComm::new(v))
-            .collect()
+        buckets.into_iter().map(|(_, v)| SubComm::new(v)).collect()
     }
 
     /// Number of members.

@@ -25,7 +25,11 @@ fn machine(nodes: u32) -> Machine {
 
 /// Lower `map` under `alg` on a fresh machine, simulate, and return the
 /// per-pair delivered payload (all-or-nothing per pair).
-fn delivered(nodes: u32, map: &SparseSendMap, alg: ExchangeAlgorithm) -> Vec<(NodeId, NodeId, u64)> {
+fn delivered(
+    nodes: u32,
+    map: &SparseSendMap,
+    alg: ExchangeAlgorithm,
+) -> Vec<(NodeId, NodeId, u64)> {
     let m = machine(nodes);
     let ex = NeighborhoodExchange::new(&m);
     let mut prog = Program::new(&m);
@@ -68,7 +72,10 @@ fn single_pair_exchange_delivers_exactly_its_payload() {
     let expected = vec![(NodeId(3), NodeId(67), 24u64 << 20)];
     let baseline = delivered(nodes, &map, ExchangeAlgorithm::Direct);
     assert_eq!(baseline, expected);
-    for alg in [ExchangeAlgorithm::Consensus, ExchangeAlgorithm::ProxyMultipath] {
+    for alg in [
+        ExchangeAlgorithm::Consensus,
+        ExchangeAlgorithm::ProxyMultipath,
+    ] {
         assert_eq!(delivered(nodes, &map, alg), expected, "{alg:?}");
     }
 
@@ -82,11 +89,10 @@ fn single_pair_exchange_delivers_exactly_its_payload() {
     assert_eq!(plan.pairs.len(), 1);
     assert_eq!(plan.pairs[0].route, PairRoute::Direct);
     assert_eq!(plan.pairs_multipath(), 0);
-    let direct: HashSet<LinkId> =
-        bgq_torus::route(m.shape(), NodeId(3), NodeId(67), m.zone())
-            .links
-            .into_iter()
-            .collect();
+    let direct: HashSet<LinkId> = bgq_torus::route(m.shape(), NodeId(3), NodeId(67), m.zone())
+        .links
+        .into_iter()
+        .collect();
     assert_eq!(
         plan.ledger.claimed(),
         &direct,
@@ -114,7 +120,10 @@ fn all_below_threshold_batch_goes_direct_with_no_spurious_claims() {
     ]);
 
     let baseline = delivered(nodes, &map, ExchangeAlgorithm::Direct);
-    for alg in [ExchangeAlgorithm::Consensus, ExchangeAlgorithm::ProxyMultipath] {
+    for alg in [
+        ExchangeAlgorithm::Consensus,
+        ExchangeAlgorithm::ProxyMultipath,
+    ] {
         assert_eq!(
             delivered(nodes, &map, alg),
             baseline,
@@ -126,7 +135,11 @@ fn all_below_threshold_batch_goes_direct_with_no_spurious_claims() {
     let ex = NeighborhoodExchange::new(&m);
     let mut prog = Program::new(&m);
     let plan = ex.plan(&mut prog, &map, ExchangeAlgorithm::ProxyMultipath);
-    assert_eq!(plan.pairs_multipath(), 0, "below-threshold pairs went proxy");
+    assert_eq!(
+        plan.pairs_multipath(),
+        0,
+        "below-threshold pairs went proxy"
+    );
     assert_eq!(
         plan.pairs_direct() + plan.pairs_carrier() + plan.pairs_combined(),
         map.len(),

@@ -120,9 +120,7 @@ impl AggregatorTable {
                 // first (lowest-coordinate) node is the aggregator.
                 let mut idx = [0u16; NDIMS];
                 loop {
-                    let c = Coord(std::array::from_fn(|i| {
-                        origin.0[i] + idx[i] * block[i]
-                    }));
+                    let c = Coord(std::array::from_fn(|i| origin.0[i] + idx[i] * block[i]));
                     nodes.push(shape.node_id(c));
                     // Increment mixed-radix index.
                     let mut dim = NDIMS;
@@ -192,11 +190,7 @@ impl AggregatorTable {
     }
 
     /// Fallible variant of [`AggregatorTable::select_count`].
-    pub fn try_select_count(
-        &self,
-        total_bytes: u64,
-        min_agg_bytes: u64,
-    ) -> Result<u32, SdmError> {
+    pub fn try_select_count(&self, total_bytes: u64, min_agg_bytes: u64) -> Result<u32, SdmError> {
         if min_agg_bytes == 0 {
             return Err(SdmError::NonPositiveMinAggBytes);
         }
@@ -279,8 +273,7 @@ pub fn assign_data(
     max_chunk: u64,
     policy: AssignPolicy,
 ) -> Vec<Assignment> {
-    try_assign_data(data, aggregators, layout, max_chunk, policy)
-        .unwrap_or_else(|e| panic!("{e}"))
+    try_assign_data(data, aggregators, layout, max_chunk, policy).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible variant of [`assign_data`].
@@ -327,9 +320,8 @@ pub fn try_assign_data(
             for &(node, mut bytes) in data {
                 let p = layout.pset_of(node).0;
                 let base = (p * per_pset) as usize;
-                let mut heap: BinaryHeap<Reverse<(u64, u32)>> = (0..per_pset)
-                    .map(|i| Reverse((0u64, i)))
-                    .collect();
+                let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
+                    (0..per_pset).map(|i| Reverse((0u64, i))).collect();
                 while bytes > 0 {
                     let chunk = bytes.min(max_chunk);
                     let Reverse((load, i)) = heap.pop().unwrap();
@@ -352,10 +344,7 @@ pub fn try_assign_data(
 /// # Panics
 /// Panics if an assignment targets a node outside `aggregators`; use
 /// [`try_aggregator_loads`] to handle that as an [`SdmError`] instead.
-pub fn aggregator_loads(
-    assignments: &[Assignment],
-    aggregators: &[NodeId],
-) -> Vec<u64> {
+pub fn aggregator_loads(assignments: &[Assignment], aggregators: &[NodeId]) -> Vec<u64> {
     try_aggregator_loads(assignments, aggregators).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -390,10 +379,7 @@ mod tests {
             let l = layout(nodes);
             for p in 0..l.num_psets() {
                 let (_, extents) = pset_box(&l, PsetId(p)); // asserts internally
-                assert_eq!(
-                    extents.iter().map(|&e| e as u32).product::<u32>(),
-                    128
-                );
+                assert_eq!(extents.iter().map(|&e| e as u32).product::<u32>(), 128);
             }
         }
     }
@@ -423,10 +409,7 @@ mod tests {
             assert_eq!(uniq.len(), aggs.len(), "duplicate aggregator at count {c}");
             // Each pset contributes exactly `c` aggregators from itself.
             for p in 0..l.num_psets() {
-                let in_pset = aggs
-                    .iter()
-                    .filter(|&&a| l.pset_of(a) == PsetId(p))
-                    .count() as u32;
+                let in_pset = aggs.iter().filter(|&&a| l.pset_of(a) == PsetId(p)).count() as u32;
                 assert_eq!(in_pset, c, "pset {p} count {c}");
             }
         }
@@ -560,8 +543,7 @@ mod tests {
         let t = AggregatorTable::precompute(&l);
         let (_, aggs) = t.select(32 << 30, DEFAULT_MIN_AGG_BYTES);
         // All data on pset 0's nodes.
-        let data: Vec<(NodeId, u64)> =
-            (0..64).map(|i| (NodeId(i), 512 << 20)).collect();
+        let data: Vec<(NodeId, u64)> = (0..64).map(|i| (NodeId(i), 512 << 20)).collect();
         let asg = assign_data(&data, aggs, &l, 8 << 20, AssignPolicy::BalancedGreedy);
         let mut per_ion = vec![0u64; l.num_psets() as usize];
         for a in &asg {
@@ -569,9 +551,6 @@ mod tests {
         }
         let max = *per_ion.iter().max().unwrap() as f64;
         let min = *per_ion.iter().min().unwrap() as f64;
-        assert!(
-            min / max > 0.9,
-            "ION load imbalance: {per_ion:?}"
-        );
+        assert!(min / max > 0.9, "ION load imbalance: {per_ion:?}");
     }
 }

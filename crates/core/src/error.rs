@@ -92,7 +92,13 @@ mod tests {
 
     #[test]
     fn display_matches_legacy_panic_messages() {
-        assert_eq!(SdmError::CountNotInP(3).to_string(), "aggregator count 3 not in P");
-        assert_eq!(SdmError::NonPositiveChunk.to_string(), "max_chunk must be positive");
+        assert_eq!(
+            SdmError::CountNotInP(3).to_string(),
+            "aggregator count 3 not in P"
+        );
+        assert_eq!(
+            SdmError::NonPositiveChunk.to_string(),
+            "max_chunk must be positive"
+        );
     }
 }

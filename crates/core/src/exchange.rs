@@ -158,7 +158,11 @@ impl ExchangePlan {
     /// twice).
     pub fn handle(&self) -> TransferHandle {
         TransferHandle {
-            tokens: self.pairs.iter().flat_map(|p| p.tokens.iter().copied()).collect(),
+            tokens: self
+                .pairs
+                .iter()
+                .flat_map(|p| p.tokens.iter().copied())
+                .collect(),
             bytes: self.total_bytes(),
         }
     }
@@ -326,8 +330,7 @@ impl<'m> NeighborhoodExchange<'m> {
         let machine = self.mover.machine();
         let shape = machine.shape();
         let zone = machine.zone();
-        let direct_route =
-            |src: NodeId, dst: NodeId| bgq_torus::route(shape, src, dst, zone).links;
+        let direct_route = |src: NodeId, dst: NodeId| bgq_torus::route(shape, src, dst, zone).links;
 
         // Claim every pair's deterministic direct route up front: a proxy
         // detour must dodge ALL baseline traffic of the exchange, not
@@ -447,7 +450,10 @@ impl<'m> NeighborhoodExchange<'m> {
             if self.combine {
                 let mut ord: Vec<usize> = (0..n).collect();
                 ord.sort_by_key(|&j| {
-                    (std::cmp::Reverse(routes[j].len()), map.pairs()[idxs[j]].1 .0)
+                    (
+                        std::cmp::Reverse(routes[j].len()),
+                        map.pairs()[idxs[j]].1 .0,
+                    )
                 });
                 for &j in &ord {
                     if !riders[j].is_empty() {
@@ -516,7 +522,8 @@ impl<'m> NeighborhoodExchange<'m> {
         m.counter("exchange.plans").inc();
         m.counter("exchange.pairs").add(plan.pairs.len() as u64);
         m.counter("exchange.bytes").add(plan.total_bytes());
-        m.counter("exchange.pairs_direct").add(plan.pairs_direct() as u64);
+        m.counter("exchange.pairs_direct")
+            .add(plan.pairs_direct() as u64);
         m.counter("exchange.pairs_multipath")
             .add(plan.pairs_multipath() as u64);
         m.counter("exchange.pairs_combined")
@@ -526,9 +533,13 @@ impl<'m> NeighborhoodExchange<'m> {
         m.counter("exchange.links_claimed")
             .add(plan.ledger.len() as u64);
         if plan.algorithm == ExchangeAlgorithm::Consensus {
-            m.counter("exchange.discovery_gates")
-                .add(plan.pairs.iter().flat_map(|p| [p.src, p.dst]).collect::<HashSet<_>>().len()
-                    as u64);
+            m.counter("exchange.discovery_gates").add(
+                plan.pairs
+                    .iter()
+                    .flat_map(|p| [p.src, p.dst])
+                    .collect::<HashSet<_>>()
+                    .len() as u64,
+            );
         }
     }
 }
@@ -546,9 +557,13 @@ mod tests {
 
     fn antipodal_map(nodes: u32, pairs: u32, bytes: u64) -> SparseSendMap {
         let half = nodes / 2;
-        SparseSendMap::from_pairs(
-            (0..pairs).map(|i| (NodeId(i * (half / pairs)), NodeId(i * (half / pairs) + half), bytes)),
-        )
+        SparseSendMap::from_pairs((0..pairs).map(|i| {
+            (
+                NodeId(i * (half / pairs)),
+                NodeId(i * (half / pairs) + half),
+                bytes,
+            )
+        }))
     }
 
     #[test]
@@ -561,11 +576,8 @@ mod tests {
             (3, 99, 2 << 10),
             (17, 81, 32 << 20),
         ]);
-        let mut expected: Vec<(NodeId, NodeId, u64)> = map
-            .pairs()
-            .iter()
-            .map(|&(s, d, b)| (s, d, b))
-            .collect();
+        let mut expected: Vec<(NodeId, NodeId, u64)> =
+            map.pairs().iter().map(|&(s, d, b)| (s, d, b)).collect();
         expected.sort_by_key(|&(s, d, _)| (s.0, d.0));
         for alg in ExchangeAlgorithm::ALL {
             let mut prog = Program::new(&m);

@@ -86,7 +86,10 @@ pub fn plan_topology_aware_write(
     let tokens = route_chunks_to_ions(prog, &layout, &assignments, fwd, Some(sync));
 
     IoMovePlan {
-        handle: TransferHandle { tokens, bytes: total },
+        handle: TransferHandle {
+            tokens,
+            bytes: total,
+        },
         num_agg_per_ion: num_agg,
         assignments,
     }
@@ -186,7 +189,10 @@ pub fn plan_topology_aware_read(
     }
 
     IoMovePlan {
-        handle: TransferHandle { tokens, bytes: total },
+        handle: TransferHandle {
+            tokens,
+            bytes: total,
+        },
         num_agg_per_ion: num_agg,
         assignments,
     }
@@ -369,7 +375,10 @@ mod tests {
                 };
                 tokens.push(t);
             }
-            TransferHandle { tokens, bytes: total }
+            TransferHandle {
+                tokens,
+                bytes: total,
+            }
         }
     }
 

@@ -58,18 +58,16 @@ pub mod planner;
 pub mod proxy;
 pub mod setup;
 
+pub use aggregator::{
+    aggregator_loads, assign_data, block_factors, pset_box, try_aggregator_loads, try_assign_data,
+    AggregatorTable, AssignPolicy, Assignment, AGG_COUNTS, DEFAULT_MIN_AGG_BYTES,
+};
 pub use analysis::{
     diversity_report, diversity_upper_bound, max_disjoint_proxy_paths, DiversityReport,
 };
-pub use aggregator::{
-    aggregator_loads, assign_data, block_factors, pset_box, try_aggregator_loads,
-    try_assign_data, AggregatorTable, AssignPolicy, Assignment, AGG_COUNTS,
-    DEFAULT_MIN_AGG_BYTES,
-};
 pub use error::SdmError;
 pub use exchange::{
-    ExchangeAlgorithm, ExchangePlan, LinkClaimLedger, NeighborhoodExchange, PairRoute,
-    PlannedPair,
+    ExchangeAlgorithm, ExchangePlan, LinkClaimLedger, NeighborhoodExchange, PairRoute, PlannedPair,
 };
 pub use io_move::{
     plan_topology_aware_read, plan_topology_aware_write, route_chunks_to_ions, IoMoveOptions,
@@ -80,15 +78,10 @@ pub use multipath::{
     plan_direct, plan_direct_dynamic, plan_group_direct, plan_group_via, plan_via_proxies,
     split_chunks, MultipathOptions, TransferHandle,
 };
-pub use setup::{
-    add_coupling_setup, coupling_init_cost, proxy_search_cost_model, COORD_BYTES,
-};
-pub use planner::{
-    Decision, DirectReason, PlanOutcome, PlanPolicy, PlanRequest, SparseMover,
-};
+pub use planner::{Decision, DirectReason, PlanOutcome, PlanPolicy, PlanRequest, SparseMover};
 pub use proxy::{
     displace_group, find_proxies, find_proxies_avoiding, find_proxies_avoiding_with_stats,
     find_proxies_constrained, find_proxy_groups, find_proxy_groups_global, proxy_groups_along,
-    ProxyGroup, ProxyPath,
-    ProxySearchConfig, ProxySelection, RejectReason, SearchStats,
+    ProxyGroup, ProxyPath, ProxySearchConfig, ProxySelection, RejectReason, SearchStats,
 };
+pub use setup::{add_coupling_setup, coupling_init_cost, proxy_search_cost_model, COORD_BYTES};

@@ -235,9 +235,15 @@ mod tests {
         let m = m();
         for k in [3u32, 4, 5] {
             let th = m.threshold_bytes(k).unwrap();
-            assert!(m.speedup(th + 4096, k) >= 1.0, "just above threshold must win");
+            assert!(
+                m.speedup(th + 4096, k) >= 1.0,
+                "just above threshold must win"
+            );
             if th > 4096 {
-                assert!(m.speedup(th - 4096, k) <= 1.0, "just below threshold must lose");
+                assert!(
+                    m.speedup(th - 4096, k) <= 1.0,
+                    "just below threshold must lose"
+                );
             }
         }
     }

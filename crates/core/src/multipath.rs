@@ -36,9 +36,7 @@ pub fn split_chunks(bytes: u64, k: usize) -> Vec<u64> {
     assert!(k > 0, "cannot split into zero chunks");
     let base = bytes / k as u64;
     let rem = (bytes % k as u64) as usize;
-    (0..k)
-        .map(|i| base + u64::from(i < rem))
-        .collect()
+    (0..k).map(|i| base + u64::from(i < rem)).collect()
 }
 
 /// Plan a plain direct transfer (the baseline in every microbenchmark).
@@ -94,9 +92,9 @@ pub fn plan_direct_dynamic<R: rand::Rng + ?Sized>(
             .iter()
             .map(|l| prog.machine().torus_resource(*l))
             .collect();
-        tokens.push(prog.add_spec(
-            bgq_netsim::TransferSpec::new(src.0, dst.0, chunk, resources),
-        ));
+        tokens.push(prog.add_spec(bgq_netsim::TransferSpec::new(
+            src.0, dst.0, chunk, resources,
+        )));
     }
     TransferHandle { tokens, bytes }
 }
@@ -148,8 +146,7 @@ fn plan_chunk(
                 };
                 let p1 = prog.put_after(src, proxy, sz, deps1, d1);
                 let d2 = if first { phase } else { 0.0 } + fwd;
-                let deps2: Vec<TransferId> =
-                    std::iter::once(p1).chain(prev2).collect();
+                let deps2: Vec<TransferId> = std::iter::once(p1).chain(prev2).collect();
                 let p2 = prog.put_after(proxy, dst, sz, deps2, d2);
                 tokens.push(p2);
                 prev1 = Some(p1);
@@ -394,10 +391,7 @@ mod tests {
             &MultipathOptions::default(),
         );
         let tm = hm.completed_at(&pm.run());
-        assert!(
-            tm < td,
-            "group multipath should win at 32 MB: {tm} vs {td}"
-        );
+        assert!(tm < td, "group multipath should win at 32 MB: {tm} vs {td}");
     }
 
     #[test]
@@ -440,8 +434,7 @@ mod tests {
         let proxies = proxies_for(&m, NodeId(0), NodeId(127), 4);
 
         let mut pd = Program::new(&m);
-        let t_direct = plan_direct(&mut pd, NodeId(0), NodeId(127), bytes)
-            .completed_at(&pd.run());
+        let t_direct = plan_direct(&mut pd, NodeId(0), NodeId(127), bytes).completed_at(&pd.run());
 
         let mut worst: f64 = 0.0;
         let mut best: f64 = f64::INFINITY;
@@ -473,7 +466,10 @@ mod tests {
             best < t_direct * 0.75,
             "a lucky dynamic draw should beat the single path: {best} vs {t_direct}"
         );
-        assert!(t_multi < t_direct * 0.6, "multipath should beat single path");
+        assert!(
+            t_multi < t_direct * 0.6,
+            "multipath should beat single path"
+        );
         assert!(
             t_multi < best * 1.25,
             "planned multipath {t_multi} should match randomized splitting's best draw {best}"

@@ -13,9 +13,7 @@ use crate::multipath::{
     direct_gated, plan_group_direct, plan_group_via, plan_via_proxies, MultipathOptions,
     TransferHandle,
 };
-use crate::proxy::{
-    find_proxies_constrained, find_proxy_groups, ProxySearchConfig, SearchStats,
-};
+use crate::proxy::{find_proxies_constrained, find_proxy_groups, ProxySearchConfig, SearchStats};
 use bgq_comm::{HealthMask, Machine, Program};
 use bgq_obs::MetricsRegistry;
 use bgq_torus::{LinkId, NodeId};
@@ -180,10 +178,7 @@ impl<'m> SparseMover<'m> {
         Self::build(machine, table)
     }
 
-    fn build(
-        machine: &'m Machine,
-        aggregators: Option<Arc<AggregatorTable>>,
-    ) -> SparseMover<'m> {
+    fn build(machine: &'m Machine, aggregators: Option<Arc<AggregatorTable>>) -> SparseMover<'m> {
         let model = CostModel::from_sim_config(machine.config(), machine.mean_hops());
         SparseMover {
             machine,
@@ -419,8 +414,7 @@ impl<'m> SparseMover<'m> {
             );
         }
         self.count("planner.group.multipath_chosen");
-        let handle =
-            plan_group_via(prog, sources, dests, bytes, &groups, false, &self.multipath);
+        let handle = plan_group_via(prog, sources, dests, bytes, &groups, false, &self.multipath);
         (handle, Decision::Multipath { paths: k })
     }
 
@@ -475,7 +469,9 @@ impl<'m> SparseMover<'m> {
         opts: &IoMoveOptions,
     ) -> Result<IoMovePlan, SdmError> {
         let table = self.aggregators.as_ref().ok_or(SdmError::NoIoLayout)?;
-        Ok(crate::io_move::plan_topology_aware_read(prog, table, data, opts))
+        Ok(crate::io_move::plan_topology_aware_read(
+            prog, table, data, opts,
+        ))
     }
 }
 
@@ -510,7 +506,10 @@ mod tests {
             .plan(&mut p, PlanRequest::new(NodeId(0), NodeId(127), 32 << 20))
             .unwrap();
         let d = out.decision;
-        assert!(matches!(d, Decision::Multipath { paths } if paths >= 3), "{d:?}");
+        assert!(
+            matches!(d, Decision::Multipath { paths } if paths >= 3),
+            "{d:?}"
+        );
     }
 
     #[test]
@@ -542,7 +541,10 @@ mod tests {
         let out = mover
             .plan(&mut p, PlanRequest::new(NodeId(0), NodeId(1), 128 << 20))
             .unwrap();
-        assert_eq!(out.decision, Decision::Direct(DirectReason::NoDisjointPaths));
+        assert_eq!(
+            out.decision,
+            Decision::Direct(DirectReason::NoDisjointPaths)
+        );
     }
 
     #[test]
@@ -576,8 +578,7 @@ mod tests {
         let out = mover
             .plan(
                 &mut p,
-                PlanRequest::new(NodeId(0), NodeId(127), 32 << 20)
-                    .policy(PlanPolicy::DirectOnly),
+                PlanRequest::new(NodeId(0), NodeId(127), 32 << 20).policy(PlanPolicy::DirectOnly),
             )
             .unwrap();
         assert_eq!(out.decision, Decision::Direct(DirectReason::Requested));
@@ -598,7 +599,10 @@ mod tests {
         let out = mover
             .plan(&mut p, PlanRequest::new(NodeId(5), NodeId(5), 128 << 20))
             .unwrap();
-        assert_eq!(out.decision, Decision::Direct(DirectReason::NoDisjointPaths));
+        assert_eq!(
+            out.decision,
+            Decision::Direct(DirectReason::NoDisjointPaths)
+        );
         assert_eq!(out.handle.tokens.len(), 1, "one direct put");
         assert!(out.links.is_empty());
         let snap = reg.snapshot();
@@ -629,9 +633,7 @@ mod tests {
         let m = machine();
         let mut p = Program::new(&m);
         // Gate: a zero-byte self-put that becomes available at t = 1 s.
-        let gate = p.add_spec(
-            bgq_netsim::TransferSpec::new(0, 0, 0, Vec::new()).not_before(1.0),
-        );
+        let gate = p.add_spec(bgq_netsim::TransferSpec::new(0, 0, 0, Vec::new()).not_before(1.0));
         let mover = SparseMover::new(&m).with_multipath(MultipathOptions {
             gate: Some(gate),
             ..Default::default()
@@ -639,8 +641,7 @@ mod tests {
         let out = mover
             .plan(
                 &mut p,
-                PlanRequest::new(NodeId(0), NodeId(127), 4 << 10)
-                    .policy(PlanPolicy::DirectOnly),
+                PlanRequest::new(NodeId(0), NodeId(127), 4 << 10).policy(PlanPolicy::DirectOnly),
             )
             .unwrap();
         let rep = p.run();
@@ -782,7 +783,11 @@ mod tests {
             .unwrap();
         assert!(matches!(out.decision, Decision::Multipath { .. }));
         let unique: HashSet<_> = out.links.iter().copied().collect();
-        assert_eq!(unique.len(), out.links.len(), "multipath links must be disjoint");
+        assert_eq!(
+            unique.len(),
+            out.links.len(),
+            "multipath links must be disjoint"
+        );
     }
 
     #[test]

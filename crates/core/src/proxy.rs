@@ -196,7 +196,15 @@ pub fn find_proxies(
     forbidden: &HashSet<NodeId>,
     cfg: &ProxySearchConfig,
 ) -> ProxySelection {
-    find_proxies_avoiding(shape, zone, src, dst, forbidden, cfg, &HealthMask::healthy())
+    find_proxies_avoiding(
+        shape,
+        zone,
+        src,
+        dst,
+        forbidden,
+        cfg,
+        &HealthMask::healthy(),
+    )
 }
 
 /// [`find_proxies`] under a network [`HealthMask`]: candidates on a down
@@ -573,18 +581,12 @@ mod tests {
             &cfg(),
         );
         assert!(sel.len() >= 3);
-        let all: Vec<Vec<bgq_torus::LinkId>> = sel
-            .paths
-            .iter()
-            .map(|p| path_links(p).collect())
-            .collect();
+        let all: Vec<Vec<bgq_torus::LinkId>> =
+            sel.paths.iter().map(|p| path_links(p).collect()).collect();
         for i in 0..all.len() {
             for j in (i + 1)..all.len() {
                 for l in &all[i] {
-                    assert!(
-                        !all[j].contains(l),
-                        "paths {i} and {j} share link {l}"
-                    );
+                    assert!(!all[j].contains(l), "paths {i} and {j} share link {l}");
                 }
             }
         }
@@ -684,12 +686,7 @@ mod tests {
     #[test]
     fn displace_group_wraps() {
         let shape = standard_shape(128).unwrap();
-        let g = displace_group(
-            &shape,
-            &[NodeId(0)],
-            Direction::new(Dim::C, Sign::Minus),
-            1,
-        );
+        let g = displace_group(&shape, &[NodeId(0)], Direction::new(Dim::C, Sign::Minus), 1);
         let c = shape.coord(g[0]);
         assert_eq!(c.get(Dim::C), 3);
     }
@@ -784,7 +781,10 @@ mod tests {
         assert!(sel.len() >= 3, "survivors must still form a selection");
         for p in &sel.paths {
             for l in path_links(p) {
-                assert!(!health.dead_links.contains(&l), "path crosses dead link {l}");
+                assert!(
+                    !health.dead_links.contains(&l),
+                    "path crosses dead link {l}"
+                );
             }
         }
     }
@@ -870,10 +870,8 @@ mod tests {
         assert!(free.len() >= 4);
         // Claim every link of the first two selected paths, as a batch
         // planner's ledger would.
-        let claimed: HashSet<bgq_torus::LinkId> = free.paths[..2]
-            .iter()
-            .flat_map(|p| p.links())
-            .collect();
+        let claimed: HashSet<bgq_torus::LinkId> =
+            free.paths[..2].iter().flat_map(|p| p.links()).collect();
         let (sel, stats) = find_proxies_constrained(
             &shape,
             Zone::Z2,

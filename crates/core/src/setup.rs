@@ -57,8 +57,7 @@ pub fn add_coupling_setup(
     // Route computation is microseconds; 2 routes per candidate check.
     // Each node runs its own search over its targets (pairwise coupling:
     // one target per source), concurrently with the others.
-    let targets_per_source =
-        (dests.len() / sources.len().max(1)).max(1) as u32;
+    let targets_per_source = (dests.len() / sources.len().max(1)).max(1) as u32;
     let search_cost = proxy_search_cost_model(1, targets_per_source, cfg, 2e-6);
     let anchor = sources.first().copied().unwrap_or(NodeId(0));
     prog.modeled_sync(anchor, comm_cost + search_cost, Vec::new())

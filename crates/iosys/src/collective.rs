@@ -97,7 +97,10 @@ pub fn plan_collective_write(
         }
     }
 
-    TransferHandle { tokens, bytes: total }
+    TransferHandle {
+        tokens,
+        bytes: total,
+    }
 }
 
 #[cfg(test)]

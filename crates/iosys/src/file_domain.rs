@@ -28,10 +28,7 @@ pub struct DomainTransfer {
 /// Zero-byte nodes produce no transfers. The final partial domain (when
 /// `T` is not a multiple of the domain size) belongs to the last
 /// aggregator, as in ROMIO.
-pub fn domain_transfers(
-    data: &[(NodeId, u64)],
-    num_aggregators: usize,
-) -> Vec<DomainTransfer> {
+pub fn domain_transfers(data: &[(NodeId, u64)], num_aggregators: usize) -> Vec<DomainTransfer> {
     assert!(num_aggregators > 0, "need at least one aggregator");
     let total: u64 = data.iter().map(|&(_, b)| b).sum();
     if total == 0 {

@@ -33,7 +33,10 @@ pub fn plan_independent_write(
             tokens.push(prog.write_default(node, chunk, Vec::new()));
         }
     }
-    TransferHandle { tokens, bytes: total }
+    TransferHandle {
+        tokens,
+        bytes: total,
+    }
 }
 
 #[cfg(test)]
@@ -72,14 +75,20 @@ mod tests {
         // Unlike default collective I/O (all aggregators behind bridge 0),
         // independent writes from the whole pset hit both bridges — but
         // pay per-request overheads instead.
-        let m = Machine::new(standard_shape(128).unwrap(), SimConfig::default().with_link_stats());
+        let m = Machine::new(
+            standard_shape(128).unwrap(),
+            SimConfig::default().with_link_stats(),
+        );
         let mut p = Program::new(&m);
         let data: Vec<(NodeId, u64)> = (0..128).map(|i| (NodeId(i), 2 << 20)).collect();
         let _ = plan_independent_write(&mut p, &data, DEFAULT_REQUEST_BYTES);
         let rep = p.run();
         let rb = rep.resource_bytes.as_ref().unwrap();
         let ntorus = (m.shape().num_nodes() * 10) as usize;
-        assert!(rb[ntorus] > 0.0 && rb[ntorus + 1] > 0.0, "both io links active");
+        assert!(
+            rb[ntorus] > 0.0 && rb[ntorus + 1] > 0.0,
+            "both io links active"
+        );
     }
 
     #[test]

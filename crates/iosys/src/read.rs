@@ -57,7 +57,10 @@ pub fn plan_collective_read(
             tokens.push(delivered);
         }
     }
-    TransferHandle { tokens, bytes: total }
+    TransferHandle {
+        tokens,
+        bytes: total,
+    }
 }
 
 #[cfg(test)]
@@ -90,7 +93,10 @@ mod tests {
         let h = plan_collective_read(&mut p, &data, &CollectiveIoConfig::default());
         let rep = p.run();
         let thr = h.throughput(&rep);
-        assert!(thr <= 2.0e9 * 1.01, "default read should be one-bridge limited: {thr}");
+        assert!(
+            thr <= 2.0e9 * 1.01,
+            "default read should be one-bridge limited: {thr}"
+        );
     }
 
     #[test]

@@ -494,8 +494,15 @@ impl Simulator {
                 .count() as u64;
         }
         let makespan = delivery_time.iter().copied().fold(0.0, f64::max);
-        let profile = pstate
-            .map(|ps| ps.finish(&delivery_time, &flow_start_time, &stall_time, end_time, shards));
+        let profile = pstate.map(|ps| {
+            ps.finish(
+                &delivery_time,
+                &flow_start_time,
+                &stall_time,
+                end_time,
+                shards,
+            )
+        });
         SimReport {
             delivery_time,
             flow_start_time,
@@ -683,8 +690,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                     if let Some(ps) = pstate.as_mut() {
                         ps.note_drained(tid, now);
                     }
-                    let lat =
-                        spec.route.len() as f64 * config.hop_latency + config.recv_overhead;
+                    let lat = spec.route.len() as f64 * config.hop_latency + config.recv_overhead;
                     q.push(now + lat, Event::Delivered(tid));
                 } else if fstate.as_ref().is_some_and(|fs| fs.is_blocked(spec)) {
                     // Born stalled: wait for the fault to heal.
@@ -714,8 +720,8 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                             }
                             let spec = &specs[f.tid as usize];
                             leveler.note_leave(f.tid);
-                            let lat = spec.route.len() as f64 * config.hop_latency
-                                + config.recv_overhead;
+                            let lat =
+                                spec.route.len() as f64 * config.hop_latency + config.recv_overhead;
                             q.push(now + lat, Event::Delivered(f.tid));
                             rates_dirty = true;
                             completed_any = true;
@@ -951,7 +957,11 @@ mod tests {
         let mut g = TransferGraph::new();
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let rep = run(&s, &g);
-        assert!((rep.delivered_at(t) - 11.0).abs() < 1e-9, "{}", rep.delivered_at(t));
+        assert!(
+            (rep.delivered_at(t) - 11.0).abs() < 1e-9,
+            "{}",
+            rep.delivered_at(t)
+        );
         assert!((rep.flow_start_time[0] - 1.0).abs() < 1e-9);
         assert_eq!(rep.total_bytes, 1000);
         assert_eq!(rep.stall_time, vec![0.0]);
@@ -1011,7 +1021,11 @@ mod tests {
         let ta = rep.delivered_at(a);
         assert!((ta - 11.0).abs() < 1e-6);
         // b: ready at 11.5, injected at 12.5, 10 s transfer -> 22.5.
-        assert!((rep.delivered_at(b) - 22.5).abs() < 1e-6, "{}", rep.delivered_at(b));
+        assert!(
+            (rep.delivered_at(b) - 22.5).abs() < 1e-6,
+            "{}",
+            rep.delivered_at(b)
+        );
     }
 
     #[test]
@@ -1037,9 +1051,7 @@ mod tests {
     fn rate_cap_limits_a_lone_flow() {
         let s = sim(2, vec![100.0]);
         let mut g = TransferGraph::new();
-        let a = g.add(
-            TransferSpec::new(0, 1, 100, vec![ResourceId(0)]).with_rate_cap(10.0),
-        );
+        let a = g.add(TransferSpec::new(0, 1, 100, vec![ResourceId(0)]).with_rate_cap(10.0));
         let rep = run(&s, &g);
         assert!((rep.delivered_at(a) - 11.0).abs() < 1e-9); // 1 + 100/10
     }
@@ -1056,14 +1068,23 @@ mod tests {
         // Both active at t=1 at 50 B/s. Short done at t=11 (500 bytes).
         // Long has 1500 left, now at 100 B/s -> done at 11 + 15 = 26.
         assert!((rep.delivered_at(short) - 11.0).abs() < 1e-6);
-        assert!((rep.delivered_at(long) - 26.0).abs() < 1e-6, "{}", rep.delivered_at(long));
+        assert!(
+            (rep.delivered_at(long) - 26.0).abs() < 1e-6,
+            "{}",
+            rep.delivered_at(long)
+        );
     }
 
     #[test]
     fn link_stats_conserve_bytes() {
         let s = sim(3, vec![100.0, 100.0]);
         let mut g = TransferGraph::new();
-        g.add(TransferSpec::new(0, 2, 1000, vec![ResourceId(0), ResourceId(1)]));
+        g.add(TransferSpec::new(
+            0,
+            2,
+            1000,
+            vec![ResourceId(0), ResourceId(1)],
+        ));
         g.add(TransferSpec::new(1, 2, 500, vec![ResourceId(1)]));
         let rep = run(&s, &g);
         let rb = rep.resource_bytes.as_ref().unwrap();
@@ -1078,10 +1099,19 @@ mod tests {
         cfg.recv_overhead = 0.5;
         let s = Simulator::new(2, vec![100.0, 100.0], cfg);
         let mut g = TransferGraph::new();
-        let a = g.add(TransferSpec::new(0, 1, 100, vec![ResourceId(0), ResourceId(1)]));
+        let a = g.add(TransferSpec::new(
+            0,
+            1,
+            100,
+            vec![ResourceId(0), ResourceId(1)],
+        ));
         let rep = run(&s, &g);
         // 1 (inject) + 1 (transfer) + 2*0.25 (hops) + 0.5 (recv) = 3.0
-        assert!((rep.delivered_at(a) - 3.0).abs() < 1e-9, "{}", rep.delivered_at(a));
+        assert!(
+            (rep.delivered_at(a) - 3.0).abs() < 1e-9,
+            "{}",
+            rep.delivered_at(a)
+        );
     }
 
     #[test]
@@ -1178,7 +1208,11 @@ mod tests {
         assert!(!rep.all_delivered());
         // The queue drains at the (stale) completion check armed before
         // the fault; end_time is finite and past the fault instant.
-        assert!(rep.end_time.is_finite() && rep.end_time >= 6.0, "{}", rep.end_time);
+        assert!(
+            rep.end_time.is_finite() && rep.end_time >= 6.0,
+            "{}",
+            rep.end_time
+        );
         // The flow stalls at t=6 and never resumes: stall time accrues
         // up to end_time.
         assert!((rep.stall_time_of(t) - (rep.end_time - 6.0)).abs() < 1e-9);
@@ -1196,9 +1230,17 @@ mod tests {
             .restore_link(16.0, ResourceId(0));
         let rep = run_with_faults(&s, &g, &plan);
         assert_eq!(rep.status_of(t), TransferStatus::Delivered);
-        assert!((rep.delivered_at(t) - 21.0).abs() < 1e-6, "{}", rep.delivered_at(t));
+        assert!(
+            (rep.delivered_at(t) - 21.0).abs() < 1e-6,
+            "{}",
+            rep.delivered_at(t)
+        );
         // Stalled over [6, 16].
-        assert!((rep.stall_time_of(t) - 10.0).abs() < 1e-9, "{}", rep.stall_time_of(t));
+        assert!(
+            (rep.stall_time_of(t) - 10.0).abs() < 1e-9,
+            "{}",
+            rep.stall_time_of(t)
+        );
         assert!((rep.total_stall_time() - 10.0).abs() < 1e-9);
     }
 
@@ -1210,7 +1252,11 @@ mod tests {
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().degrade_link(6.0, ResourceId(0), 0.5);
         let rep = run_with_faults(&s, &g, &plan);
-        assert!((rep.delivered_at(t) - 16.0).abs() < 1e-6, "{}", rep.delivered_at(t));
+        assert!(
+            (rep.delivered_at(t) - 16.0).abs() < 1e-6,
+            "{}",
+            rep.delivered_at(t)
+        );
         // Degraded, not blocked: no stall time.
         assert_eq!(rep.stall_time_of(t), 0.0);
     }
@@ -1235,7 +1281,11 @@ mod tests {
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().fail_node(0.0, 0).restore_node(5.0, 0);
         let rep = run_with_faults(&s, &g, &plan);
-        assert!((rep.delivered_at(t) - 16.0).abs() < 1e-6, "{}", rep.delivered_at(t));
+        assert!(
+            (rep.delivered_at(t) - 16.0).abs() < 1e-6,
+            "{}",
+            rep.delivered_at(t)
+        );
         // Parked before injection is not a stall: the flow never existed.
         assert_eq!(rep.stall_time_of(t), 0.0);
     }
@@ -1292,12 +1342,21 @@ mod tests {
         // at 100 B/s -> delivered at 6 + 7.5 = 13.5.
         let s = sim(3, vec![100.0, 100.0]);
         let mut g = TransferGraph::new();
-        let a = g.add(TransferSpec::new(0, 2, 1000, vec![ResourceId(0), ResourceId(1)]));
+        let a = g.add(TransferSpec::new(
+            0,
+            2,
+            1000,
+            vec![ResourceId(0), ResourceId(1)],
+        ));
         let b = g.add(TransferSpec::new(1, 2, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().fail_link(6.0, ResourceId(1));
         let rep = run_with_faults(&s, &g, &plan);
         assert_eq!(rep.status_of(a), TransferStatus::Stalled);
-        assert!((rep.delivered_at(b) - 13.5).abs() < 1e-6, "{}", rep.delivered_at(b));
+        assert!(
+            (rep.delivered_at(b) - 13.5).abs() < 1e-6,
+            "{}",
+            rep.delivered_at(b)
+        );
     }
 
     #[test]
@@ -1307,9 +1366,19 @@ mod tests {
         // the full solver.
         let s = sim(6, vec![100.0, 100.0, 80.0]);
         let mut g = TransferGraph::new();
-        let a = g.add(TransferSpec::new(0, 5, 1000, vec![ResourceId(0), ResourceId(2)]));
+        let a = g.add(TransferSpec::new(
+            0,
+            5,
+            1000,
+            vec![ResourceId(0), ResourceId(2)],
+        ));
         g.add(TransferSpec::new(1, 5, 700, vec![ResourceId(0)]));
-        g.add(TransferSpec::new(2, 5, 900, vec![ResourceId(1), ResourceId(2)]));
+        g.add(TransferSpec::new(
+            2,
+            5,
+            900,
+            vec![ResourceId(1), ResourceId(2)],
+        ));
         g.add(TransferSpec::new(3, 5, 400, vec![ResourceId(1)]).after(vec![a]));
         let plan = FaultPlan::new()
             .degrade_link(4.0, ResourceId(2), 0.5)
@@ -1318,9 +1387,7 @@ mod tests {
         let full = s.simulate(&g, SimOptions::new().faults(&plan).solver(SolverMode::Full));
         let inc = s.simulate(
             &g,
-            SimOptions::new()
-                .faults(&plan)
-                .solver(SolverMode::Cascade),
+            SimOptions::new().faults(&plan).solver(SolverMode::Cascade),
         );
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
         assert_eq!(bits(&full.delivery_time), bits(&inc.delivery_time));
@@ -1354,8 +1421,12 @@ mod tests {
         let rep = s.simulate(&g, SimOptions::new().observer(&mut o));
         assert!(rep.all_delivered());
         assert_eq!(o.waterfill_full_runs, 1);
-        assert!(o.waterfill_incremental_runs > o.waterfill_full_runs,
-            "incremental {} vs full {}", o.waterfill_incremental_runs, o.waterfill_full_runs);
+        assert!(
+            o.waterfill_incremental_runs > o.waterfill_full_runs,
+            "incremental {} vs full {}",
+            o.waterfill_incremental_runs,
+            o.waterfill_full_runs
+        );
         // A join on a private link touches that link alone.
         assert!(o.waterfill_touched_entries < o.waterfill_entries);
         assert!(o.events_processed > 0);
@@ -1425,7 +1496,10 @@ mod tests {
         let (cold, cold_obs) = run(SolverMode::Full);
         let (warm, warm_obs) = run(SolverMode::default());
         assert_eq!(cold, warm);
-        assert_eq!(cold_obs.waterfill_replayed_passes, 0, "Full mode solves cold");
+        assert_eq!(
+            cold_obs.waterfill_replayed_passes, 0,
+            "Full mode solves cold"
+        );
         assert_eq!(cold_obs.waterfill_incremental_runs, 0);
         assert_eq!(warm_obs.waterfill_full_runs, 1);
         assert_eq!(
@@ -1438,7 +1512,10 @@ mod tests {
             warm_obs.waterfill_replayed_passes,
             warm_obs.waterfill_passes
         );
-        assert_eq!(cold_obs.waterfill_touched_entries, cold_obs.waterfill_entries);
+        assert_eq!(
+            cold_obs.waterfill_touched_entries,
+            cold_obs.waterfill_entries
+        );
         // A 16-link ring is dense: a change still reaches about a third of
         // it (574 of 1,681 entries). Sparse exchanges at paper scale
         // touch 1-4% (DESIGN §16).
@@ -1455,7 +1532,12 @@ mod tests {
         use crate::obs::SimObserver;
         let s = sim(3, vec![100.0, 100.0]);
         let mut g = TransferGraph::new();
-        let a = g.add(TransferSpec::new(0, 2, 1000, vec![ResourceId(0), ResourceId(1)]));
+        let a = g.add(TransferSpec::new(
+            0,
+            2,
+            1000,
+            vec![ResourceId(0), ResourceId(1)],
+        ));
         g.add(TransferSpec::new(1, 2, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new()
             .fail_link(6.0, ResourceId(1))
@@ -1625,7 +1707,11 @@ mod tests {
         let (s, g, plan) = sharded_fixture();
         let rep = run_with_faults(&s, &g, &plan);
         assert!(rep.all_delivered());
-        assert!((rep.stall_time[2] - 6.0).abs() < 1e-9, "{}", rep.stall_time[2]);
+        assert!(
+            (rep.stall_time[2] - 6.0).abs() < 1e-9,
+            "{}",
+            rep.stall_time[2]
+        );
         for i in [0usize, 1, 4, 5] {
             assert_eq!(rep.stall_time[i], 0.0, "transfer {i}");
         }

@@ -102,9 +102,7 @@ impl EventQueue {
             (None, None) => return None,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (Some(Reverse(h)), Some(b)) => {
-                h.time < b.time || (h.time == b.time && h.seq < b.seq)
-            }
+            (Some(Reverse(h)), Some(b)) => h.time < b.time || (h.time == b.time && h.seq < b.seq),
         };
         let e = if take_heap {
             let Reverse(e) = self.heap.pop().unwrap();

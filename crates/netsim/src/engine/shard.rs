@@ -223,12 +223,15 @@ pub(crate) fn partition(
         let mut g = TransferGraph::new();
         for &t in &plan.tids {
             let s = &specs[t as usize];
-            let local_node =
-                |nd: u32| plan.nodes.binary_search(&nd).expect("node in shard") as u32;
+            let local_node = |nd: u32| plan.nodes.binary_search(&nd).expect("node in shard") as u32;
             let mut spec = s.clone();
             spec.src = local_node(s.src);
             spec.dst = local_node(s.dst);
-            spec.route = s.route.iter().map(|r| ResourceId(res_local[r.0 as usize])).collect();
+            spec.route = s
+                .route
+                .iter()
+                .map(|r| ResourceId(res_local[r.0 as usize]))
+                .collect();
             spec.deps = s
                 .deps
                 .iter()

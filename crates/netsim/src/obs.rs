@@ -215,20 +215,30 @@ impl SimObserver {
                 stalled: f.stalled.iter().map(|&t| tids[t as usize]).collect(),
                 resumed: f.resumed.iter().map(|&t| tids[t as usize]).collect(),
             }));
-        self.stalls
-            .extend(local.stalls.into_iter().map(|(t, id)| (t, tids[id as usize])));
-        self.resumes
-            .extend(local.resumes.into_iter().map(|(t, id)| (t, tids[id as usize])));
+        self.stalls.extend(
+            local
+                .stalls
+                .into_iter()
+                .map(|(t, id)| (t, tids[id as usize])),
+        );
+        self.resumes.extend(
+            local
+                .resumes
+                .into_iter()
+                .map(|(t, id)| (t, tids[id as usize])),
+        );
         self.heatmap
             .samples
-            .extend(local.heatmap.samples.into_iter().map(|s| HeatmapSample {
-                time: s.time,
-                epoch: s.epoch,
-                bytes_in_flight: s
-                    .bytes_in_flight
-                    .into_iter()
-                    .map(|(r, v)| (resources[r as usize], v))
-                    .collect(),
+            .extend(local.heatmap.samples.into_iter().map(|s| {
+                HeatmapSample {
+                    time: s.time,
+                    epoch: s.epoch,
+                    bytes_in_flight: s
+                        .bytes_in_flight
+                        .into_iter()
+                        .map(|(r, v)| (resources[r as usize], v))
+                        .collect(),
+                }
             }));
     }
 

@@ -134,7 +134,8 @@ impl SimProfile {
     /// Run-level per-link blame rollup, sorted by resource id: the same
     /// seconds as every flow's `bottlenecked_on`, regrouped by link.
     pub fn link_blame(&self) -> Vec<(ResourceId, f64)> {
-        let mut acc: std::collections::BTreeMap<ResourceId, f64> = std::collections::BTreeMap::new();
+        let mut acc: std::collections::BTreeMap<ResourceId, f64> =
+            std::collections::BTreeMap::new();
         for tp in &self.transfers {
             for &(r, s) in &tp.bottlenecked_on {
                 *acc.entry(r).or_insert(0.0) += s;

@@ -30,12 +30,7 @@ fn thousand_flow_fan_in_is_fair_and_exact() {
     let sim = Simulator::new(n + 1, caps, cfg());
     let mut g = TransferGraph::new();
     for i in 0..n {
-        g.add(TransferSpec::new(
-            i,
-            n,
-            1000,
-            vec![ResourceId(i), shared],
-        ));
+        g.add(TransferSpec::new(i, n, 1000, vec![ResourceId(i), shared]));
     }
     let rep = sim.simulate(&g, SimOptions::new());
     // Shared link: 1000 flows over 1000 B/s -> 1 B/s each; 1000 bytes
@@ -112,7 +107,11 @@ fn penalty_binds_when_caps_do_not() {
     let a = g.add(TransferSpec::new(0, 2, 400, vec![ResourceId(0)]));
     g.add(TransferSpec::new(1, 2, 400, vec![ResourceId(0)]));
     let rep = sim.simulate(&g, SimOptions::new());
-    assert!((rep.delivered_at(a) - 10.0).abs() < 1e-6, "{}", rep.delivered_at(a));
+    assert!(
+        (rep.delivered_at(a) - 10.0).abs() < 1e-6,
+        "{}",
+        rep.delivered_at(a)
+    );
 }
 
 #[test]
@@ -126,10 +125,7 @@ fn wide_fan_out_from_one_node_serializes_injection() {
     }
     let rep = sim.simulate(&g, SimOptions::new());
     // The 100th injection cannot start before 99 x 0.1 s of CPU time.
-    let last_start = rep
-        .flow_start_time
-        .iter()
-        .fold(0.0f64, |a, &b| a.max(b));
+    let last_start = rep.flow_start_time.iter().fold(0.0f64, |a, &b| a.max(b));
     assert!(last_start >= 9.999, "{last_start}");
 }
 
@@ -144,6 +140,14 @@ fn mixed_start_times_interleave_correctly() {
     // A: 400 bytes alone (t=0..4), then shares 50/50. B needs 300 bytes
     // at 50 -> 6 s -> done at 10. A: 400 + 6x50 = 700 by t=10, 300 left
     // alone at 100 -> done at 13.
-    assert!((rep.delivered_at(b) - 10.0).abs() < 1e-6, "{}", rep.delivered_at(b));
-    assert!((rep.delivered_at(a) - 13.0).abs() < 1e-6, "{}", rep.delivered_at(a));
+    assert!(
+        (rep.delivered_at(b) - 10.0).abs() < 1e-6,
+        "{}",
+        rep.delivered_at(b)
+    );
+    assert!(
+        (rep.delivered_at(a) - 13.0).abs() < 1e-6,
+        "{}",
+        rep.delivered_at(a)
+    );
 }

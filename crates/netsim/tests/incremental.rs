@@ -26,12 +26,7 @@ fn scenario() -> impl Strategy<Value = (u32, Vec<f64>, Vec<TransferSpec>)> {
             let specs = ts
                 .into_iter()
                 .map(|(src, dst, bytes, route)| {
-                    TransferSpec::new(
-                        src,
-                        dst,
-                        bytes,
-                        route.into_iter().map(ResourceId).collect(),
-                    )
+                    TransferSpec::new(src, dst, bytes, route.into_iter().map(ResourceId).collect())
                 })
                 .collect();
             (n, caps, specs)
@@ -67,8 +62,18 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, ctx: &str) -> Result<(
     for (i, (x, y)) in a.stall_time.iter().zip(&b.stall_time).enumerate() {
         prop_assert_eq!(x.to_bits(), y.to_bits(), "stall_time[{}] ({})", i, ctx);
     }
-    prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "makespan ({})", ctx);
-    prop_assert_eq!(a.end_time.to_bits(), b.end_time.to_bits(), "end_time ({})", ctx);
+    prop_assert_eq!(
+        a.makespan.to_bits(),
+        b.makespan.to_bits(),
+        "makespan ({})",
+        ctx
+    );
+    prop_assert_eq!(
+        a.end_time.to_bits(),
+        b.end_time.to_bits(),
+        "end_time ({})",
+        ctx
+    );
     match (&a.resource_bytes, &b.resource_bytes) {
         (Some(x), Some(y)) => {
             for (i, (u, v)) in x.iter().zip(y).enumerate() {
@@ -134,7 +139,12 @@ fn threshold_regression_contended_fan_in() {
     // Fan-in: three flows share link 0.
     g.add(TransferSpec::new(0, 1, 40_000, vec![ResourceId(0)]));
     g.add(TransferSpec::new(2, 1, 25_000, vec![ResourceId(0)]));
-    g.add(TransferSpec::new(3, 1, 10_000, vec![ResourceId(0), ResourceId(1)]));
+    g.add(TransferSpec::new(
+        3,
+        1,
+        10_000,
+        vec![ResourceId(0), ResourceId(1)],
+    ));
     // Disjoint pair on link 2.
     g.add(TransferSpec::new(4, 5, 30_000, vec![ResourceId(2)]));
     // Degrade the shared link mid-run, restore later.
@@ -142,14 +152,13 @@ fn threshold_regression_contended_fan_in() {
         .degrade_link(50.0, ResourceId(0), 0.25)
         .degrade_link(300.0, ResourceId(0), 1.0);
 
-    let reference = sim.simulate(
-        &g,
-        SimOptions::new().faults(&plan).solver(SolverMode::Full),
-    );
+    let reference = sim.simulate(&g, SimOptions::new().faults(&plan).solver(SolverMode::Full));
     assert!(reference.all_delivered());
     let rep = sim.simulate(
         &g,
-        SimOptions::new().faults(&plan).solver(SolverMode::default()),
+        SimOptions::new()
+            .faults(&plan)
+            .solver(SolverMode::default()),
     );
     assert_eq!(rep.status, reference.status);
     for (i, (x, y)) in reference

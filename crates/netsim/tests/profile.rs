@@ -33,12 +33,7 @@ fn scenario() -> impl Strategy<Value = (u32, Vec<f64>, Vec<TransferSpec>)> {
             let specs = ts
                 .into_iter()
                 .map(|(src, dst, bytes, route)| {
-                    TransferSpec::new(
-                        src,
-                        dst,
-                        bytes,
-                        route.into_iter().map(ResourceId).collect(),
-                    )
+                    TransferSpec::new(src, dst, bytes, route.into_iter().map(ResourceId).collect())
                 })
                 .collect();
             (n, caps, specs)
@@ -96,7 +91,13 @@ fn assert_decomposition_sums(report: &SimReport, ctx: &str) -> Result<(), TestCa
         if tp.ready_time.is_infinite() {
             // Never became ready (dependency never delivered): nothing to
             // account.
-            prop_assert_eq!(tp.accounted().to_bits(), 0.0f64.to_bits(), "t{} ({})", i, ctx);
+            prop_assert_eq!(
+                tp.accounted().to_bits(),
+                0.0f64.to_bits(),
+                "t{} ({})",
+                i,
+                ctx
+            );
             continue;
         }
         let delivered = report.delivery_time[i];
@@ -150,10 +151,7 @@ fn assert_blame_consistent(
             prop_assert!(w[0].1 != w[1].1, "t{} timeline not deduped ({})", i, ctx);
         }
     }
-    let rollup = profile
-        .link_blame()
-        .iter()
-        .fold(0.0f64, |a, &(_, s)| a + s);
+    let rollup = profile.link_blame().iter().fold(0.0f64, |a, &(_, s)| a + s);
     let total = profile.total_network_limited();
     let tol = 1e-9 * total.abs().max(1.0);
     prop_assert!(
@@ -179,7 +177,12 @@ fn assert_profiles_identical(
     b: &SimProfile,
     ctx: &str,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.end_time.to_bits(), b.end_time.to_bits(), "end_time ({})", ctx);
+    prop_assert_eq!(
+        a.end_time.to_bits(),
+        b.end_time.to_bits(),
+        "end_time ({})",
+        ctx
+    );
     prop_assert_eq!(a.transfers.len(), b.transfers.len(), "len ({})", ctx);
     for (i, (x, y)) in a.transfers.iter().zip(&b.transfers).enumerate() {
         for (fx, fy, name) in [
@@ -218,11 +221,7 @@ fn assert_profiles_identical(
 }
 
 /// Bit-level equality of everything in the report *except* the profile.
-fn assert_reports_identical(
-    a: &SimReport,
-    b: &SimReport,
-    ctx: &str,
-) -> Result<(), TestCaseError> {
+fn assert_reports_identical(a: &SimReport, b: &SimReport, ctx: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.status.clone(), b.status.clone(), "status ({})", ctx);
     for (i, (x, y)) in a.delivery_time.iter().zip(&b.delivery_time).enumerate() {
         prop_assert_eq!(x.to_bits(), y.to_bits(), "delivery_time[{}] ({})", i, ctx);
@@ -233,8 +232,18 @@ fn assert_reports_identical(
     for (i, (x, y)) in a.stall_time.iter().zip(&b.stall_time).enumerate() {
         prop_assert_eq!(x.to_bits(), y.to_bits(), "stall_time[{}] ({})", i, ctx);
     }
-    prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "makespan ({})", ctx);
-    prop_assert_eq!(a.end_time.to_bits(), b.end_time.to_bits(), "end_time ({})", ctx);
+    prop_assert_eq!(
+        a.makespan.to_bits(),
+        b.makespan.to_bits(),
+        "makespan ({})",
+        ctx
+    );
+    prop_assert_eq!(
+        a.end_time.to_bits(),
+        b.end_time.to_bits(),
+        "end_time ({})",
+        ctx
+    );
     match (&a.resource_bytes, &b.resource_bytes) {
         (Some(x), Some(y)) => {
             for (i, (u, v)) in x.iter().zip(y).enumerate() {
@@ -339,7 +348,12 @@ fn fan_in_blames_the_shared_link() {
     let mut g = TransferGraph::new();
     g.add(TransferSpec::new(0, 1, 40_000, vec![ResourceId(0)]));
     g.add(TransferSpec::new(2, 1, 25_000, vec![ResourceId(0)]));
-    g.add(TransferSpec::new(3, 1, 10_000, vec![ResourceId(0), ResourceId(1)]));
+    g.add(TransferSpec::new(
+        3,
+        1,
+        10_000,
+        vec![ResourceId(0), ResourceId(1)],
+    ));
     // Disjoint pair on link 2: alone, so cap-limited (cap 50 < link 100).
     g.add(TransferSpec::new(4, 5, 30_000, vec![ResourceId(2)]));
 
@@ -357,15 +371,24 @@ fn fan_in_blames_the_shared_link() {
             .find(|&&(r, _)| r == ResourceId(0))
             .map(|&(_, s)| s)
             .unwrap_or(0.0);
-        assert!(on_link0 > 0.0, "t{i} never blamed the contended link: {tp:?}");
+        assert!(
+            on_link0 > 0.0,
+            "t{i} never blamed the contended link: {tp:?}"
+        );
         assert!(!tp.binding_timeline.is_empty(), "t{i} has no timeline");
     }
     // The disjoint flow is purely cap-limited: no link blame at all.
     let solo = &profile.transfers[3];
-    assert!(solo.bottlenecked_on.is_empty(), "solo flow blamed a link: {solo:?}");
+    assert!(
+        solo.bottlenecked_on.is_empty(),
+        "solo flow blamed a link: {solo:?}"
+    );
     assert!(solo.cap_limited > 0.0);
     assert_eq!(
-        solo.binding_timeline.iter().map(|&(_, b)| b).collect::<Vec<_>>(),
+        solo.binding_timeline
+            .iter()
+            .map(|&(_, b)| b)
+            .collect::<Vec<_>>(),
         vec![Binding::FlowCap]
     );
     // Link 0 tops the run-level rollup.
@@ -378,7 +401,11 @@ fn fan_in_blames_the_shared_link() {
         .restore_link(5.0, ResourceId(2));
     let faulted = sim.simulate(&g, SimOptions::new().faults(&plan).profiled());
     let fp = faulted.profile.as_ref().unwrap();
-    assert!(fp.transfers[3].stalled_by_fault > 0.0, "{:?}", fp.transfers[3]);
+    assert!(
+        fp.transfers[3].stalled_by_fault > 0.0,
+        "{:?}",
+        fp.transfers[3]
+    );
     assert_eq!(
         fp.transfers[3].stalled_by_fault.to_bits(),
         faulted.stall_time[3].to_bits()

@@ -25,12 +25,7 @@ fn scenario() -> impl Strategy<Value = (u32, Vec<f64>, Vec<TransferSpec>)> {
             let specs = ts
                 .into_iter()
                 .map(|(src, dst, bytes, route)| {
-                    TransferSpec::new(
-                        src,
-                        dst,
-                        bytes,
-                        route.into_iter().map(ResourceId).collect(),
-                    )
+                    TransferSpec::new(src, dst, bytes, route.into_iter().map(ResourceId).collect())
                 })
                 .collect();
             (n, caps, specs)

@@ -164,9 +164,19 @@ fn node_flap_replays_and_matches_the_oracle() {
     // Link 0 (100) is shared by three flows and link 1 (300) by two;
     // link 2 (10) carries one slow flow, whose pass comes first.
     g.add(TransferSpec::new(0, 1, 2_000, vec![ResourceId(2)]));
-    g.add(TransferSpec::new(2, 3, 3_000, vec![ResourceId(0), ResourceId(1)]));
+    g.add(TransferSpec::new(
+        2,
+        3,
+        3_000,
+        vec![ResourceId(0), ResourceId(1)],
+    ));
     g.add(TransferSpec::new(4, 5, 4_000, vec![ResourceId(0)]));
-    g.add(TransferSpec::new(0, 5, 5_000, vec![ResourceId(0), ResourceId(1)]));
+    g.add(TransferSpec::new(
+        0,
+        5,
+        5_000,
+        vec![ResourceId(0), ResourceId(1)],
+    ));
     let plan = FaultPlan::new().fail_node(5.0, 5).restore_node(9.0, 5);
     let run = |solver: SolverMode| {
         let mut obs = SimObserver::new();
@@ -200,11 +210,7 @@ fn node_flap_replays_and_matches_the_oracle() {
 fn churn() -> impl Strategy<Value = (Vec<f64>, Vec<TransferSpec>)> {
     let caps = proptest::collection::vec(0usize..3, 6);
     let transfers = proptest::collection::vec(
-        (
-            0u32..4,
-            1u64..40,
-            proptest::collection::vec(0u32..6, 1..4),
-        ),
+        (0u32..4, 1u64..40, proptest::collection::vec(0u32..6, 1..4)),
         220..260,
     );
     (caps, transfers).prop_map(|(caps, ts)| {
@@ -212,7 +218,12 @@ fn churn() -> impl Strategy<Value = (Vec<f64>, Vec<TransferSpec>)> {
         let specs = ts
             .into_iter()
             .map(|(src, kb, route)| {
-                TransferSpec::new(src, 4, kb * 250, route.into_iter().map(ResourceId).collect())
+                TransferSpec::new(
+                    src,
+                    4,
+                    kb * 250,
+                    route.into_iter().map(ResourceId).collect(),
+                )
             })
             .collect();
         (caps, specs)

@@ -348,9 +348,7 @@ impl MetricsSnapshot {
             counters: self
                 .counters
                 .iter()
-                .map(|(k, v)| {
-                    (k.clone(), v - base.get(k.as_str()).copied().unwrap_or(0))
-                })
+                .map(|(k, v)| (k.clone(), v - base.get(k.as_str()).copied().unwrap_or(0)))
                 .collect(),
             gauges: self.gauges.clone(),
             histograms: self
@@ -391,7 +389,11 @@ impl MetricsSnapshot {
                     c.to_string(),
                 ));
             }
-            rows.push(("histogram", format!("{name}.count"), counts.iter().sum::<u64>().to_string()));
+            rows.push((
+                "histogram",
+                format!("{name}.count"),
+                counts.iter().sum::<u64>().to_string(),
+            ));
             // Quantile estimates (deterministic: derived from the bounds
             // and integer counts alone). `pNN` sorts after `bucketNN`
             // and `count`, keeping the row order lexical.

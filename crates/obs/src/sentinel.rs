@@ -81,8 +81,13 @@ pub fn classify(name: &str) -> MetricClass {
             direction: Direction::LowerIsBetter,
             rel_tol: 0.0,
         }
-    } else if has("critical_path") || has("transfers") || has("runs") || has("events")
-        || has("pairs") || has("links") || has("count")
+    } else if has("critical_path")
+        || has("transfers")
+        || has("runs")
+        || has("events")
+        || has("pairs")
+        || has("links")
+        || has("count")
     {
         MetricClass {
             label: "structure",
@@ -186,7 +191,10 @@ pub struct ScenarioDiff {
 impl ScenarioDiff {
     pub fn regressed(&self) -> bool {
         !self.removed_metrics.is_empty()
-            || self.verdicts.iter().any(|v| v.verdict == Verdict::Regressed)
+            || self
+                .verdicts
+                .iter()
+                .any(|v| v.verdict == Verdict::Regressed)
     }
 
     fn count(&self, v: Verdict) -> usize {
@@ -259,12 +267,16 @@ impl SentinelReport {
                 ));
             }
             for m in &s.verdicts {
-                if m.verdict != Verdict::Neutral || (m.changed && m.class.direction == Direction::Neutral) {
+                if m.verdict != Verdict::Neutral
+                    || (m.changed && m.class.direction == Direction::Neutral)
+                {
                     out.push_str(&format!("  {}\n", m.render()));
                 }
             }
             for name in &s.removed_metrics {
-                out.push_str(&format!("  REGRESSED {name}: metric missing from current run\n"));
+                out.push_str(&format!(
+                    "  REGRESSED {name}: metric missing from current run\n"
+                ));
             }
             for name in &s.added_metrics {
                 out.push_str(&format!("  new metric {name}\n"));
@@ -309,7 +321,11 @@ impl SentinelReport {
                 s.count(Verdict::Neutral)
             ));
         }
-        for s in self.scenarios.iter().filter(|s| s.regressed() || s.count(Verdict::Improved) > 0) {
+        for s in self
+            .scenarios
+            .iter()
+            .filter(|s| s.regressed() || s.count(Verdict::Improved) > 0)
+        {
             out.push_str(&format!("\n## {}\n\n", s.name));
             for key in &s.config_drift {
                 out.push_str(&format!("- ⚠ config drift on `{key}`\n"));
@@ -396,7 +412,12 @@ fn attribution(cur: &ScenarioManifest, base: &ScenarioManifest) -> Vec<String> {
         let delta = s - b;
         if significant(delta, b) {
             let what = if base_blame.contains_key(label.as_str()) {
-                format!("link {label} absorbed +{} ({} -> {})", fmt_secs(delta), fmt_secs(b), fmt_secs(*s))
+                format!(
+                    "link {label} absorbed +{} ({} -> {})",
+                    fmt_secs(delta),
+                    fmt_secs(b),
+                    fmt_secs(*s)
+                )
             } else {
                 format!("link {label} newly blamed for {}", fmt_secs(*s))
             };
@@ -519,15 +540,40 @@ mod tests {
 
     #[test]
     fn classes_cover_the_metric_families() {
-        assert_eq!(classify("direct.makespan").direction, Direction::LowerIsBetter);
-        assert_eq!(classify("direct.makespan").rel_tol, 0.0, "sim-time is exact");
-        assert_eq!(classify("agg.throughput").direction, Direction::HigherIsBetter);
+        assert_eq!(
+            classify("direct.makespan").direction,
+            Direction::LowerIsBetter
+        );
+        assert_eq!(
+            classify("direct.makespan").rel_tol,
+            0.0,
+            "sim-time is exact"
+        );
+        assert_eq!(
+            classify("agg.throughput").direction,
+            Direction::HigherIsBetter
+        );
         assert_eq!(classify("speedup").direction, Direction::HigherIsBetter);
-        assert_eq!(classify("multipath.win_ratio").direction, Direction::HigherIsBetter);
-        assert_eq!(classify("profile.direct.undelivered").direction, Direction::LowerIsBetter);
-        assert_eq!(classify("profile.x.cat.stalled").direction, Direction::LowerIsBetter);
-        assert_eq!(classify("profile.x.critical_path_len").direction, Direction::Neutral);
-        assert_eq!(classify("full_run_reduction").direction, Direction::HigherIsBetter);
+        assert_eq!(
+            classify("multipath.win_ratio").direction,
+            Direction::HigherIsBetter
+        );
+        assert_eq!(
+            classify("profile.direct.undelivered").direction,
+            Direction::LowerIsBetter
+        );
+        assert_eq!(
+            classify("profile.x.cat.stalled").direction,
+            Direction::LowerIsBetter
+        );
+        assert_eq!(
+            classify("profile.x.critical_path_len").direction,
+            Direction::Neutral
+        );
+        assert_eq!(
+            classify("full_run_reduction").direction,
+            Direction::HigherIsBetter
+        );
         assert_eq!(classify("something.else").label, "info");
     }
 
@@ -558,7 +604,11 @@ mod tests {
         assert!(rep.has_regressions());
         let s = &rep.scenarios[0];
         assert!(s.regressed());
-        let makespan = s.verdicts.iter().find(|v| v.name == "direct.makespan").unwrap();
+        let makespan = s
+            .verdicts
+            .iter()
+            .find(|v| v.name == "direct.makespan")
+            .unwrap();
         assert_eq!(makespan.verdict, Verdict::Regressed);
         assert!(
             s.attribution.iter().any(|l| l.contains("direct/n0:+A")),
@@ -606,7 +656,10 @@ mod tests {
             .unwrap();
         assert_eq!(v.verdict, Verdict::Neutral);
         assert!(v.changed);
-        assert!(rep.render().contains("profile.direct.transfers"), "changed structure is listed");
+        assert!(
+            rep.render().contains("profile.direct.transfers"),
+            "changed structure is listed"
+        );
     }
 
     #[test]
@@ -638,7 +691,10 @@ mod tests {
         cur.scenarios[0].metrics.retain(|(k, _)| k != "speedup");
         let rep = diff(&cur, &base);
         assert!(rep.has_regressions());
-        assert_eq!(rep.scenarios[0].removed_metrics, vec!["speedup".to_string()]);
+        assert_eq!(
+            rep.scenarios[0].removed_metrics,
+            vec!["speedup".to_string()]
+        );
 
         let empty = RunManifest::default();
         let rep = diff(&empty, &base);

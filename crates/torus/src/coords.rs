@@ -136,7 +136,11 @@ impl Direction {
         assert!(i < 2 * NDIMS, "direction index {i} out of range");
         Direction {
             dim: Dim::from_index(i / 2),
-            sign: if i.is_multiple_of(2) { Sign::Plus } else { Sign::Minus },
+            sign: if i.is_multiple_of(2) {
+                Sign::Plus
+            } else {
+                Sign::Minus
+            },
         }
     }
 
@@ -250,13 +254,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Coord::new(0, 1, 2, 3, 4).to_string(), "(0,1,2,3,4)");
-        assert_eq!(
-            Direction::new(Dim::B, Sign::Plus).to_string(),
-            "+B"
-        );
-        assert_eq!(
-            Direction::new(Dim::E, Sign::Minus).to_string(),
-            "-E"
-        );
+        assert_eq!(Direction::new(Dim::B, Sign::Plus).to_string(), "+B");
+        assert_eq!(Direction::new(Dim::E, Sign::Minus).to_string(), "-E");
     }
 }

@@ -60,11 +60,7 @@ impl std::error::Error for MapFileError {}
 impl MapFile {
     /// Parse map-file text (`A B C D E T` per line; blank lines and `#`
     /// comments allowed). Rank `i` is the i-th data line.
-    pub fn parse(
-        text: &str,
-        shape: Shape,
-        ranks_per_node: u32,
-    ) -> Result<MapFile, MapFileError> {
+    pub fn parse(text: &str, shape: Shape, ranks_per_node: u32) -> Result<MapFile, MapFileError> {
         let mut placement = Vec::new();
         let mut seen = vec![false; (shape.num_nodes() * ranks_per_node) as usize];
         for (lineno, raw) in text.lines().enumerate() {

@@ -66,9 +66,7 @@ pub fn midplane_grid(shape: &Shape) -> Option<[u16; 5]> {
         return None;
     }
     let mp = midplane_shape();
-    Some(std::array::from_fn(|i| {
-        shape.0[i] / mp.0[i]
-    }))
+    Some(std::array::from_fn(|i| shape.0[i] / mp.0[i]))
 }
 
 #[cfg(test)]

@@ -46,9 +46,7 @@ pub fn shape_for_cores(cores: u32) -> Option<Shape> {
 }
 
 /// All standard partition sizes (in nodes) in increasing order.
-pub const STANDARD_SIZES: [u32; 9] = [
-    128, 256, 512, 1024, 2048, 4096, 8192, 16384, 49152,
-];
+pub const STANDARD_SIZES: [u32; 9] = [128, 256, 512, 1024, 2048, 4096, 8192, 16384, 49152];
 
 #[cfg(test)]
 mod tests {

@@ -114,7 +114,10 @@ impl IoLayout {
     /// The two bridge nodes of a pset.
     pub fn bridges_of_pset(&self, pset: PsetId) -> [NodeId; BRIDGES_PER_PSET as usize] {
         let start = pset.0 * PSET_NODES;
-        [NodeId(start + BRIDGE_OFFSETS[0]), NodeId(start + BRIDGE_OFFSETS[1])]
+        [
+            NodeId(start + BRIDGE_OFFSETS[0]),
+            NodeId(start + BRIDGE_OFFSETS[1]),
+        ]
     }
 
     /// Whether `node` is a bridge node.
@@ -174,10 +177,7 @@ mod tests {
     #[test]
     fn pset_count() {
         assert_eq!(layout_512().num_psets(), 4);
-        assert_eq!(
-            IoLayout::new(standard_shape(8192).unwrap()).num_ions(),
-            64
-        );
+        assert_eq!(IoLayout::new(standard_shape(8192).unwrap()).num_ions(), 64);
     }
 
     #[test]

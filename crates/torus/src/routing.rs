@@ -70,9 +70,7 @@ impl Route {
     /// Whether this route and `other` traverse any common directed link.
     pub fn shares_link_with(&self, other: &Route) -> bool {
         // Routes are short (max ~30 hops); quadratic scan beats hashing.
-        self.links
-            .iter()
-            .any(|l| other.links.contains(l))
+        self.links.iter().any(|l| other.links.contains(l))
     }
 
     /// Whether this route passes through `node` as an intermediate hop
@@ -120,14 +118,11 @@ pub fn dim_order<R: Rng + ?Sized>(
         .collect();
     match zone {
         Zone::Z1 => {
-            let rng = rng
-                .as_deref_mut()
-                .expect("zone 1 routing requires an RNG");
+            let rng = rng.as_deref_mut().expect("zone 1 routing requires an RNG");
             dims.shuffle(rng);
         }
         Zone::Z0 => {
-            let rng = rng
-                .expect("zone 0 routing requires an RNG");
+            let rng = rng.expect("zone 0 routing requires an RNG");
             // Longest-to-shortest with random tie-break: shuffle first so
             // the stable sort leaves equal keys in random relative order.
             dims.shuffle(rng);
@@ -298,8 +293,16 @@ mod tests {
         let dst = s.node_id(Coord::new(1, 1, 0, 0, 0));
         let r2 = route(&s, src, dst, Zone::Z2);
         let r3 = route(&s, src, dst, Zone::Z3);
-        assert_eq!(r2.links[0].direction().dim, Dim::A, "Z2 ties: canonical order");
-        assert_eq!(r3.links[0].direction().dim, Dim::B, "Z3 ties: reverse order");
+        assert_eq!(
+            r2.links[0].direction().dim,
+            Dim::A,
+            "Z2 ties: canonical order"
+        );
+        assert_eq!(
+            r3.links[0].direction().dim,
+            Dim::B,
+            "Z3 ties: reverse order"
+        );
     }
 
     #[test]

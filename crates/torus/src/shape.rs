@@ -201,7 +201,11 @@ mod tests {
         let plus_a = s.neighbor(c, Direction::new(Dim::A, Sign::Plus));
         assert_eq!(plus_a, Coord::new(1, 0, 0, 0, 0));
         let minus_a = s.neighbor(c, Direction::new(Dim::A, Sign::Minus));
-        assert_eq!(minus_a, Coord::new(1, 0, 0, 0, 0), "size-2 ring wraps to same node");
+        assert_eq!(
+            minus_a,
+            Coord::new(1, 0, 0, 0, 0),
+            "size-2 ring wraps to same node"
+        );
         let minus_c = s.neighbor(c, Direction::new(Dim::C, Sign::Minus));
         assert_eq!(minus_c, Coord::new(0, 0, 3, 0, 0));
     }

@@ -41,11 +41,11 @@ impl ModuleLayout {
 /// Panics if there are more modules than nodes, or no modules.
 pub fn partition_modules(num_nodes: u32, weights: &[(&str, u32)]) -> Vec<ModuleLayout> {
     assert!(!weights.is_empty(), "need at least one module");
+    assert!(weights.len() as u32 <= num_nodes, "more modules than nodes");
     assert!(
-        weights.len() as u32 <= num_nodes,
-        "more modules than nodes"
+        weights.iter().all(|&(_, w)| w > 0),
+        "weights must be positive"
     );
-    assert!(weights.iter().all(|&(_, w)| w > 0), "weights must be positive");
     let total_w: u64 = weights.iter().map(|&(_, w)| w as u64).sum();
 
     // Ideal shares, floored, with at least 1 node each.
@@ -150,8 +150,14 @@ mod tests {
 
     #[test]
     fn equal_modules_pair_identically() {
-        let a = ModuleLayout { name: "a".into(), nodes: 0..4 };
-        let b = ModuleLayout { name: "b".into(), nodes: 8..12 };
+        let a = ModuleLayout {
+            name: "a".into(),
+            nodes: 0..4,
+        };
+        let b = ModuleLayout {
+            name: "b".into(),
+            nodes: 8..12,
+        };
         let pairs = coupling_pairs(&a, &b);
         assert_eq!(
             pairs,
@@ -166,8 +172,14 @@ mod tests {
 
     #[test]
     fn unequal_modules_stride() {
-        let small = ModuleLayout { name: "s".into(), nodes: 0..2 };
-        let big = ModuleLayout { name: "b".into(), nodes: 10..18 };
+        let small = ModuleLayout {
+            name: "s".into(),
+            nodes: 0..2,
+        };
+        let big = ModuleLayout {
+            name: "b".into(),
+            nodes: 10..18,
+        };
         let pairs = coupling_pairs(&small, &big);
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0], (NodeId(0), NodeId(10)));

@@ -105,10 +105,13 @@ impl Histogram {
 
     /// Rows of `(bin start, bin end, count)` for printing.
     pub fn rows(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (i as u64 * self.bin_width, (i as u64 + 1) * self.bin_width, c))
+        self.counts.iter().enumerate().map(move |(i, &c)| {
+            (
+                i as u64 * self.bin_width,
+                (i as u64 + 1) * self.bin_width,
+                c,
+            )
+        })
     }
 }
 
@@ -215,17 +218,9 @@ mod tests {
         let sizes = pareto_sizes(16384, &ParetoParams::default(), 1);
         let zeros = sizes.iter().filter(|&&s| s == 0).count() as f64 / 16384.0;
         assert!((0.25..=0.35).contains(&zeros), "zero fraction {zeros}");
-        let capped = sizes
-            .iter()
-            .filter(|&&s| s == DEFAULT_MAX_BYTES)
-            .count() as f64
-            / 16384.0;
+        let capped = sizes.iter().filter(|&&s| s == DEFAULT_MAX_BYTES).count() as f64 / 16384.0;
         assert!(capped > 0.02, "expect a spike at the cap, got {capped}");
-        let small = sizes
-            .iter()
-            .filter(|&&s| s < DEFAULT_MAX_BYTES / 8)
-            .count() as f64
-            / 16384.0;
+        let small = sizes.iter().filter(|&&s| s < DEFAULT_MAX_BYTES / 8).count() as f64 / 16384.0;
         assert!(small > 0.5, "most ranks should hold little data: {small}");
     }
 

@@ -119,8 +119,16 @@ mod tests {
 
     #[test]
     fn overlapping_regions_accumulate() {
-        let r1 = Region { start: 0, len: 4, bytes_per_rank: 5 };
-        let r2 = Region { start: 2, len: 4, bytes_per_rank: 3 };
+        let r1 = Region {
+            start: 0,
+            len: 4,
+            bytes_per_rank: 5,
+        };
+        let r2 = Region {
+            start: 2,
+            len: 4,
+            bytes_per_rank: 3,
+        };
         let sizes = region_sizes(8, &[r1, r2]);
         assert_eq!(sizes, vec![5, 5, 8, 8, 3, 3, 0, 0]);
         assert_eq!(
@@ -161,6 +169,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds")]
     fn out_of_range_region_panics() {
-        region_sizes(5, &[Region { start: 3, len: 4, bytes_per_rank: 1 }]);
+        region_sizes(
+            5,
+            &[Region {
+                start: 3,
+                len: 4,
+                bytes_per_rank: 1,
+            }],
+        );
     }
 }

@@ -39,7 +39,10 @@ fn main() {
     );
     println!("module layout on a {} torus:", machine.shape());
     for m in &modules {
-        println!("  {:<11} nodes {:>4}..{:<4}", m.name, m.nodes.start, m.nodes.end);
+        println!(
+            "  {:<11} nodes {:>4}..{:<4}",
+            m.name, m.nodes.start, m.nodes.end
+        );
     }
 
     let cfg = ProxySearchConfig {
@@ -53,15 +56,14 @@ fn main() {
         .iter()
         .partition(|&&(s, _)| machine.shape().coord(s).get(Dim::B) == 0);
     let couplings: Vec<Coupling> = [
-        (plane0, 16u64 << 20),                                // atm -> ocn plane 0
-        (plane1, 16 << 20),                                   // atm -> ocn plane 1
-        (coupling_pairs(&modules[1], &modules[3]), 2 << 20),  // land -> viz (flux)
+        (plane0, 16u64 << 20),                               // atm -> ocn plane 0
+        (plane1, 16 << 20),                                  // atm -> ocn plane 1
+        (coupling_pairs(&modules[1], &modules[3]), 2 << 20), // land -> viz (flux)
     ]
     .into_iter()
     .map(|(pairs, field_bytes)| {
         let (sources, dests): (Vec<NodeId>, Vec<NodeId>) = pairs.into_iter().unzip();
-        let groups =
-            find_proxy_groups(machine.shape(), machine.zone(), &sources, &dests, &cfg);
+        let groups = find_proxy_groups(machine.shape(), machine.zone(), &sources, &dests, &cfg);
         Coupling {
             sources,
             dests,

@@ -52,7 +52,10 @@ fn main() {
     let plan = mover.plan_sparse_write(&mut prog, &data, &IoMoveOptions::default());
     let ours = plan.handle.throughput(&prog.run());
 
-    println!("default MPI collective write : {:>7.3} GB/s", baseline / 1e9);
+    println!(
+        "default MPI collective write : {:>7.3} GB/s",
+        baseline / 1e9
+    );
     println!(
         "customized aggregators       : {:>7.3} GB/s  ({:.2}x improvement, paper: up to ~1.5x)",
         ours / 1e9,

@@ -25,7 +25,10 @@ fn main() {
 
     let mover = SparseMover::new(&machine);
 
-    println!("coupling 128 ocean ranks to 128 atmosphere ranks on a {} torus", machine.shape());
+    println!(
+        "coupling 128 ocean ranks to 128 atmosphere ranks on a {} torus",
+        machine.shape()
+    );
     println!(
         "{:>12}  {:>12}  {:>14}  {:>14}  {:>8}",
         "field size", "decision", "direct GB/s", "planned GB/s", "speedup"

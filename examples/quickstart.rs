@@ -15,7 +15,10 @@ fn main() {
     let src = NodeId(0);
     let dst = NodeId(machine.shape().num_nodes() - 1);
 
-    println!("transferring between {src} and {dst} on a {} torus\n", machine.shape());
+    println!(
+        "transferring between {src} and {dst} on a {} torus\n",
+        machine.shape()
+    );
     println!("{:>10}  {:>12}  {:>10}", "size", "decision", "GB/s");
 
     for bytes in [4u64 << 10, 64 << 10, 1 << 20, 32 << 20] {

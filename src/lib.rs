@@ -57,12 +57,12 @@ pub mod prelude {
     pub use bgq_iosys::{plan_collective_write, CollectiveIoConfig};
     pub use bgq_netsim::{SimConfig, SimReport, Simulator, TransferGraph, TransferSpec};
     pub use bgq_torus::{
-        shape_for_cores, standard_shape, Coord, Dim, Direction, IoLayout, NodeId, Rank,
-        RankMap, Shape, Sign, Zone,
+        shape_for_cores, standard_shape, Coord, Dim, Direction, IoLayout, NodeId, Rank, RankMap,
+        Shape, Sign, Zone,
     };
     pub use bgq_workloads::{
-        coalesce_to_nodes, hacc_workload, nonzero_nodes, pareto_sizes, uniform_sizes,
-        Histogram, ParetoParams,
+        coalesce_to_nodes, hacc_workload, nonzero_nodes, pareto_sizes, uniform_sizes, Histogram,
+        ParetoParams,
     };
     pub use sdm_core::{
         AggregatorTable, AssignPolicy, CostModel, Decision, ExchangeAlgorithm, ExchangePlan,

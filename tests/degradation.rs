@@ -49,8 +49,7 @@ fn degraded_default_path_cripples_direct_transfers() {
 
     // Degrade the first link of the default route to 10%.
     let first_link = route(&shape, NodeId(0), NodeId(127), healthy.zone()).links[0];
-    let sick = Machine::new(shape, SimConfig::default())
-        .with_degraded_links(&[(first_link, 0.1)]);
+    let sick = Machine::new(shape, SimConfig::default()).with_degraded_links(&[(first_link, 0.1)]);
     let t_sick = direct_time(&sick);
 
     assert!(
@@ -68,8 +67,7 @@ fn multipath_contains_the_blast_radius_of_one_sick_link() {
     // Degrade the same default-route link: at most one of the four proxy
     // paths can cross it (they are pairwise disjoint).
     let first_link = route(&shape, NodeId(0), NodeId(127), healthy.zone()).links[0];
-    let sick = Machine::new(shape, SimConfig::default())
-        .with_degraded_links(&[(first_link, 0.1)]);
+    let sick = Machine::new(shape, SimConfig::default()).with_degraded_links(&[(first_link, 0.1)]);
     let t_sick = multipath_time(&sick);
 
     // Equal splitting still waits for the chunk crossing the sick link,
@@ -94,7 +92,10 @@ fn multipath_contains_the_blast_radius_of_one_sick_link() {
 fn degradation_composes_with_io_plans() {
     // Degrading a torus link on the path to one bridge slows the default
     // write but the plan still completes and conserves bytes.
-    let machine = Machine::new(standard_shape(128).unwrap(), SimConfig::default().with_link_stats());
+    let machine = Machine::new(
+        standard_shape(128).unwrap(),
+        SimConfig::default().with_link_stats(),
+    );
     let layout = machine.io_layout().clone();
     let bridge = layout.default_bridge(NodeId(5));
     let link = route(machine.shape(), NodeId(5), bridge, machine.zone()).links[0];

@@ -9,11 +9,10 @@ fn headline_two_x_point_to_point_improvement() {
     // Abstract: "up to a 2X improvement in achievable throughput compared
     // to the default mechanisms" — the Fig. 5 configuration.
     let machine = Machine::new(standard_shape(128).unwrap(), SimConfig::default());
-    let mover = SparseMover::new(&machine)
-        .with_search(ProxySearchConfig {
-            max_proxies: 4,
-            ..Default::default()
-        });
+    let mover = SparseMover::new(&machine).with_search(ProxySearchConfig {
+        max_proxies: 4,
+        ..Default::default()
+    });
     let bytes = 128u64 << 20;
 
     let mut pd = Program::new(&machine);
@@ -25,7 +24,10 @@ fn headline_two_x_point_to_point_improvement() {
         .plan(&mut pm, PlanRequest::new(NodeId(0), NodeId(127), bytes))
         .unwrap();
     let decision = out.decision;
-    assert!(matches!(decision, Decision::Multipath { paths: 4 }), "{decision:?}");
+    assert!(
+        matches!(decision, Decision::Multipath { paths: 4 }),
+        "{decision:?}"
+    );
     let multi = out.handle.throughput(&pm.run());
 
     let speedup = multi / direct;
@@ -93,7 +95,10 @@ fn aggregation_beats_collective_io_on_both_patterns() {
 
     for (label, sizes) in [
         ("pattern 1", uniform_sizes(map.num_ranks(), 8 << 20, 1)),
-        ("pattern 2", pareto_sizes(map.num_ranks(), &ParetoParams::default(), 1)),
+        (
+            "pattern 2",
+            pareto_sizes(map.num_ranks(), &ParetoParams::default(), 1),
+        ),
     ] {
         let data = coalesce_to_nodes(&map, &sizes);
 
@@ -110,7 +115,10 @@ fn aggregation_beats_collective_io_on_both_patterns() {
             "{label}: ours {ours:.3e} should clearly beat baseline {baseline:.3e}"
         );
         // And never exceed the physical pset ceiling (2 links x 2 GB/s).
-        assert!(ours <= 4.0e9 * 1.01, "{label}: {ours:.3e} exceeds pset ceiling");
+        assert!(
+            ours <= 4.0e9 * 1.01,
+            "{label}: {ours:.3e} exceeds pset ceiling"
+        );
     }
 }
 

@@ -12,7 +12,7 @@
 
 use bgq_bench::experiments::{Fig10, Fig5, Fig7};
 use bgq_bench::resilience::Resilience;
-use bgq_bench::{fig10_scales, Experiment, ExperimentSession, ExchangeSweep};
+use bgq_bench::{fig10_scales, ExchangeSweep, Experiment, ExperimentSession};
 use std::path::Path;
 
 /// Run `exp` sequentially and return its CSV. One thread keeps the runs
@@ -58,12 +58,22 @@ fn golden_sizes() -> Vec<u64> {
 
 #[test]
 fn fig5_matches_golden() {
-    check("fig5", &csv_of(&Fig5 { sizes: golden_sizes() }));
+    check(
+        "fig5",
+        &csv_of(&Fig5 {
+            sizes: golden_sizes(),
+        }),
+    );
 }
 
 #[test]
 fn fig7_matches_golden() {
-    check("fig7", &csv_of(&Fig7 { sizes: golden_sizes() }));
+    check(
+        "fig7",
+        &csv_of(&Fig7 {
+            sizes: golden_sizes(),
+        }),
+    );
 }
 
 #[test]

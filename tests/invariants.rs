@@ -14,7 +14,10 @@ fn full_stack_is_deterministic() {
     let run_once = || {
         let machine = Machine::new(standard_shape(128).unwrap(), SimConfig::default());
         let map = RankMap::default_map(*machine.shape(), 16);
-        let data = coalesce_to_nodes(&map, &pareto_sizes(map.num_ranks(), &ParetoParams::default(), 99));
+        let data = coalesce_to_nodes(
+            &map,
+            &pareto_sizes(map.num_ranks(), &ParetoParams::default(), 99),
+        );
         let mover = SparseMover::new(&machine);
         let mut prog = Program::new(&machine);
         let plan = mover.plan_sparse_write(&mut prog, &data, &IoMoveOptions::default());
@@ -106,7 +109,10 @@ fn default_io_write_uses_only_default_path() {
     let rb = rep.resource_bytes.as_ref().unwrap();
     let ntorus = (machine.shape().num_nodes() * 10) as usize;
     for (i, &b) in rb[ntorus..].iter().enumerate() {
-        let expected = i as u32 == layout.io_link_index(layout.default_bridge(NodeId(5))).unwrap();
+        let expected = i as u32
+            == layout
+                .io_link_index(layout.default_bridge(NodeId(5)))
+                .unwrap();
         assert_eq!(b > 0.0, expected, "io link {i}");
     }
 }

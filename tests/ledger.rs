@@ -16,8 +16,8 @@ use std::path::Path;
 
 fn baseline() -> (String, RunManifest) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/ledger/baseline.json");
-    let js = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let js =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let manifest = RunManifest::from_json(&js)
         .unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
     (js, manifest)

@@ -87,8 +87,7 @@ fn measured_speedup_tracks_k_over_2() {
     for k in [3usize, 4] {
         let px = proxies(&m, NodeId(0), NodeId(127), k);
         let mut pd = Program::new(&m);
-        let t_direct = plan_direct(&mut pd, NodeId(0), NodeId(127), huge)
-            .completed_at(&pd.run());
+        let t_direct = plan_direct(&mut pd, NodeId(0), NodeId(127), huge).completed_at(&pd.run());
         let mut pm = Program::new(&m);
         let t_multi = plan_via_proxies(
             &mut pm,
