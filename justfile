@@ -1,7 +1,8 @@
 # Common development tasks. Run with `just <target>`.
 
-# Build, test, and lint — the gate every change must pass.
+# Format check, build, test, and lint — the gate every change must pass.
 verify: obs profile scale exchange sentinel reproduce
+    cargo fmt --all --check
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
