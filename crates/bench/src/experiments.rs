@@ -507,10 +507,11 @@ fn measure(
     let mut prog = Program::new(machine);
     let (bytes, tokens) = build(&mut prog);
     let rep = prog.run();
-    let u = utilization(&rep, &machine.capacities());
+    let caps = machine.capacities();
+    let u = utilization(prog.graph(), &rep, &caps);
     let t = rep.last_delivery(&tokens);
     (
-        active_fraction(&rep),
+        active_fraction(prog.graph(), &rep, caps.len()),
         u.mean_active_utilization,
         u.peak_utilization,
         bytes as f64 / t,
@@ -550,10 +551,7 @@ impl Experiment for Utilization {
     }
 
     fn run_point(&self, cache: &PlanCache, &scenario: &UtilScenario) -> Row {
-        let machine = cache.machine(
-            standard_shape(128).unwrap(),
-            &SimConfig::default().with_link_stats(),
-        );
+        let machine = cache.machine(standard_shape(128).unwrap(), &SimConfig::default());
         let (src, dst) = (NodeId(0), NodeId(127));
         let bytes = 64u64 << 20;
 

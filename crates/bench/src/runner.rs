@@ -41,7 +41,7 @@ use crate::table::Table;
 /// `SimConfig` has `f64` fields, so it cannot be a `HashMap` key directly;
 /// the bit patterns can. Distinct NaN payloads would compare unequal, but
 /// no configuration in this crate produces NaN parameters.
-type ConfigBits = [u64; 11];
+type ConfigBits = [u64; 10];
 
 fn config_bits(c: &SimConfig) -> ConfigBits {
     [
@@ -55,7 +55,6 @@ fn config_bits(c: &SimConfig) -> ConfigBits {
         c.forward_overhead.to_bits(),
         c.contention_penalty.to_bits(),
         c.contention_floor.to_bits(),
-        c.collect_link_stats as u64,
     ]
 }
 
@@ -582,7 +581,10 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
 
         // A different SimConfig is a different machine…
-        let other = SimConfig::default().with_link_stats();
+        let other = SimConfig {
+            contention_penalty: 0.0,
+            ..SimConfig::default()
+        };
         let m3 = cache.machine(shape, &other);
         assert!(!Arc::ptr_eq(&m1, &m3));
         // …but the aggregator table depends only on the shape.

@@ -35,6 +35,7 @@ fn cheap_figures_reproduce_their_committed_files() {
         "thresholds",
         "diversity",
         "ablation_report",
+        "utilization",
     ] {
         let fig = figure(name).unwrap();
         let (text, _) = produce(fig, &args, fig.format()).unwrap();

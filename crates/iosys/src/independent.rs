@@ -3,7 +3,7 @@
 //! node, eleventh link to the ION — with no aggregation at all.
 //!
 //! This is the POSIX-style lower bound the I/O-forwarding literature
-//! (paper refs [8]–[10]) starts from: it suffers both the bridge-load
+//! (paper refs \[8\]–\[10\]) starts from: it suffers both the bridge-load
 //! imbalance *and* per-request overheads for every small writer, which is
 //! exactly what collective buffering and the paper's aggregators exist to
 //! fix.
@@ -75,15 +75,12 @@ mod tests {
         // Unlike default collective I/O (all aggregators behind bridge 0),
         // independent writes from the whole pset hit both bridges — but
         // pay per-request overheads instead.
-        let m = Machine::new(
-            standard_shape(128).unwrap(),
-            SimConfig::default().with_link_stats(),
-        );
+        let m = Machine::new(standard_shape(128).unwrap(), SimConfig::default());
         let mut p = Program::new(&m);
         let data: Vec<(NodeId, u64)> = (0..128).map(|i| (NodeId(i), 2 << 20)).collect();
         let _ = plan_independent_write(&mut p, &data, DEFAULT_REQUEST_BYTES);
         let rep = p.run();
-        let rb = rep.resource_bytes.as_ref().unwrap();
+        let rb = bgq_netsim::resource_bytes(p.graph(), &rep, m.num_resources() as usize);
         let ntorus = (m.shape().num_nodes() * 10) as usize;
         assert!(
             rb[ntorus] > 0.0 && rb[ntorus + 1] > 0.0,

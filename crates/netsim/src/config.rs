@@ -55,8 +55,6 @@ pub struct SimConfig {
     /// (arbitration loss saturates; heavy but well-formed fan-in, e.g.
     /// I/O aggregation, does not collapse).
     pub contention_floor: f64,
-    /// Whether to accumulate per-resource byte counters (adds overhead).
-    pub collect_link_stats: bool,
 }
 
 impl Default for SimConfig {
@@ -72,18 +70,11 @@ impl Default for SimConfig {
             forward_overhead: 2e-6,
             contention_penalty: 0.1,
             contention_floor: 0.7,
-            collect_link_stats: false,
         }
     }
 }
 
 impl SimConfig {
-    /// Config with link statistics collection enabled.
-    pub fn with_link_stats(mut self) -> Self {
-        self.collect_link_stats = true;
-        self
-    }
-
     /// Sanity-check the parameters, reporting the first violation.
     pub fn check(&self) -> Result<(), String> {
         if self.link_bandwidth <= 0.0 {

@@ -231,7 +231,6 @@ mod tests {
             forward_overhead: 0.0,
             contention_penalty: 0.0,
             contention_floor: 1.0,
-            collect_link_stats: false,
         }
     }
 

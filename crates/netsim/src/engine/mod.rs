@@ -127,7 +127,10 @@ pub enum TransferStatus {
     NotStarted,
 }
 
-/// Result of executing a transfer graph.
+/// Result of executing a transfer graph: per-transfer records, indexed
+/// like the graph. It holds no per-resource counters; the bytes each
+/// resource carried follow from the graph's routes and the statuses here
+/// (see [`crate::stats`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Delivery time of each transfer (same indexing as the graph);
@@ -153,8 +156,6 @@ pub struct SimReport {
     pub end_time: f64,
     /// Total payload bytes moved.
     pub total_bytes: u64,
-    /// Bytes carried per resource (only if `collect_link_stats`).
-    pub resource_bytes: Option<Vec<f64>>,
     /// Bottleneck attribution (only if [`SimOptions::profiled`]).
     pub profile: Option<SimProfile>,
 }
@@ -282,7 +283,10 @@ impl Simulator {
         &self.capacities
     }
 
-    /// Execute `graph` under `opts` and return per-transfer timings.
+    /// Execute `graph` under `opts` and return per-transfer timings and
+    /// statuses. The event loop does not count bytes per resource;
+    /// [`crate::stats`] derives them afterwards from the graph and the
+    /// report.
     ///
     /// An absent (or empty) fault plan runs fault-free: no fault state is
     /// allocated and the event sequence (and every float operation) is
@@ -369,7 +373,6 @@ impl Simulator {
                     run.flow_start_time,
                     run.stall_time,
                     run.end_time,
-                    run.resource_bytes,
                     run.pstate,
                     1,
                     obs,
@@ -400,10 +403,6 @@ impl Simulator {
                 let mut delivery_time = vec![f64::INFINITY; n];
                 let mut flow_start_time = vec![f64::INFINITY; n];
                 let mut stall_time = vec![0.0f64; n];
-                let mut resource_bytes = self
-                    .config
-                    .collect_link_stats
-                    .then(|| vec![0.0f64; self.capacities.len()]);
                 let mut gstate = profile.then(|| ProfileState::new(n));
                 let shards = plans.len() as u32;
                 let mark = obs.as_deref().map(|o| o.mark());
@@ -418,13 +417,6 @@ impl Simulator {
                     // did when every component shared one event loop.
                     for &lt in &run.stalled_at_drain {
                         stall_time[plan.tids[lt as usize] as usize] += global_end - run.end_time;
-                    }
-                    if let (Some(grb), Some(lrb)) =
-                        (resource_bytes.as_mut(), run.resource_bytes.as_ref())
-                    {
-                        for (li, &r) in plan.resources.iter().enumerate() {
-                            grb[r as usize] = lrb[li];
-                        }
                     }
                     if let (Some(g), Some(p)) = (gstate.as_mut(), run.pstate) {
                         g.absorb(p, &plan.tids, &plan.resources);
@@ -450,7 +442,6 @@ impl Simulator {
                     flow_start_time,
                     stall_time,
                     global_end,
-                    resource_bytes,
                     gstate,
                     shards,
                     obs,
@@ -470,7 +461,6 @@ impl Simulator {
         flow_start_time: Vec<f64>,
         stall_time: Vec<f64>,
         end_time: f64,
-        resource_bytes: Option<Vec<f64>>,
         pstate: Option<ProfileState>,
         shards: u32,
         obs: Option<&mut SimObserver>,
@@ -511,7 +501,6 @@ impl Simulator {
             makespan,
             end_time,
             total_bytes: graph.total_bytes(),
-            resource_bytes,
             profile,
         }
     }
@@ -539,7 +528,6 @@ struct ComponentRun {
     /// Local tids still stalled when this component's queue drained.
     stalled_at_drain: Vec<u32>,
     end_time: f64,
-    resource_bytes: Option<Vec<f64>>,
     pstate: Option<ProfileState>,
 }
 
@@ -609,11 +597,6 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
     // observer: it reads `dt` and engine state but never feeds a
     // float back into the simulation.
     let mut pstate: Option<ProfileState> = profile.then(|| ProfileState::new(n));
-    let mut resource_bytes = if config.collect_link_stats {
-        Some(vec![0.0f64; caps.len()])
-    } else {
-        None
-    };
     // Heatmap sampling scratch, reused across epochs: a dense per-
     // resource accumulator plus the list of touched indices, drained
     // into a sparse sorted sample at each boundary.
@@ -636,13 +619,7 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
         if dt > 0.0 {
             debug_assert!(!rates_dirty, "advancing with stale rates");
             for f in &mut flows.active {
-                let moved = f.rate * dt;
-                f.remaining -= moved;
-                if let Some(rb) = resource_bytes.as_mut() {
-                    for r in &specs[f.tid as usize].route {
-                        rb[r.0 as usize] += moved;
-                    }
-                }
+                f.remaining -= f.rate * dt;
             }
             if let Some(ps) = pstate.as_mut() {
                 // Every active flow spent `dt` bound by whatever
@@ -911,7 +888,6 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
         stall_time,
         stalled_at_drain,
         end_time: now,
-        resource_bytes,
         pstate,
     }
 }
@@ -934,7 +910,6 @@ mod tests {
             forward_overhead: 0.0,
             contention_penalty: 0.0,
             contention_floor: 1.0,
-            collect_link_stats: true,
         }
     }
 
@@ -1087,7 +1062,7 @@ mod tests {
         ));
         g.add(TransferSpec::new(1, 2, 500, vec![ResourceId(1)]));
         let rep = run(&s, &g);
-        let rb = rep.resource_bytes.as_ref().unwrap();
+        let rb = crate::stats::resource_bytes(&g, &rep, 2);
         assert!((rb[0] - 1000.0).abs() < 1.0, "{}", rb[0]);
         assert!((rb[1] - 1500.0).abs() < 1.0, "{}", rb[1]);
     }
@@ -1395,10 +1370,6 @@ mod tests {
         assert_eq!(bits(&full.stall_time), bits(&inc.stall_time));
         assert_eq!(full.makespan.to_bits(), inc.makespan.to_bits());
         assert_eq!(full.status, inc.status);
-        assert_eq!(
-            bits(full.resource_bytes.as_ref().unwrap()),
-            bits(inc.resource_bytes.as_ref().unwrap())
-        );
     }
 
     #[test]
@@ -1618,7 +1589,6 @@ mod tests {
             makespan: f64::INFINITY,
             end_time: 9.0,
             total_bytes: 3000,
-            resource_bytes: None,
             profile: None,
         };
         let (idx, stall) = rep.worst_undelivered().unwrap();

@@ -44,8 +44,7 @@ pub use graph::{ResourceId, TransferGraph, TransferId, TransferSpec};
 pub use obs::{FaultReLevel, HeatmapSample, LinkHeatmap, ShardMerge, SimObserver};
 pub use profile::{Binding, SimProfile, TransferTimeProfile};
 pub use stats::{
-    active_fraction, activity_timeline, node_traffic, stragglers, try_active_fraction,
-    try_utilization, utilization, windowed_throughput, StatsError, Utilization,
+    active_fraction, resource_bytes, try_utilization, utilization, StatsError, Utilization,
 };
-pub use trace::{gantt, to_csv as trace_to_csv, trace, TraceRow};
+pub use trace::{gantt, trace, TraceRow};
 pub use waterfill::{certify, CertificateError, FlowDemand, Waterfill};

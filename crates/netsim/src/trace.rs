@@ -26,28 +26,6 @@ pub struct TraceRow {
     pub delivered: f64,
 }
 
-impl TraceRow {
-    /// Time spent queued/synchronizing before the flow started.
-    pub fn wait(&self) -> f64 {
-        self.flow_start - self.eligible
-    }
-
-    /// Time the flow spent moving bytes.
-    pub fn transfer_time(&self) -> f64 {
-        self.delivered - self.flow_start
-    }
-
-    /// Average rate while flowing (0 for zero-byte syncs).
-    pub fn rate(&self) -> f64 {
-        let t = self.transfer_time();
-        if t > 0.0 {
-            self.bytes as f64 / t
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Build the trace for every transfer of a completed run.
 pub fn trace(graph: &TransferGraph, report: &SimReport) -> Vec<TraceRow> {
     graph
@@ -103,27 +81,6 @@ pub fn gantt(rows: &[TraceRow], makespan: f64, width: usize) -> String {
     out
 }
 
-/// Dump the trace as CSV.
-pub fn to_csv(rows: &[TraceRow]) -> String {
-    let mut out = String::from("id,src,dst,bytes,eligible,flow_start,delivered,wait,rate\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.9},{:.9},{:.9},{:.9},{:.3}",
-            r.id.0,
-            r.src,
-            r.dst,
-            r.bytes,
-            r.eligible,
-            r.flow_start,
-            r.delivered,
-            r.wait(),
-            r.rate()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +100,6 @@ mod tests {
             forward_overhead: 0.0,
             contention_penalty: 0.0,
             contention_floor: 1.0,
-            collect_link_stats: false,
         };
         let sim = Simulator::new(3, vec![100.0, 100.0], cfg);
         let mut g = TransferGraph::new();
@@ -165,11 +121,13 @@ mod tests {
         // Root transfer: eligible at 0, flow starts after 1s injection.
         assert_eq!(rows[0].eligible, 0.0);
         assert!((rows[0].flow_start - 1.0).abs() < 1e-9);
-        assert!((rows[0].rate() - 100.0).abs() < 1e-6);
+        let rate = rows[0].bytes as f64 / (rows[0].delivered - rows[0].flow_start);
+        assert!((rate - 100.0).abs() < 1e-6, "{rate}");
         // Dependent: eligible when the first was delivered (11.0); waits
         // the 0.5 s forwarding delay plus 1 s injection.
         assert!((rows[1].eligible - 11.0).abs() < 1e-9);
-        assert!((rows[1].wait() - 1.5).abs() < 1e-9, "{}", rows[1].wait());
+        let wait = rows[1].flow_start - rows[1].eligible;
+        assert!((wait - 1.5).abs() < 1e-9, "{wait}");
     }
 
     #[test]
@@ -179,15 +137,6 @@ mod tests {
         let chart = gantt(&rows, rep.makespan, 40);
         assert_eq!(chart.lines().count(), 2);
         assert!(chart.contains('='));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let (g, rep) = run();
-        let rows = trace(&g, &rep);
-        let csv = to_csv(&rows);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("id,src,dst"));
     }
 
     #[test]

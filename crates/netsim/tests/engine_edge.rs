@@ -16,7 +16,6 @@ fn cfg() -> SimConfig {
         forward_overhead: 0.0,
         contention_penalty: 0.0,
         contention_floor: 1.0,
-        collect_link_stats: true,
     }
 }
 
@@ -39,7 +38,7 @@ fn thousand_flow_fan_in_is_fair_and_exact() {
         assert!((t - 1000.0).abs() < 1e-3, "{t}");
     }
     // Byte conservation on the shared link.
-    let rb = rep.resource_bytes.as_ref().unwrap();
+    let rb = resource_bytes(&g, &rep, n as usize + 1);
     assert!((rb[n as usize] - 1_000_000.0).abs() < 10.0);
 }
 

@@ -27,7 +27,6 @@ fn config() -> SimConfig {
         forward_overhead: 0.0,
         contention_penalty: 0.25,
         contention_floor: 0.5,
-        collect_link_stats: true,
     }
 }
 

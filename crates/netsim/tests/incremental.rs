@@ -7,6 +7,10 @@
 use bgq_netsim::*;
 use proptest::prelude::*;
 
+#[path = "common/reports.rs"]
+mod reports;
+use reports::assert_reports_identical;
+
 /// Strategy: a random small network scenario (mirrors `props.rs`).
 fn scenario() -> impl Strategy<Value = (u32, Vec<f64>, Vec<TransferSpec>)> {
     let nodes = 2u32..8;
@@ -46,44 +50,7 @@ fn quick_config() -> SimConfig {
         forward_overhead: 0.0,
         contention_penalty: 0.0,
         contention_floor: 1.0,
-        collect_link_stats: true,
     }
-}
-
-/// Bit-level equality of two reports, field by field.
-fn assert_reports_identical(a: &SimReport, b: &SimReport, ctx: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.status.clone(), b.status.clone(), "status ({})", ctx);
-    for (i, (x, y)) in a.delivery_time.iter().zip(&b.delivery_time).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "delivery_time[{}] ({})", i, ctx);
-    }
-    for (i, (x, y)) in a.flow_start_time.iter().zip(&b.flow_start_time).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "flow_start_time[{}] ({})", i, ctx);
-    }
-    for (i, (x, y)) in a.stall_time.iter().zip(&b.stall_time).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "stall_time[{}] ({})", i, ctx);
-    }
-    prop_assert_eq!(
-        a.makespan.to_bits(),
-        b.makespan.to_bits(),
-        "makespan ({})",
-        ctx
-    );
-    prop_assert_eq!(
-        a.end_time.to_bits(),
-        b.end_time.to_bits(),
-        "end_time ({})",
-        ctx
-    );
-    match (&a.resource_bytes, &b.resource_bytes) {
-        (Some(x), Some(y)) => {
-            for (i, (u, v)) in x.iter().zip(y).enumerate() {
-                prop_assert_eq!(u.to_bits(), v.to_bits(), "resource_bytes[{}] ({})", i, ctx);
-            }
-        }
-        (None, None) => {}
-        _ => prop_assert!(false, "resource_bytes presence differs ({})", ctx),
-    }
-    Ok(())
 }
 
 proptest! {

@@ -45,7 +45,6 @@ fn quick_config() -> SimConfig {
         forward_overhead: 0.0,
         contention_penalty: 0.0,
         contention_floor: 1.0,
-        collect_link_stats: true,
     }
 }
 
@@ -88,16 +87,17 @@ proptest! {
             g.add(s);
         }
         let rep = sim.simulate(&g, SimOptions::new());
-        // Each resource must have carried exactly the bytes of the
-        // transfers routed over it (within float tolerance).
+        // Fault-free, every transfer delivers, so each resource must have
+        // carried exactly the bytes of the transfers routed over it
+        // (within float tolerance).
         let mut expect = vec![0.0f64; caps.len()];
         for s in g.specs() {
             for r in &s.route {
                 expect[r.0 as usize] += s.bytes as f64;
             }
         }
-        let got = rep.resource_bytes.as_ref().unwrap();
-        for (i, (e, g)) in expect.iter().zip(got).enumerate() {
+        let got = resource_bytes(&g, &rep, caps.len());
+        for (i, (e, g)) in expect.iter().zip(&got).enumerate() {
             prop_assert!(
                 (e - g).abs() <= 1.0 + e * 1e-6,
                 "resource {i}: expected {e} bytes, accounted {g}"

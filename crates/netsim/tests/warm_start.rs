@@ -100,7 +100,6 @@ fn config(case: &Case) -> SimConfig {
         forward_overhead: 0.0,
         contention_penalty: case.contention.0,
         contention_floor: case.contention.1,
-        collect_link_stats: true,
     }
 }
 
@@ -157,7 +156,6 @@ fn node_flap_replays_and_matches_the_oracle() {
         forward_overhead: 0.0,
         contention_penalty: 0.0,
         contention_floor: 1.0,
-        collect_link_stats: false,
     };
     let sim = Simulator::new(6, vec![100.0, 300.0, 10.0], cfg);
     let mut g = TransferGraph::new();
@@ -246,7 +244,6 @@ proptest! {
             forward_overhead: 0.0,
             contention_penalty: 0.25,
             contention_floor: 0.5,
-            collect_link_stats: true,
         };
         let sim = Simulator::new(5, caps, cfg);
         let mut g = TransferGraph::new();

@@ -1,11 +1,12 @@
 # Common development tasks. Run with `just <target>`.
 
-# Format check, build, test, and lint — the gate every change must pass.
+# Format check, build, test, lint and rustdoc — the gate every change must pass.
 verify: obs profile scale exchange sentinel reproduce
     cargo fmt --all --check
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The byte gate for artifacts regenerated in place: fail if `git status`
 # shows any of PATHS changed (or new) against the commit. After an

@@ -92,16 +92,13 @@ fn multipath_contains_the_blast_radius_of_one_sick_link() {
 fn degradation_composes_with_io_plans() {
     // Degrading a torus link on the path to one bridge slows the default
     // write but the plan still completes and conserves bytes.
-    let machine = Machine::new(
-        standard_shape(128).unwrap(),
-        SimConfig::default().with_link_stats(),
-    );
+    let machine = Machine::new(standard_shape(128).unwrap(), SimConfig::default());
     let layout = machine.io_layout().clone();
     let bridge = layout.default_bridge(NodeId(5));
     let link = route(machine.shape(), NodeId(5), bridge, machine.zone()).links[0];
 
-    let sick = Machine::new(*machine.shape(), SimConfig::default().with_link_stats())
-        .with_degraded_links(&[(link, 0.05)]);
+    let sick =
+        Machine::new(*machine.shape(), SimConfig::default()).with_degraded_links(&[(link, 0.05)]);
 
     let run = |m: &Machine| {
         let mut p = Program::new(m);

@@ -1,12 +1,15 @@
 //! Cross-crate physical invariants: conservation, ceilings, determinism.
 
+use bgq_sparsemove::netsim::resource_bytes;
 use bgq_sparsemove::prelude::*;
 
-fn machine_with_stats(nodes: u32) -> Machine {
-    Machine::new(
-        standard_shape(nodes).unwrap(),
-        SimConfig::default().with_link_stats(),
-    )
+fn machine_of(nodes: u32) -> Machine {
+    Machine::new(standard_shape(nodes).unwrap(), SimConfig::default())
+}
+
+/// Bytes each of the machine's resources carried in `prog`'s run.
+fn bytes_per_resource(machine: &Machine, prog: &Program<'_>, rep: &SimReport) -> Vec<f64> {
+    resource_bytes(prog.graph(), rep, machine.num_resources() as usize)
 }
 
 #[test]
@@ -32,7 +35,7 @@ fn full_stack_is_deterministic() {
 #[test]
 fn aggregation_conserves_bytes_on_io_links() {
     // Every byte of the write must cross exactly one eleventh link.
-    let machine = machine_with_stats(128);
+    let machine = machine_of(128);
     let map = RankMap::default_map(*machine.shape(), 16);
     let data = coalesce_to_nodes(&map, &uniform_sizes(map.num_ranks(), 1 << 20, 5));
     let total: u64 = data.iter().map(|&(_, b)| b).sum();
@@ -42,7 +45,7 @@ fn aggregation_conserves_bytes_on_io_links() {
     let _plan = mover.plan_sparse_write(&mut prog, &data, &IoMoveOptions::default());
     let rep = prog.run();
 
-    let rb = rep.resource_bytes.as_ref().unwrap();
+    let rb = bytes_per_resource(&machine, &prog, &rep);
     let ntorus = (machine.shape().num_nodes() * 10) as usize;
     let io_bytes: f64 = rb[ntorus..].iter().sum();
     assert!(
@@ -53,7 +56,7 @@ fn aggregation_conserves_bytes_on_io_links() {
 
 #[test]
 fn collective_io_conserves_bytes_on_io_links() {
-    let machine = machine_with_stats(128);
+    let machine = machine_of(128);
     let map = RankMap::default_map(*machine.shape(), 16);
     let data = coalesce_to_nodes(&map, &uniform_sizes(map.num_ranks(), 1 << 20, 6));
     let total: u64 = data.iter().map(|&(_, b)| b).sum();
@@ -62,7 +65,7 @@ fn collective_io_conserves_bytes_on_io_links() {
     let _h = plan_collective_write(&mut prog, &data, &CollectiveIoConfig::default());
     let rep = prog.run();
 
-    let rb = rep.resource_bytes.as_ref().unwrap();
+    let rb = bytes_per_resource(&machine, &prog, &rep);
     let ntorus = (machine.shape().num_nodes() * 10) as usize;
     let io_bytes: f64 = rb[ntorus..].iter().sum();
     assert!(
@@ -75,7 +78,7 @@ fn collective_io_conserves_bytes_on_io_links() {
 fn no_link_ever_exceeds_capacity() {
     // Throughput accounting: bytes / makespan per resource <= capacity
     // (loose: a link cannot move more than capacity x makespan bytes).
-    let machine = machine_with_stats(128);
+    let machine = machine_of(128);
     let mover = SparseMover::new(&machine);
     let map = RankMap::default_map(*machine.shape(), 16);
     let data = coalesce_to_nodes(&map, &uniform_sizes(map.num_ranks(), 4 << 20, 7));
@@ -85,7 +88,7 @@ fn no_link_ever_exceeds_capacity() {
     let rep = prog.run();
 
     let caps = machine.capacities();
-    let rb = rep.resource_bytes.as_ref().unwrap();
+    let rb = bytes_per_resource(&machine, &prog, &rep);
     for (i, (&bytes, &cap)) in rb.iter().zip(caps.iter()).enumerate() {
         assert!(
             bytes <= cap * rep.makespan * 1.001 + 1.0,
@@ -99,14 +102,14 @@ fn no_link_ever_exceeds_capacity() {
 fn default_io_write_uses_only_default_path() {
     // A single node's default write touches its bridge's io link and no
     // other pset's.
-    let machine = machine_with_stats(256);
+    let machine = machine_of(256);
     let layout = machine.io_layout().clone();
     let mut prog = Program::new(&machine);
     let t = prog.write_default(NodeId(5), 1 << 20, Vec::new());
     let rep = prog.run();
     assert!(rep.delivered_at(t) > 0.0);
 
-    let rb = rep.resource_bytes.as_ref().unwrap();
+    let rb = bytes_per_resource(&machine, &prog, &rep);
     let ntorus = (machine.shape().num_nodes() * 10) as usize;
     for (i, &b) in rb[ntorus..].iter().enumerate() {
         let expected = i as u32
