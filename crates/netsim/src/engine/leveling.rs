@@ -18,6 +18,12 @@
 //! through links its flows share, so a solve's work is bounded by the
 //! components that changed.
 //!
+//! The engine also tells the leveler how the active list moved — where a
+//! joining flow entered, which flow a completion's `swap_remove` moved,
+//! and when a stall's order-preserving removal shifted the rest — and the
+//! leveler hands that to the cascade, which keeps demand indices current
+//! from those notices instead of rescanning the list at every solve.
+//!
 //! Two cases need no cascade bookkeeping. A re-level with nothing to do
 //! (no flow joined or left, no capacity changed since the last solve)
 //! keeps every rate and skips the solve. A capacity change drops the
@@ -85,6 +91,10 @@ pub(crate) struct Leveler<'a> {
     /// a cascade solve popped as logged.
     pub passes: u64,
     pub replayed_passes: u64,
+    /// Flows the solves' demand-index steps examined, and the loop steps
+    /// they spent on logged passes (see [`Work`](crate::waterfill::cascade::Work)).
+    pub index_visits: u64,
+    pub log_steps: u64,
 }
 
 impl<'a> Leveler<'a> {
@@ -112,12 +122,16 @@ impl<'a> Leveler<'a> {
             touched_entries: 0,
             passes: 0,
             replayed_passes: 0,
+            index_visits: 0,
+            log_steps: 0,
         }
     }
 
-    /// A flow entered the active set: index its route.
-    pub fn note_join(&mut self, tid: u32) {
+    /// A flow entered the active set, at the back (index `at`): index
+    /// its route.
+    pub fn note_join(&mut self, tid: u32, at: usize) {
         self.changed = true;
+        self.cascade.note_at(tid, at);
         self.active_entries += self.demands.route(tid).len() as u64;
         for r in self.demands.route(tid) {
             self.res_flows[r.0 as usize].push(tid);
@@ -137,6 +151,20 @@ impl<'a> Leveler<'a> {
                 self.res_flows[ri].swap_remove(p);
             }
         }
+    }
+
+    /// A completion's `swap_remove` moved the flow that was last to index
+    /// `at`. It always comes with that completion's [`note_leave`].
+    ///
+    /// [`note_leave`]: Self::note_leave
+    pub fn note_moved(&mut self, tid: u32, at: usize) {
+        self.cascade.note_at(tid, at);
+    }
+
+    /// An order-preserving removal shifted the flows behind it: the next
+    /// solve finds demand indices by scanning the active list.
+    pub fn note_shifted(&mut self) {
+        self.cascade.rescan();
     }
 
     /// A fault changed a resource's effective capacity, which the
@@ -207,11 +235,13 @@ impl<'a> Leveler<'a> {
                     && binding[f.tid as usize] == cascade.binding(f.tid)),
             "a flow the cascade kept lost its rate or binding"
         );
-        let (passes, logged, touched) = cascade.last_work();
+        let work = cascade.last_work();
         self.solved_entries += self.active_entries;
-        self.touched_entries += touched;
-        self.passes += passes as u64;
-        self.replayed_passes += logged as u64;
+        self.touched_entries += work.touched;
+        self.passes += work.passes as u64;
+        self.replayed_passes += work.logged as u64;
+        self.index_visits += work.index_visits;
+        self.log_steps += work.log_steps;
     }
 }
 
@@ -254,8 +284,8 @@ mod tests {
     ) -> Leveler<'a> {
         let caps = vec![100.0; num_resources];
         let mut lev = Leveler::new(specs, num_resources, &cfg(), SolverMode::default());
-        for f in active.iter() {
-            lev.note_join(f.tid);
+        for (i, f) in active.iter().enumerate() {
+            lev.note_join(f.tid, i);
         }
         lev.level(active, &caps);
         assert_eq!((lev.full_runs, lev.incremental_runs), (1, 0));
@@ -309,6 +339,7 @@ mod tests {
         let touched = lev.touched_entries;
         lev.note_leave(0);
         active.remove(0);
+        lev.note_shifted();
         lev.level(&mut active, &[100.0; 6]);
         let delta = lev.touched_entries - touched;
         assert!(delta > 0);
@@ -329,8 +360,9 @@ mod tests {
         assert_eq!(active[0].rate, 50.0);
         assert_eq!(active[1].rate, 50.0);
 
-        lev.note_join(0);
+        lev.note_join(0, 0);
         active.insert(0, flow(0));
+        lev.note_shifted();
         active[2].rate = -1.0; // flow 2: must be re-leveled
         lev.level(&mut active, &caps);
         // Max-min: link 0 splits 50/50 between flows 0 and 1; flow 2
@@ -369,12 +401,63 @@ mod tests {
         let mut active = vec![flow(0), flow(1)];
         let mut lev = leveled(&specs, 3, &mut active);
         let (touched, replayed) = (lev.touched_entries, lev.replayed_passes);
-        lev.note_join(2);
+        lev.note_join(2, 2);
         lev.note_leave(2);
         lev.level(&mut active, &[100.0; 3]);
         assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
         assert_eq!(lev.touched_entries - touched, 0);
         assert_eq!(lev.replayed_passes - replayed, 2);
+    }
+
+    #[test]
+    fn a_noted_move_replaces_the_demand_list_scan() {
+        // Six flows on six links; flow 1 completes and the last flow
+        // moves into its slot. The re-level examines the one notice and
+        // the flow behind the moved one, not the whole list, and the
+        // moved flow keeps its rate.
+        let specs: Vec<TransferSpec> = (0..6).map(|r| spec(&[r])).collect();
+        let mut active: Vec<ActiveFlow> = (0..6).map(flow).collect();
+        let mut lev = leveled(&specs, 6, &mut active);
+        assert_eq!(lev.index_visits, 6, "the cold solve scans");
+        lev.note_leave(1);
+        active.swap_remove(1);
+        lev.note_moved(5, 1);
+        lev.level(&mut active, &[100.0; 6]);
+        assert_eq!(lev.index_visits - 6, 2);
+        assert_eq!(active[1].tid, 5);
+        assert_eq!(active[1].rate, 100.0);
+        // An order-preserving removal falls back on the scan.
+        lev.note_leave(0);
+        active.remove(0);
+        lev.note_shifted();
+        lev.level(&mut active, &[100.0; 6]);
+        assert_eq!(lev.index_visits - 8, 4);
+    }
+
+    #[test]
+    fn a_run_of_logged_passes_stops_at_a_watched_pass() {
+        // Links Z (5), A (10) and L (100); flow z rides Z, f rides A and
+        // L, g and h ride L. The log pops Z (z at 5), A (f at 10), then L
+        // (g and h at 45). Once g leaves, L enters Δ and watches A's pass
+        // through f: Z's pass may pop in a run, but A's must stop it and
+        // debit L, or h would get 50 instead of 100 − 10.
+        let specs = vec![spec(&[0]), spec(&[1, 2]), spec(&[2]), spec(&[2])];
+        let caps = [5.0, 10.0, 100.0];
+        let mut active: Vec<ActiveFlow> = (0..4).map(flow).collect();
+        let mut lev = Leveler::new(&specs, 3, &cfg(), SolverMode::default());
+        for (i, f) in active.iter().enumerate() {
+            lev.note_join(f.tid, i);
+        }
+        lev.level(&mut active, &caps);
+        let rates = |a: &[ActiveFlow]| a.iter().map(|f| f.rate).collect::<Vec<_>>();
+        assert_eq!(rates(&active), vec![5.0, 10.0, 45.0, 45.0]);
+        lev.note_leave(2);
+        active.swap_remove(2);
+        lev.note_moved(3, 2);
+        lev.level(&mut active, &caps);
+        assert_eq!(rates(&active), vec![5.0, 10.0, 90.0]);
+        assert_eq!(lev.replayed_passes, 2, "Z's and A's passes pop as logged");
+        assert_eq!(lev.log_steps, 3, "a run, the watched pass and L's skip");
     }
 
     #[test]

@@ -676,8 +676,8 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                     }
                     flows.stall_new(tid, spec.bytes as f64, now);
                 } else {
-                    flows.activate(tid, spec.bytes as f64);
-                    leveler.note_join(tid);
+                    let at = flows.activate(tid, spec.bytes as f64);
+                    leveler.note_join(tid, at);
                     rates_dirty = true;
                 }
             }
@@ -691,12 +691,15 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                     let mut i = 0;
                     while i < flows.active.len() {
                         if flows.active[i].remaining <= BYTE_EPS {
-                            let f = flows.complete_at(i);
+                            let (f, moved) = flows.complete_at(i);
                             if let Some(ps) = pstate.as_mut() {
                                 ps.note_drained(f.tid, now);
                             }
                             let spec = &specs[f.tid as usize];
                             leveler.note_leave(f.tid);
+                            if let Some(m) = moved {
+                                leveler.note_moved(m, i);
+                            }
                             let lat =
                                 spec.route.len() as f64 * config.hop_latency + config.recv_overhead;
                             q.push(now + lat, Event::Delivered(f.tid));
@@ -767,8 +770,11 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                 let mut i = 0;
                 while i < flows.active.len() {
                     if fs.is_blocked(&specs[flows.active[i].tid as usize]) {
-                        let tid = flows.stall_at(i, now);
+                        let (tid, shifted) = flows.stall_at(i, now);
                         leveler.note_leave(tid);
+                        if shifted {
+                            leveler.note_shifted();
+                        }
                         if let Some(o) = obs.as_deref_mut() {
                             o.stalls.push((now, tid));
                         }
@@ -779,8 +785,8 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
                 let mut i = 0;
                 while i < flows.stalled.len() {
                     if !fs.is_blocked(&specs[flows.stalled[i].tid as usize]) {
-                        let tid = flows.resume_at(i, now);
-                        leveler.note_join(tid);
+                        let (tid, at) = flows.resume_at(i, now);
+                        leveler.note_join(tid, at);
                         if let Some(o) = obs.as_deref_mut() {
                             o.resumes.push((now, tid));
                         }
@@ -880,6 +886,8 @@ fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) 
         o.waterfill_touched_entries += leveler.touched_entries;
         o.waterfill_passes += leveler.passes;
         o.waterfill_replayed_passes += leveler.replayed_passes;
+        o.waterfill_index_visits += leveler.index_visits;
+        o.waterfill_log_steps += leveler.log_steps;
     }
     let (stall_time, stalled_at_drain) = flows.close(now);
     ComponentRun {

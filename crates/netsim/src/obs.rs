@@ -106,6 +106,16 @@ pub struct SimObserver {
     /// logged from the previous solve's pass log, at no per-flow cost
     /// (always 0 under [`crate::SolverMode::Full`]).
     pub waterfill_replayed_passes: u64,
+    /// Flows the cascade solves' demand-index steps examined: the whole
+    /// active list on a cold solve or after a fault's order-preserving
+    /// removal, else only the flows that joined or moved and the few a
+    /// moved flow's check walks past (DESIGN §16).
+    pub waterfill_index_visits: u64,
+    /// Loop steps the cascade solves spent on logged passes: one per run
+    /// of passes popped as logged together, plus one per watched or
+    /// skipped pass. At most `waterfill_replayed_passes` plus the
+    /// skipped passes; the gap is what popping in runs saves.
+    pub waterfill_log_steps: u64,
     /// Events popped from the engine's queue (the denominator for
     /// events/sec in scaling sweeps).
     pub events_processed: u64,
@@ -146,8 +156,9 @@ impl SimObserver {
     /// Every value is an integer count cast to `f64`, so the scalars
     /// inherit the engine's bit-determinism. The work counters
     /// (`waterfill_entries`, `waterfill_touched_entries`,
-    /// `waterfill_passes`, `waterfill_replayed_passes`) are not exported: the committed
-    /// ledger baseline pins this exact set of names.
+    /// `waterfill_passes`, `waterfill_replayed_passes`,
+    /// `waterfill_index_visits`, `waterfill_log_steps`) are not exported:
+    /// the committed ledger baseline pins this exact set of names.
     ///
     /// [`bgq_obs::ScenarioManifest`]: https://docs.rs/bgq-obs
     pub fn scalars(&self, prefix: &str) -> Vec<(String, f64)> {
@@ -207,6 +218,8 @@ impl SimObserver {
         self.waterfill_touched_entries += local.waterfill_touched_entries;
         self.waterfill_passes += local.waterfill_passes;
         self.waterfill_replayed_passes += local.waterfill_replayed_passes;
+        self.waterfill_index_visits += local.waterfill_index_visits;
+        self.waterfill_log_steps += local.waterfill_log_steps;
         self.events_processed += local.events_processed;
         self.fault_events += local.fault_events;
         self.fault_re_levels
@@ -293,6 +306,8 @@ mod tests {
         // Work counters stay out of the export the ledger baseline pins.
         assert!(s.iter().all(|(k, _)| !k.contains("passes")), "{s:?}");
         assert!(s.iter().all(|(k, _)| !k.contains("entries")), "{s:?}");
+        assert!(s.iter().all(|(k, _)| !k.contains("visits")), "{s:?}");
+        assert!(s.iter().all(|(k, _)| !k.contains("steps")), "{s:?}");
     }
 
     #[test]
@@ -306,6 +321,8 @@ mod tests {
         a.waterfill_passes = 9;
         a.waterfill_replayed_passes = 4;
         a.waterfill_touched_entries = 30;
+        a.waterfill_index_visits = 8;
+        a.waterfill_log_steps = 3;
         a.stalls.push((2.0, 1)); // local tid 1 -> global 2
         a.heatmap.samples.push(HeatmapSample {
             time: 1.0,
@@ -322,6 +339,8 @@ mod tests {
         b.waterfill_passes = 5;
         b.waterfill_replayed_passes = 1;
         b.waterfill_touched_entries = 12;
+        b.waterfill_index_visits = 2;
+        b.waterfill_log_steps = 1;
         b.stalls.push((1.0, 0)); // local tid 0 -> global 1
         b.heatmap.samples.push(HeatmapSample {
             time: 2.0,
@@ -341,6 +360,10 @@ mod tests {
             (14, 5)
         );
         assert_eq!(merged.waterfill_touched_entries, 42);
+        assert_eq!(
+            (merged.waterfill_index_visits, merged.waterfill_log_steps),
+            (10, 4)
+        );
         assert_eq!(merged.stalls, vec![(1.0, 1), (2.0, 2)]);
         let rows: Vec<(u64, f64)> = merged
             .heatmap

@@ -32,6 +32,31 @@
 //! *orphaned*: they lose their records, their caps join the cap heap,
 //! and every link they cross enters Δ.
 //!
+//! **Runs.** Most logged passes need no look at all: their link is
+//! outside Δ and no Δ link watches them. Such passes are found without
+//! asking: a link entering Δ leaves a watch entry on the pending pass of
+//! every member waiting for one (its own pass among them), and a record
+//! dropped by a departure or a reorder leaves a bare mark on its pass.
+//! So a pass that no longer holds always carries an entry. A run of
+//! consecutive unmarked passes whose keys are all below Δ's top and the
+//! least cap pops in one step: none of them debits a Δ link or frees a
+//! cap, so neither bound moves inside the run. Each pass's tick — the
+//! order reconstruction debits in — is the solve's first tick plus its
+//! position in the new log, written in the same tight scan; a pass is
+//! frozen "in this solve" when its tick is at least that first tick.
+//!
+//! **Demand indices.** A cap's key carries its flow's demand index, so
+//! a solve needs every flow's index, and the flows whose relative order
+//! changed. The engine notes each move as it happens
+//! ([`Cascade::note_at`]): a flow joins at the back, and a completion's
+//! `swap_remove` moves the former last flow into the freed slot. Every
+//! other flow keeps its index, so the solve examines only the noted
+//! flows (`index_noted`). An order-preserving removal shifts indices
+//! instead ([`Cascade::rescan`]); that solve, and a cold one, scans the
+//! whole list from the back (`index_scan`), the rule the noted step
+//! reproduces exactly. Debug builds check every noted step against the
+//! scan.
+//!
 //! **Why the pops are the cold solve's.** By induction over the log
 //! cursor: a link outside Δ has the logged solve's members, and the
 //! members it has frozen so far froze in logged passes popped as
@@ -59,8 +84,11 @@
 
 use super::{Entry, SlotHeap, CAP_BINDING, NONE};
 use crate::graph::ResourceId;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+
+/// The end of a marked pass's watch list (see [`Pass::watch`]).
+const MARK: u32 = NONE - 1;
 
 /// One pass of the log.
 #[derive(Debug, Clone, Copy)]
@@ -71,12 +99,14 @@ struct Pass {
     link: u32,
     /// A cap pass's flow.
     flow: u32,
-    /// Solve that last processed the pass (popped as logged or fresh),
-    /// and its tick there: the order reconstruction debits in.
-    gen: u32,
-    tick: u64,
-    /// Head of the pass's watch list in [`Cascade::watch`].
+    /// Head of the pass's watch list in [`Cascade::watch`], ending in
+    /// [`NONE`], or in [`MARK`] when a dropped record marked the pass.
+    /// Anything but [`NONE`] stops a run of logged passes.
     watch: u32,
+    /// The solve's first tick plus the pass's position in that solve's
+    /// log: at or past [`Cascade::base`] once the current solve popped
+    /// it, and the order reconstruction debits in.
+    tick: u64,
 }
 
 /// A cap's key; the max-heap yields the least key first.
@@ -117,6 +147,24 @@ enum Pop {
     Cap(Entry),
 }
 
+/// The work of the latest solve (see [`Cascade::last_work`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// Passes popped, and how many of them popped as logged.
+    pub passes: u32,
+    pub logged: u32,
+    /// Flow–link entries of the links it put into Δ: the entries it read
+    /// or wrote (a skipped pass's link and every link a freeze debits
+    /// are in Δ).
+    pub touched: u64,
+    /// Flows the demand-index step examined: the whole list when it
+    /// scanned, else the noted flows and the few it walked past.
+    pub index_visits: u64,
+    /// Loop steps spent on logged passes: one per run popped as logged,
+    /// one per watched pass and one per skipped pass.
+    pub log_steps: u64,
+}
+
 /// The persistent solver state (see the module docs). Flows are named
 /// by transfer id and links by resource id, both in the component's
 /// local universe; the tables are sized on the first solve.
@@ -125,8 +173,11 @@ pub(crate) struct Cascade {
     num_resources: usize,
     /// Whether the log and records describe the latest solve.
     valid: bool,
-    /// Number of the current solve, and of the current pass overall.
+    /// Number of the current solve (for Δ membership).
     gen: u32,
+    /// The current solve's first tick, and the current pass's tick
+    /// (between solves, at or past every tick given out).
+    base: u64,
     tick: u64,
     /// Per flow: the pass that froze it ([`NONE`]: no usable record),
     /// its share, and its demand index now and at the previous solve.
@@ -134,6 +185,9 @@ pub(crate) struct Cascade {
     share: Vec<f64>,
     idx: Vec<u32>,
     prev_idx: Vec<u32>,
+    /// Whether an unnoted move means the next solve must scan instead
+    /// of reading the notices in `joined`.
+    rescan: bool,
     /// Resource id → slot + 1 (0: none yet). Slots are dense and kept
     /// across solves, so the per-link tables grow with the links the
     /// component's flows cross, not with its resource universe.
@@ -161,6 +215,8 @@ pub(crate) struct Cascade {
     caps: BinaryHeap<CapKey>,
     /// Flows whose records were dropped since the last solve.
     gone: Vec<u32>,
+    /// Between solves, the flows noted at a new demand index; within a
+    /// solve, the flows without a usable record.
     joined: Vec<u32>,
     /// Slots debited by the current pass, once each.
     changed: Vec<u32>,
@@ -168,13 +224,7 @@ pub(crate) struct Cascade {
     fresh: Vec<u32>,
     /// Reconstruction scratch: `(tick, share)` of a link's frozen members.
     frozen: Vec<(u64, f64)>,
-    /// Passes of the latest solve, how many popped as logged, and the
-    /// flow–link entries of the links it put into Δ: the entries it read
-    /// or wrote (a skipped pass's link and every link a freeze debits are
-    /// in Δ).
-    passes_run: u32,
-    logged: u32,
-    touched: u64,
+    work: Work,
     #[cfg(debug_assertions)]
     certifier: Option<super::Certifier>,
 }
@@ -194,14 +244,32 @@ impl Cascade {
     }
 
     /// Drop `tid`'s record, if it has one: it departed. The next solve
-    /// re-examines every link it crosses.
+    /// re-examines every link it crosses, and its pass stops a run.
     pub(crate) fn drop_record(&mut self, tid: u32) {
-        if let Some(r) = self.rec.get_mut(tid as usize) {
-            if *r != NONE {
-                *r = NONE;
+        if let Some(&p) = self.rec.get(tid as usize) {
+            if p != NONE {
+                self.rec[tid as usize] = NONE;
+                self.mark(p);
                 self.gone.push(tid);
             }
         }
+    }
+
+    /// `tid` now sits at demand index `i`: it joined at the back, or a
+    /// `swap_remove` moved it there from the back. Between two solves
+    /// every such move must be noted, or [`rescan`](Self::rescan) called.
+    pub(crate) fn note_at(&mut self, tid: u32, i: usize) {
+        if self.valid {
+            self.idx[tid as usize] = i as u32;
+            self.joined.push(tid);
+        }
+    }
+
+    /// The demand list changed in a way not noted (an order-preserving
+    /// removal shifted indices, or the caller reorders freely): the next
+    /// solve finds indices, joined and reordered flows by scanning it.
+    pub(crate) fn rescan(&mut self) {
+        self.rescan = true;
     }
 
     /// Whether the next solve is warm: a solve ran since the state was
@@ -234,10 +302,9 @@ impl Cascade {
         }
     }
 
-    /// Passes of the latest solve, how many of them popped as logged,
-    /// and the flow–link entries it read or wrote.
-    pub(crate) fn last_work(&self) -> (u32, u32, u64) {
-        (self.passes_run, self.logged, self.touched)
+    /// The work of the latest solve.
+    pub(crate) fn last_work(&self) -> Work {
+        self.work
     }
 
     /// Max-min fair rates of the demand set `tid_at(0..n)` (the engine's
@@ -278,40 +345,39 @@ impl Cascade {
             self.delta.fill(0);
             self.gen = 1;
         }
+        let scan = !self.valid || self.rescan;
         if !self.valid {
             self.cold_start(n, &tid_at, num_transfers);
         }
-        (self.passes_run, self.logged, self.touched) = (0, 0, 0);
+        self.work = Work::default();
+        // Ticks start at 1: a zero `stamp` lists no slot.
+        self.base = self.tick + 1;
         self.fresh.clear();
 
-        // Demand indices, joined flows, and reordered flows: scanning
-        // from the back, a flow whose previous index exceeds that of a
-        // kept flow behind it changed relative order. The kept flows are
-        // in the logged order, so their cap ties still break as logged.
-        // A reordered flow's cap joins the cap heap; if its cap popped
-        // in the log, that pass no longer holds, so it is joined anew.
+        // Demand indices, joined flows and reordered flows (see
+        // `index_scan`). Their caps join the cap heap.
         let mut caps = std::mem::take(&mut self.caps).into_vec();
         caps.clear();
-        let mut least_behind = u32::MAX;
-        for i in (0..n).rev() {
-            let t = tid_at(i);
-            let ti = t as usize;
-            self.idx[ti] = i as u32;
-            if self.rec[ti] == NONE {
-                self.joined.push(t);
-            } else if self.prev_idx[ti] > least_behind {
-                if self.passes[self.rec[ti] as usize].link == NONE {
-                    self.rec[ti] = NONE;
-                    self.joined.push(t);
-                }
-            } else {
-                least_behind = self.prev_idx[ti];
-                self.prev_idx[ti] = i as u32;
-                continue;
-            }
-            self.prev_idx[ti] = i as u32;
-            caps.push(CapKey(self.cap_key(t, &cap)));
+        #[cfg(debug_assertions)]
+        let before: Vec<(u32, u32, u32)> = if scan {
+            Vec::new()
+        } else {
+            (0..n)
+                .map(|i| {
+                    let t = tid_at(i);
+                    (t, self.rec[t as usize], self.prev_idx[t as usize])
+                })
+                .collect()
+        };
+        if scan {
+            self.joined.clear();
+            self.index_scan(n, &tid_at, &cap, &mut caps);
+        } else {
+            self.index_noted(n, &tid_at, &cap, &mut caps);
+            #[cfg(debug_assertions)]
+            self.check_indices(&before, &caps);
         }
+        self.rescan = false;
         self.caps = BinaryHeap::from(caps);
 
         // Seed Δ with every route that changed membership.
@@ -328,71 +394,72 @@ impl Cascade {
         let mut cursor = 0;
         loop {
             // Skip logged passes that no longer hold, orphaning the flows
-            // they would have frozen.
-            while cursor < self.log.len() {
-                let p = self.log[cursor];
-                let pass = self.passes[p as usize];
-                let holds = if pass.link != NONE {
-                    let s = self.slot_of[pass.link as usize];
-                    s == 0 || self.delta[s as usize - 1] != self.gen
-                } else {
-                    self.rec[pass.flow as usize] == p
-                };
-                if holds {
+            // they would have frozen. Only a marked pass can fail to hold.
+            while let Some(&p) = self.log.get(cursor) {
+                if self.passes[p as usize].watch == NONE {
+                    debug_assert!(self.holds(p), "an unmarked pass {p} no longer holds");
                     break;
                 }
+                if self.holds(p) {
+                    break;
+                }
+                self.work.log_steps += 1;
                 self.skip(p, members, &route, &cap, capacities, contention);
                 cursor += 1;
             }
+            self.tick = self.base + self.next_log.len() as u64;
 
-            // The least of the logged pass, Δ's top and the least cap.
-            let mut pop: Option<(Entry, Pop)> = self.log.get(cursor).map(|&p| {
-                let pass = self.passes[p as usize];
-                let key = if pass.link != NONE {
-                    Entry {
-                        share: pass.share,
-                        version: pass.version,
-                        id: pass.link,
-                        slot: NONE,
-                    }
-                } else {
-                    self.cap_key(pass.flow, &cap)
-                };
-                (key, Pop::Logged(p))
-            });
+            // The least of Δ's top and the least cap, then the logged
+            // pass at the cursor if it is less still.
             let (remaining, count, version) = (&self.remaining, &self.count, &self.version);
-            let top = self
+            let mut bound = self
                 .heap
-                .peek_current(|s| (remaining[s].max(0.0) / count[s] as f64, version[s]));
-            if let Some(top) = top {
-                if pop.is_none_or(|(k, _)| top.before(&k)) {
-                    pop = Some((top, Pop::Link(top)));
-                }
-            }
+                .peek_current(|s| (remaining[s].max(0.0) / count[s] as f64, version[s]))
+                .map(|top| (top, Pop::Link(top)));
             while let Some(&CapKey(c)) = self.caps.peek() {
                 if !self.is_frozen(c.slot) {
-                    if pop.is_none_or(|(k, _)| c.before(&k)) {
-                        pop = Some((c, Pop::Cap(c)));
+                    if bound.is_none_or(|(k, _)| c.before(&k)) {
+                        bound = Some((c, Pop::Cap(c)));
                     }
                     break;
                 }
                 self.caps.pop();
             }
-            let Some((key, pop)) = pop else { break };
+            let logged = self.log.get(cursor).map(|&p| (self.logged_key(p), p));
+            let (key, pop) = match logged {
+                Some((k, p)) if bound.is_none_or(|(b, _)| k.before(&b)) => (k, Pop::Logged(p)),
+                _ => match bound {
+                    Some(b) => b,
+                    None => break,
+                },
+            };
 
-            self.tick += 1;
-            self.passes_run += 1;
+            self.work.passes += 1;
             self.changed.clear();
             let p = match pop {
+                Pop::Logged(p) if self.passes[p as usize].watch == NONE => {
+                    // A run: this pass and every unmarked one after it
+                    // whose key is still below the bound pop as logged
+                    // in one step. Nothing they do moves the bound: they
+                    // debit no Δ link and free no cap.
+                    let end = self.run_end(cursor, bound.map(|(b, _)| b));
+                    let len = (end - cursor) as u32;
+                    self.next_log.extend_from_slice(&self.log[cursor..end]);
+                    cursor = end;
+                    self.work.passes += len - 1;
+                    self.work.logged += len;
+                    self.work.log_steps += 1;
+                    continue;
+                }
                 Pop::Logged(p) => {
                     cursor += 1;
-                    self.logged += 1;
+                    self.work.logged += 1;
+                    self.work.log_steps += 1;
                     let pass = &mut self.passes[p as usize];
-                    pass.gen = self.gen;
                     pass.tick = self.tick;
                     let (share, mut w) = (pass.share, pass.watch);
                     pass.watch = NONE;
-                    while w != NONE {
+                    while w != NONE && w != MARK {
                         let (s, next) = self.watch[w as usize];
                         self.debit(s as usize, share);
                         w = next;
@@ -438,6 +505,7 @@ impl Cascade {
         std::mem::swap(&mut self.log, &mut self.next_log);
         self.next_log.clear();
         self.watch.clear();
+        self.tick = self.base + self.log.len() as u64;
 
         #[cfg(debug_assertions)]
         self.certify(n, &tid_at, &route, &cap, capacities, contention);
@@ -466,6 +534,218 @@ impl Cascade {
         self.valid = true;
     }
 
+    /// The demand-index step by scanning the whole list from the back:
+    /// a flow whose previous index exceeds that of a kept flow behind it
+    /// changed relative order. The kept flows are in the logged order,
+    /// so their cap ties still break as logged. A reordered flow's cap
+    /// joins the cap heap; if its cap popped in the log, that pass no
+    /// longer holds, so it is joined anew. Cold solves (every flow
+    /// joined) and solves after an unnoted move take this path.
+    fn index_scan(
+        &mut self,
+        n: usize,
+        tid_at: &impl Fn(usize) -> u32,
+        cap: &impl Fn(u32) -> f64,
+        caps: &mut Vec<CapKey>,
+    ) {
+        self.work.index_visits += n as u64;
+        let mut least_behind = u32::MAX;
+        for i in (0..n).rev() {
+            let t = tid_at(i);
+            let ti = t as usize;
+            self.idx[ti] = i as u32;
+            if self.rec[ti] != NONE && self.prev_idx[ti] <= least_behind {
+                least_behind = self.prev_idx[ti];
+                self.prev_idx[ti] = i as u32;
+                continue;
+            }
+            if self.rec[ti] == NONE || self.reorder(t) {
+                self.joined.push(t);
+            }
+            self.prev_idx[ti] = i as u32;
+            caps.push(CapKey(self.cap_key(t, cap)));
+        }
+    }
+
+    /// The demand-index step from the noted flows alone. Between solves
+    /// the list only grows at the back and loses flows by `swap_remove`,
+    /// so a flow never noted still sits at its previous index, and each
+    /// noted one was moved forward from the back. The scan's rule then
+    /// reduces to: a moved flow is reordered when some flow with a
+    /// record behind it had a smaller previous index. The least such
+    /// index is the first unmoved record holder's position, or comes
+    /// from the nearest moved flow behind — so, walking the moved flows
+    /// from the back, each looks only at the joined flows up to the
+    /// next one.
+    fn index_noted(
+        &mut self,
+        n: usize,
+        tid_at: &impl Fn(usize) -> u32,
+        cap: &impl Fn(u32) -> f64,
+        caps: &mut Vec<CapKey>,
+    ) {
+        let mut noted = std::mem::take(&mut self.joined);
+        self.work.index_visits += noted.len() as u64;
+        // A notice is current while its flow still sits where it was
+        // last noted; a flow noted twice is kept once.
+        let idx = &self.idx;
+        noted.retain(|&t| {
+            let i = idx[t as usize] as usize;
+            i < n && tid_at(i) == t
+        });
+        noted.sort_unstable_by_key(|&t| Reverse(idx[t as usize]));
+        noted.dedup();
+        // The nearest moved flow's index (n: none yet), and the least
+        // previous index of the record holders at or behind it.
+        let (mut next_moved, mut least_from) = (n, u32::MAX);
+        // The flows left without a usable record are compacted to the
+        // front of the notices, which become `joined`.
+        let mut kept = 0;
+        for k in 0..noted.len() {
+            let t = noted[k];
+            let ti = t as usize;
+            let i = self.idx[ti];
+            if self.rec[ti] == NONE {
+                noted[kept] = t;
+                kept += 1;
+            } else {
+                let mut least = least_from;
+                for j in i as usize + 1..next_moved {
+                    self.work.index_visits += 1;
+                    if self.rec[tid_at(j) as usize] != NONE {
+                        debug_assert_eq!(self.prev_idx[tid_at(j) as usize], j as u32);
+                        least = j as u32;
+                        break;
+                    }
+                }
+                let prev = self.prev_idx[ti];
+                (next_moved, least_from) = (i as usize, least.min(prev));
+                if prev < least {
+                    self.prev_idx[ti] = i;
+                    continue;
+                }
+                if self.reorder(t) {
+                    noted[kept] = t;
+                    kept += 1;
+                }
+            }
+            self.prev_idx[ti] = i;
+            caps.push(CapKey(self.cap_key(t, cap)));
+        }
+        noted.truncate(kept);
+        self.joined = noted;
+    }
+
+    /// `t` kept its record but changed relative demand order: a cap
+    /// record no longer holds, so it is dropped, and `t` is joined anew
+    /// (returns whether it was).
+    fn reorder(&mut self, t: u32) -> bool {
+        let p = self.rec[t as usize];
+        let cap_pass = self.passes[p as usize].link == NONE;
+        if cap_pass {
+            self.rec[t as usize] = NONE;
+            self.mark(p);
+        }
+        cap_pass
+    }
+
+    /// Debug builds check the noted demand-index step against the scan:
+    /// the same indices, the same flows joined (or reordered off a cap
+    /// record), and the same caps in the cap heap. `before` is the list's
+    /// `(flow, record, previous index)` ahead of the step.
+    #[cfg(debug_assertions)]
+    fn check_indices(&self, before: &[(u32, u32, u32)], caps: &[CapKey]) {
+        let (mut joined, mut capped) = (Vec::new(), Vec::new());
+        let mut least_behind = u32::MAX;
+        for (i, &(t, rec, prev)) in before.iter().enumerate().rev() {
+            assert_eq!(self.idx[t as usize], i as u32, "flow {t}'s demand index");
+            assert_eq!(
+                self.prev_idx[t as usize], i as u32,
+                "flow {t}'s logged index"
+            );
+            if rec == NONE || prev > least_behind {
+                capped.push(t);
+                if rec == NONE || self.passes[rec as usize].link == NONE {
+                    joined.push(t);
+                }
+            } else {
+                least_behind = prev;
+            }
+        }
+        let sorted = |mut v: Vec<u32>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(self.joined.clone()), sorted(joined), "joined flows");
+        let noted: Vec<u32> = caps.iter().map(|c| c.0.slot).collect();
+        assert_eq!(sorted(noted), sorted(capped), "joined and reordered flows");
+    }
+
+    /// Mark pass `p`: it may no longer hold, so no run pops past it
+    /// unchecked. A pass with a watch list is marked already.
+    fn mark(&mut self, p: u32) {
+        let pass = &mut self.passes[p as usize];
+        if pass.watch == NONE {
+            pass.watch = MARK;
+        }
+    }
+
+    /// Whether logged pass `p` still holds: its link is outside Δ, or
+    /// its cap's flow still has it as record.
+    fn holds(&self, p: u32) -> bool {
+        let pass = &self.passes[p as usize];
+        if pass.link != NONE {
+            let s = self.slot_of[pass.link as usize];
+            s == 0 || self.delta[s as usize - 1] != self.gen
+        } else {
+            self.rec[pass.flow as usize] == p
+        }
+    }
+
+    /// A logged pass's key: a link pass's popped key, a cap pass's cap
+    /// at its flow's current demand index.
+    #[inline]
+    fn logged_key(&self, p: u32) -> Entry {
+        let pass = &self.passes[p as usize];
+        if pass.link != NONE {
+            Entry {
+                share: pass.share,
+                version: pass.version,
+                id: pass.link,
+                slot: NONE,
+            }
+        } else {
+            Entry {
+                share: pass.share,
+                version: 0,
+                id: (self.num_resources + self.idx[pass.flow as usize] as usize) as u32,
+                slot: pass.flow,
+            }
+        }
+    }
+
+    /// Pop the run of logged passes from `from` (which holds and is
+    /// below `bound`): stamp each with its tick, and return where the
+    /// run ends — at a marked pass, a key not below `bound`, or the
+    /// log's end.
+    fn run_end(&mut self, from: usize, bound: Option<Entry>) -> usize {
+        let mut q = from;
+        while let Some(&p) = self.log.get(q) {
+            if self.passes[p as usize].watch != NONE
+                || bound.is_some_and(|b| !self.logged_key(p).before(&b))
+            {
+                break;
+            }
+            debug_assert!(
+                self.holds(p),
+                "a run reached pass {p}, which no longer holds"
+            );
+            self.passes[p as usize].tick = self.tick + (q - from) as u64;
+            q += 1;
+        }
+        q
+    }
+
     /// A cap's key at the flow's current demand index.
     fn cap_key(&self, t: u32, cap: &impl Fn(u32) -> f64) -> Entry {
         let c = cap(t);
@@ -482,7 +762,7 @@ impl Cascade {
     #[inline]
     fn is_frozen(&self, t: u32) -> bool {
         let p = self.rec[t as usize];
-        p != NONE && self.passes[p as usize].gen == self.gen
+        p != NONE && self.passes[p as usize].tick >= self.base
     }
 
     fn alloc(&mut self, share: f64, version: u32, link: u32, flow: u32) -> u32 {
@@ -491,9 +771,8 @@ impl Cascade {
             version,
             link,
             flow,
-            gen: self.gen,
-            tick: self.tick,
             watch: NONE,
+            tick: self.tick,
         };
         match self.free.pop() {
             Some(p) => {
@@ -536,7 +815,7 @@ impl Cascade {
         }
         self.delta[s] = self.gen;
         let m = &members[r];
-        self.touched += m.len() as u64;
+        self.work.touched += m.len() as u64;
         self.frozen.clear();
         for &t in m {
             let p = self.rec[t as usize];
@@ -544,7 +823,7 @@ impl Cascade {
                 continue;
             }
             let pass = &mut self.passes[p as usize];
-            if pass.gen == self.gen {
+            if pass.tick >= self.base {
                 self.frozen.push((pass.tick, self.share[t as usize]));
             } else {
                 self.watch.push((s as u32, pass.watch));

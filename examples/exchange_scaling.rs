@@ -6,9 +6,12 @@
 //! Each row prints the pair count, the planning time, the simulate time
 //! (the minimum of three runs), its ratio to the previous row (the
 //! per-doubling growth), and, from one extra observed run, the cold and
-//! warm solve counts (warm: cascade solves and skipped no-op re-levels)
-//! and the share of demand-set flow–link entries the solves actually
-//! touched.
+//! warm solve counts (warm: cascade solves and skipped no-op re-levels),
+//! the share of demand-set flow–link entries the solves actually
+//! touched, and per re-level: the flows the demand-index step examined
+//! (`visits`), the passes popped as logged (`logged`) and the loop steps
+//! spent on them (`steps`: one per run of logged passes, plus one per
+//! watched or skipped pass).
 //!
 //! Run with: `cargo run --release --example exchange_scaling -- --max-nodes 4096`
 
@@ -44,8 +47,18 @@ fn main() {
         std::process::exit(2);
     });
     println!(
-        "{:>6}  {:>6}  {:>8}  {:>10}  {:>6}  {:>7}  {:>7}  {:>8}",
-        "nodes", "pairs", "plan_s", "simulate_s", "ratio", "cold", "warm", "touched"
+        "{:>6}  {:>6}  {:>8}  {:>10}  {:>6}  {:>7}  {:>7}  {:>8}  {:>7}  {:>7}  {:>7}",
+        "nodes",
+        "pairs",
+        "plan_s",
+        "simulate_s",
+        "ratio",
+        "cold",
+        "warm",
+        "touched",
+        "visits",
+        "logged",
+        "steps"
     );
     let mut prev: Option<f64> = None;
     let mut n = 512;
@@ -70,8 +83,11 @@ fn main() {
         let mut obs = SimObserver::new();
         prog.simulate(SimOptions::new().observer(&mut obs));
         let ratio = prev.map_or("-".to_string(), |p| format!("{:.2}", simulate_s / p));
+        let per_solve = |count: u64| {
+            count as f64 / (obs.waterfill_full_runs + obs.waterfill_incremental_runs).max(1) as f64
+        };
         println!(
-            "{:>6}  {:>6}  {:>8.4}  {:>10.3}  {:>6}  {:>7}  {:>7}  {:>7.1}%",
+            "{:>6}  {:>6}  {:>8.4}  {:>10.3}  {:>6}  {:>7}  {:>7}  {:>7.1}%  {:>7.1}  {:>7.1}  {:>7.1}",
             n,
             map.len(),
             plan_s,
@@ -80,6 +96,9 @@ fn main() {
             obs.waterfill_full_runs,
             obs.waterfill_incremental_runs,
             100.0 * obs.waterfill_touched_entries as f64 / obs.waterfill_entries.max(1) as f64,
+            per_solve(obs.waterfill_index_visits),
+            per_solve(obs.waterfill_replayed_passes),
+            per_solve(obs.waterfill_log_steps),
         );
         prev = Some(simulate_s);
         n *= 2;
