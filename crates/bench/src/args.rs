@@ -1,15 +1,20 @@
-//! Shared command-line handling for `reproduce`, `profile` and
-//! `fig10_point`.
+//! Command-line handling for every `bgq-bench` binary.
 //!
-//! They accept the same flags, parsed fallibly into a [`BenchArgs`]; a
-//! binary that writes no file for an artifact flag rejects it
-//! ([`BenchArgs::only_artifacts`]):
+//! Each binary declares its command line once, as a [`Cli`]: its name,
+//! a table of the flags it acts on (each a name and either a value
+//! placeholder such as `N` or `PATH`, or none for a switch) and its
+//! operands. [`Cli::parse`] reads the arguments against that table; the
+//! unknown-flag error and [`Cli::usage`] come from the same table, so a
+//! flag a binary would ignore is a usage error, never quietly accepted.
+//!
+//! [`BenchArgs`] is the command line of the figure driver `reproduce`,
+//! filled from its table [`REPRODUCE`]:
 //!
 //! * `--csv` — machine-readable output instead of aligned tables;
 //! * `--max-cores N` — cap for the weak-scaling sweeps (fig10/fig11;
 //!   default 65,536, the committed setting);
 //! * `--threads N` — worker threads for the parallel fan-out (default:
-//!   the machine's available parallelism);
+//!   [`default_threads`]);
 //! * `--timing` — print per-point timings and plan-cache counters;
 //! * `--seed N` — seed for the randomized fault scenarios (`resilience`);
 //! * `--observe` — attach a metrics registry and trace recorder to the
@@ -26,50 +31,212 @@
 //!   manifest (deterministic JSON, see [`bgq_obs::ledger`]) of the same
 //!   representative scenario, for sentinel comparison.
 //!
-//! Arguments that don't start with `--` are collected into
-//! [`BenchArgs::positional`]: the figure names of `reproduce` and
-//! `profile`, the point of `fig10_point`.
+//! Its operands, [`BenchArgs::positional`], are the figure names.
 
 use crate::runner::ExperimentSession;
+
+/// One flag: its name and the placeholder of its value (`N`, `PATH`),
+/// or `None` for a switch.
+pub type Flag = (&'static str, Option<&'static str>);
+
+/// A binary's command line, declared once.
+#[derive(Debug)]
+pub struct Cli {
+    /// The program name that starts the usage line and every error.
+    pub name: &'static str,
+    /// Every flag the binary acts on.
+    pub flags: &'static [Flag],
+    /// The operands as the usage line shows them, space-separated:
+    /// `[X]` is optional and `X...` repeats. Optional operands come
+    /// last.
+    pub operands: &'static str,
+}
 
 /// Why the command line could not be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
-    /// A flag this harness does not know.
-    UnknownFlag(String),
+    /// A flag the binary does not declare, and the flags it does.
+    UnknownFlag {
+        flag: String,
+        supported: &'static [Flag],
+    },
     /// A flag that needs a value was last on the line.
     MissingValue(&'static str),
     /// A flag value that did not parse.
     BadValue { flag: &'static str, value: String },
+    /// A required operand that was not given.
+    MissingOperand(&'static str),
+    /// An operand past the last one the binary takes.
+    ExtraOperand(String),
+}
+
+/// `--flag` or `--flag PLACEHOLDER`.
+fn show(&(flag, placeholder): &Flag) -> String {
+    placeholder.map_or(flag.to_string(), |p| format!("{flag} {p}"))
 }
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ArgError::UnknownFlag(flag) => write!(
-                f,
-                "unknown flag {flag} (supported: --csv, --max-cores N, --threads N, --timing, --seed N, --observe, --metrics-out PATH, --trace-out PATH, --profile-out PATH, --manifest-out PATH)"
-            ),
+            ArgError::UnknownFlag { flag, supported } => {
+                let mut list: Vec<String> = supported.iter().map(show).collect();
+                if list.is_empty() {
+                    list.push("none".into());
+                }
+                write!(f, "unknown flag {flag} (supported: {})", list.join(", "))
+            }
             ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             ArgError::BadValue { flag, value } => {
                 write!(f, "{flag} needs a number, got {value:?}")
             }
+            ArgError::MissingOperand(operand) => write!(f, "missing operand {operand}"),
+            ArgError::ExtraOperand(operand) => write!(f, "unexpected operand {operand:?}"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Lets a `Result<_, String>` parser use `?` on [`parse_value`].
+/// Lets a `Result<_, String>` parser use `?` on [`Cli::parse`] and
+/// [`Parsed::value`].
 impl From<ArgError> for String {
     fn from(e: ArgError) -> String {
         e.to_string()
     }
 }
 
-/// Parsed harness options. Construct with [`BenchArgs::parse`] (exits on
-/// bad input, like any CLI) or [`BenchArgs::try_parse`] (reports
-/// [`ArgError`] as a value).
+impl Cli {
+    /// Parse an argument list (no program name) against the table. An
+    /// argument starting with `--` must be a declared flag; a flag with
+    /// a placeholder takes the next argument as its value, and the last
+    /// one given wins; every other argument is an operand, and their
+    /// count must fit [`Cli::operands`].
+    pub fn parse<I>(&self, args: I) -> Result<Parsed, ArgError>
+    where
+        I: IntoIterator<Item = String>,
+    {
+        let mut values = vec![None; self.flags.len()];
+        let mut operands = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                operands.push(arg);
+                continue;
+            }
+            let Some(i) = self.flags.iter().position(|(f, _)| *f == arg) else {
+                return Err(ArgError::UnknownFlag {
+                    flag: arg,
+                    supported: self.flags,
+                });
+            };
+            values[i] = Some(match self.flags[i] {
+                (flag, Some(_)) => args.next().ok_or(ArgError::MissingValue(flag))?,
+                (_, None) => String::new(),
+            });
+        }
+        let words: Vec<&'static str> = self.operands.split_whitespace().collect();
+        if let Some(&missing) = words.get(operands.len()).filter(|w| !w.starts_with('[')) {
+            return Err(ArgError::MissingOperand(missing));
+        }
+        if operands.len() > words.len() && !self.operands.contains("...") {
+            return Err(ArgError::ExtraOperand(operands.swap_remove(words.len())));
+        }
+        Ok(Parsed {
+            flags: self.flags,
+            values,
+            operands,
+        })
+    }
+
+    /// `usage: NAME OPERANDS [--flag] [--flag PLACEHOLDER]...`.
+    pub fn usage(&self) -> String {
+        let mut line = format!("usage: {} {}", self.name, self.operands);
+        line.truncate(line.trim_end().len());
+        for flag in self.flags {
+            line += &format!(" [{}]", show(flag));
+        }
+        line
+    }
+
+    /// Print `error` and the usage line, then exit with status 2.
+    pub fn exit_usage(&self, error: impl std::fmt::Display) -> ! {
+        eprintln!("{}: {error}\n{}", self.name, self.usage());
+        std::process::exit(2)
+    }
+}
+
+/// A command line parsed by [`Cli::parse`]: the value of each flag
+/// given and the operands.
+#[derive(Debug)]
+pub struct Parsed {
+    flags: &'static [Flag],
+    /// Per table entry, the flag's value if given (empty for a switch).
+    values: Vec<Option<String>>,
+    /// The arguments that are not flags or flag values, in order.
+    pub operands: Vec<String>,
+}
+
+impl Parsed {
+    /// The table's name for `flag` and its value if given. Asking for a
+    /// flag the table does not declare is a bug in the binary, so it
+    /// panics.
+    fn get(&self, flag: &str) -> (&'static str, Option<&String>) {
+        let i = self.flags.iter().position(|(f, _)| *f == flag);
+        let i = i.unwrap_or_else(|| panic!("{flag} is not in the flag table"));
+        (self.flags[i].0, self.values[i].as_ref())
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.get(flag).1.is_some()
+    }
+
+    /// The value given for `flag`.
+    pub fn text(&self, flag: &str) -> Option<String> {
+        self.get(flag).1.cloned()
+    }
+
+    /// The value given for `flag`, parsed.
+    pub fn value<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, ArgError> {
+        let (flag, value) = self.get(flag);
+        let parse = |value: &String| {
+            value.parse().map_err(|_| ArgError::BadValue {
+                flag,
+                value: value.clone(),
+            })
+        };
+        value.map(parse).transpose()
+    }
+}
+
+/// The default worker-thread count: the machine's available
+/// parallelism.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The command line of `reproduce`, the figure driver.
+pub static REPRODUCE: Cli = Cli {
+    name: "reproduce",
+    flags: &[
+        ("--csv", None),
+        ("--max-cores", Some("N")),
+        ("--threads", Some("N")),
+        ("--timing", None),
+        ("--seed", Some("N")),
+        ("--observe", None),
+        ("--metrics-out", Some("PATH")),
+        ("--trace-out", Some("PATH")),
+        ("--profile-out", Some("PATH")),
+        ("--manifest-out", Some("PATH")),
+    ],
+    operands: "[FIGURE...]",
+};
+
+/// Parsed figure-driver options. Construct with [`BenchArgs::parse`]
+/// (exits on bad input, like any CLI) or [`BenchArgs::try_parse`]
+/// (reports [`ArgError`] as a value); [`BenchArgs::default`] is the
+/// empty command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     pub csv: bool,
@@ -90,41 +257,21 @@ pub struct BenchArgs {
     pub profile_out: Option<String>,
     /// Write a run-ledger manifest (JSON) here after the run.
     pub manifest_out: Option<String>,
-    /// Non-flag operands, in order.
+    /// The figure names, in order.
     pub positional: Vec<String>,
 }
 
 impl Default for BenchArgs {
     fn default() -> BenchArgs {
-        BenchArgs {
-            csv: false,
-            max_cores: 65_536,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            timing: false,
-            seed: crate::resilience::DEFAULT_SEED,
-            observe: false,
-            metrics_out: None,
-            trace_out: None,
-            profile_out: None,
-            manifest_out: None,
-            positional: Vec::new(),
-        }
+        BenchArgs::try_parse([]).expect("the empty command line parses")
     }
 }
 
 impl BenchArgs {
-    /// Parse the process arguments, printing the error and exiting with
-    /// status 2 on bad input.
+    /// Parse the process arguments, printing the error and the usage
+    /// line and exiting with status 2 on bad input.
     pub fn parse() -> BenchArgs {
-        match BenchArgs::try_parse(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        BenchArgs::try_parse(std::env::args().skip(1)).unwrap_or_else(|e| REPRODUCE.exit_usage(e))
     }
 
     /// Parse an explicit argument list (no program name).
@@ -132,67 +279,22 @@ impl BenchArgs {
     where
         I: IntoIterator<Item = String>,
     {
-        let mut out = BenchArgs::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--csv" => out.csv = true,
-                "--timing" => out.timing = true,
-                "--max-cores" => {
-                    out.max_cores = parse_value("--max-cores", it.next())?;
-                }
-                "--threads" => {
-                    out.threads = parse_value("--threads", it.next())?;
-                    out.threads = out.threads.max(1);
-                }
-                "--seed" => {
-                    out.seed = parse_value("--seed", it.next())?;
-                }
-                "--observe" => out.observe = true,
-                "--metrics-out" => {
-                    out.metrics_out =
-                        Some(it.next().ok_or(ArgError::MissingValue("--metrics-out"))?);
-                }
-                "--trace-out" => {
-                    out.trace_out = Some(it.next().ok_or(ArgError::MissingValue("--trace-out"))?);
-                }
-                "--profile-out" => {
-                    out.profile_out =
-                        Some(it.next().ok_or(ArgError::MissingValue("--profile-out"))?);
-                }
-                "--manifest-out" => {
-                    out.manifest_out =
-                        Some(it.next().ok_or(ArgError::MissingValue("--manifest-out"))?);
-                }
-                other if other.starts_with("--") => {
-                    return Err(ArgError::UnknownFlag(other.to_string()));
-                }
-                _ => out.positional.push(arg),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Err naming the first artifact flag given that is not in
-    /// `written`: a binary must write every file it is asked for or
-    /// refuse the request.
-    pub fn only_artifacts(&self, written: &[&str]) -> Result<(), String> {
-        let given = [
-            ("--observe", self.observe),
-            ("--metrics-out", self.metrics_out.is_some()),
-            ("--trace-out", self.trace_out.is_some()),
-            ("--profile-out", self.profile_out.is_some()),
-            ("--manifest-out", self.manifest_out.is_some()),
-        ];
-        match given
-            .into_iter()
-            .find(|&(flag, set)| set && !written.contains(&flag))
-        {
-            Some((flag, _)) => Err(format!(
-                "{flag} is not supported here (this binary writes no such file)"
-            )),
-            None => Ok(()),
-        }
+        let p = REPRODUCE.parse(args)?;
+        Ok(BenchArgs {
+            csv: p.has("--csv"),
+            max_cores: p.value("--max-cores")?.unwrap_or(65_536),
+            threads: p.value("--threads")?.unwrap_or_else(default_threads),
+            timing: p.has("--timing"),
+            seed: p
+                .value("--seed")?
+                .unwrap_or(crate::resilience::DEFAULT_SEED),
+            observe: p.has("--observe"),
+            metrics_out: p.text("--metrics-out"),
+            trace_out: p.text("--trace-out"),
+            profile_out: p.text("--profile-out"),
+            manifest_out: p.text("--manifest-out"),
+            positional: p.operands,
+        })
     }
 
     /// Whether the observability layer should be attached: `--observe`,
@@ -214,24 +316,19 @@ impl BenchArgs {
     }
 }
 
-/// Parse the value following `flag` (`None` when the flag was last on
-/// the line).
-pub fn parse_value<T: std::str::FromStr>(
-    flag: &'static str,
-    value: Option<String>,
-) -> Result<T, ArgError> {
-    let value = value.ok_or(ArgError::MissingValue(flag))?;
-    value
-        .parse()
-        .map_err(|_| ArgError::BadValue { flag, value })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<BenchArgs, ArgError> {
         BenchArgs::try_parse(args.iter().map(|s| s.to_string()))
+    }
+
+    fn unknown(flag: &str) -> ArgError {
+        ArgError::UnknownFlag {
+            flag: flag.into(),
+            supported: REPRODUCE.flags,
+        }
     }
 
     #[test]
@@ -255,26 +352,8 @@ mod tests {
         assert_eq!(a.positional, vec!["pareto", "2048"]);
         assert_eq!(
             parse(&["--coarse"]),
-            Err(ArgError::UnknownFlag("--coarse".into())),
+            Err(unknown("--coarse")),
             "the full sweep is cheap; there is no coarse mode"
-        );
-    }
-
-    #[test]
-    fn only_artifacts_rejects_the_files_a_binary_cannot_write() {
-        let a = parse(&["--profile-out", "p.json", "--manifest-out", "m.json"]).unwrap();
-        assert_eq!(
-            a.only_artifacts(&["--profile-out", "--manifest-out"]),
-            Ok(())
-        );
-        let err = a
-            .only_artifacts(&["--profile-out", "--trace-out"])
-            .unwrap_err();
-        assert!(err.starts_with("--manifest-out"), "{err}");
-        assert!(parse(&["--observe"]).unwrap().only_artifacts(&[]).is_err());
-        assert_eq!(
-            parse(&["--csv", "--timing"]).unwrap().only_artifacts(&[]),
-            Ok(())
         );
     }
 
@@ -327,10 +406,7 @@ mod tests {
 
     #[test]
     fn errors_are_values_not_panics() {
-        assert_eq!(
-            parse(&["--bogus"]),
-            Err(ArgError::UnknownFlag("--bogus".into()))
-        );
+        assert_eq!(parse(&["--bogus"]), Err(unknown("--bogus")));
         assert_eq!(
             parse(&["--threads"]),
             Err(ArgError::MissingValue("--threads"))
@@ -344,11 +420,75 @@ mod tests {
         ));
         // Errors render a usable message.
         let msg = parse(&["--bogus"]).unwrap_err().to_string();
-        assert!(msg.contains("--threads"), "usage lists the flags: {msg}");
+        assert!(msg.contains("--threads N"), "usage lists the flags: {msg}");
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        assert_eq!(parse(&["--threads", "0"]).unwrap().threads, 1);
+        assert_eq!(
+            parse(&["--threads", "0"]).unwrap().session().threads(),
+            1,
+            "the session clamps the worker count"
+        );
+    }
+
+    static POINT: Cli = Cli {
+        name: "point",
+        flags: &[("--fast", None)],
+        operands: "<a> <b> [c]",
+    };
+
+    fn point(args: &[&str]) -> Result<Parsed, ArgError> {
+        POINT.parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn operand_counts_follow_the_synopsis() {
+        assert_eq!(point(&["1", "2"]).unwrap().operands, ["1", "2"]);
+        assert_eq!(point(&["1", "2", "3"]).unwrap().operands.len(), 3);
+        assert_eq!(point(&["1"]).unwrap_err(), ArgError::MissingOperand("<b>"));
+        assert_eq!(point(&[]).unwrap_err(), ArgError::MissingOperand("<a>"));
+        assert_eq!(
+            point(&["1", "--fast", "2", "3", "4"]).unwrap_err(),
+            ArgError::ExtraOperand("4".into())
+        );
+        assert_eq!(
+            POINT.usage(),
+            "usage: point <a> <b> [c] [--fast]",
+            "the usage line comes from the table"
+        );
+        let many: Vec<String> = (0..5).map(|i| i.to_string()).collect();
+        assert_eq!(REPRODUCE.parse(many).unwrap().operands.len(), 5);
+    }
+
+    #[test]
+    fn a_switch_takes_no_value_and_the_last_value_wins() {
+        let p = point(&["--fast", "1", "2"]).unwrap();
+        assert!(p.has("--fast"));
+        assert_eq!(p.operands, ["1", "2"], "a switch does not eat an operand");
+        let a = parse(&["--seed", "1", "--seed", "2"]).unwrap();
+        assert_eq!(a.seed, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "--slow is not in the flag table")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        point(&["1", "2"]).unwrap().has("--slow");
+    }
+
+    #[test]
+    fn no_flags_means_every_flag_is_unknown() {
+        static BARE: Cli = Cli {
+            name: "bare",
+            flags: &[],
+            operands: "",
+        };
+        let e = BARE.parse(["--seed".to_string()]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown flag --seed (supported: none)");
+        assert_eq!(
+            BARE.parse(["x".to_string()]).unwrap_err(),
+            ArgError::ExtraOperand("x".into())
+        );
+        assert_eq!(BARE.usage(), "usage: bare");
     }
 }

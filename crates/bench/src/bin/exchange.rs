@@ -3,7 +3,7 @@
 //!
 //! Usage: `exchange [--max-nodes N] [--threads N] [--out PATH]`; a bad
 //! flag or value, or an `N` below the smallest sweep size (512), prints
-//! the usage and exits with status 2.
+//! the usage and exits with status 2, and an unwritable `--out` exits 1.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_exchange.json`
 //! (override with `--out`) and prints a human table. `--max-nodes 512`
@@ -11,62 +11,55 @@
 //! acceptance bar: proxy multipath ≥1.5× direct aggregate throughput on
 //! the disjoint-heavy pattern at 4,096 nodes.
 
-use bgq_bench::args::parse_value;
+use bgq_bench::args::{default_threads, Cli};
 use bgq_bench::{
-    exchange_json, exchange_nodes, exchange_point, exchange_row, ExchangePattern, ExchangeSweep,
-    Experiment, ExperimentSession, Row, Table,
+    exchange_json, exchange_nodes, exchange_point, exchange_row, write_or_exit, ExchangePattern,
+    ExchangeSweep, Experiment, ExperimentSession, Row, Table,
 };
 use bgq_netsim::SimConfig;
 use sdm_core::ExchangeAlgorithm;
-use std::error::Error;
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: exchange [--max-nodes N] [--threads N] [--out PATH]";
+static CLI: Cli = Cli {
+    name: "exchange",
+    flags: &[
+        ("--max-nodes", Some("N")),
+        ("--threads", Some("N")),
+        ("--out", Some("PATH")),
+    ],
+    operands: "",
+};
 
 #[derive(Debug)]
-struct Cli {
+struct Options {
     max_nodes: u32,
     threads: usize,
     out: String,
 }
 
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, Box<dyn Error>> {
-    let mut cli = Cli {
-        max_nodes: 4096,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        out: String::from("results/BENCH_exchange.json"),
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let p = CLI.parse(args)?;
+    let opts = Options {
+        max_nodes: p.value("--max-nodes")?.unwrap_or(4096),
+        threads: p.value("--threads")?.unwrap_or_else(default_threads),
+        out: p
+            .text("--out")
+            .unwrap_or_else(|| "results/BENCH_exchange.json".into()),
     };
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--max-nodes" => cli.max_nodes = parse_value("--max-nodes", args.next())?,
-            "--threads" => cli.threads = parse_value("--threads", args.next())?,
-            "--out" => cli.out = parse_value("--out", args.next())?,
-            other => return Err(format!("unknown flag {other:?}").into()),
-        }
-    }
-    if exchange_nodes(cli.max_nodes).is_empty() {
+    if exchange_nodes(opts.max_nodes).is_empty() {
         return Err(format!(
             "--max-nodes {} is below the smallest sweep size (512)",
-            cli.max_nodes
-        )
-        .into());
+            opts.max_nodes
+        ));
     }
-    Ok(cli)
+    Ok(opts)
 }
 
-fn main() -> ExitCode {
-    let Cli {
+fn main() {
+    let Options {
         max_nodes,
         threads,
         out,
-    } = match parse_cli(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("exchange: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    } = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| CLI.exit_usage(e));
 
     // Each sweep point is simulated once (threads fan points out; output
     // is bit-identical for any thread count) and feeds both the human
@@ -115,20 +108,15 @@ fn main() -> ExitCode {
 
     let json = exchange_json(&points);
     bgq_obs::json::validate(&json).expect("BENCH_exchange.json must be valid JSON");
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
-    }
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("wrote {out}");
-    ExitCode::SUCCESS
+    write_or_exit(&out, &json);
 }
 
 #[cfg(test)]
 mod tests {
     use super::parse_cli;
 
-    fn parse(s: &[&str]) -> Result<super::Cli, String> {
-        parse_cli(s.iter().map(|a| a.to_string())).map_err(|e| e.to_string())
+    fn parse(s: &[&str]) -> Result<super::Options, String> {
+        parse_cli(s.iter().map(|a| a.to_string()))
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! even without `--check`: an unreadable artifact must never look like
 //! a quiet success.
 
-use bgq_bench::args::ArgError;
+use bgq_bench::args::{Cli, Parsed};
 use bgq_obs::{ProfileArtifact, RunManifest};
 use std::process::ExitCode;
 
@@ -338,58 +338,29 @@ fn check_artifact(path: &str, contents: &str) -> Result<Checked, String> {
     }
 }
 
-const USAGE: &str =
-    "usage: obs_report [--check] FILE...  (.csv = metrics, .json = trace, profile or manifest)
-       obs_report [--check] --diff NEW BASELINE
-       obs_report [--check] --cross MANIFEST PROFILE SCENARIO";
+static CLI: Cli = Cli {
+    name: "obs_report",
+    flags: &[("--check", None), ("--diff", None), ("--cross", None)],
+    operands: "FILE...",
+};
 
-/// The parsed command line: `--check`, `--diff`, `--cross` and the
-/// operands.
-#[derive(Debug, Default, PartialEq)]
-struct Cli {
-    strict: bool,
-    diff: bool,
-    cross: bool,
-    paths: Vec<String>,
-}
-
-/// Parse the arguments. Any other `--flag` is an error, never a path.
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, ArgError> {
-    let mut cli = Cli::default();
-    for arg in args {
-        match arg.as_str() {
-            "--check" => cli.strict = true,
-            "--diff" => cli.diff = true,
-            "--cross" => cli.cross = true,
-            _ if arg.starts_with("--") => return Err(ArgError::UnknownFlag(arg)),
-            _ => cli.paths.push(arg),
-        }
+/// Parse the arguments. Any other `--flag` is an error, never a path,
+/// and `--diff` and `--cross` are two modes, not one.
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
+    let p = CLI.parse(args)?;
+    if p.has("--diff") && p.has("--cross") {
+        return Err("--diff and --cross are separate modes; give one".into());
     }
-    Ok(cli)
+    Ok(p)
 }
 
 fn main() -> ExitCode {
-    let Cli {
-        strict,
-        diff,
-        cross,
-        paths,
-    } = match parse_cli(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(ArgError::UnknownFlag(flag)) => {
-            eprintln!("unknown flag {flag} (supported: --check, --diff, --cross)\n{USAGE}");
-            return ExitCode::from(2);
-        }
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| CLI.exit_usage(e));
+    let (strict, paths) = (args.has("--check"), &args.operands);
 
-    if cross {
+    if args.has("--cross") {
         if paths.len() != 3 {
-            eprintln!("usage: obs_report [--check] --cross MANIFEST PROFILE SCENARIO");
-            return ExitCode::from(2);
+            CLI.exit_usage("--cross takes MANIFEST PROFILE SCENARIO");
         }
         let problems = match cross_check(&paths[0], &paths[1], &paths[2]) {
             Ok(problems) => problems,
@@ -415,10 +386,9 @@ fn main() -> ExitCode {
         };
     }
 
-    if diff {
+    if args.has("--diff") {
         if paths.len() != 2 {
-            eprintln!("usage: obs_report [--check] --diff NEW BASELINE");
-            return ExitCode::from(2);
+            CLI.exit_usage("--diff takes NEW BASELINE");
         }
         let lines = match diff_profiles(&paths[0], &paths[1]) {
             Ok(lines) => lines,
@@ -442,14 +412,9 @@ fn main() -> ExitCode {
         };
     }
 
-    if paths.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
-
     let mut failed = false;
     let mut unusable = false;
-    for path in &paths {
+    for path in paths {
         let contents = match std::fs::read_to_string(path) {
             Ok(c) => c,
             Err(e) => {
@@ -480,26 +445,30 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_artifact, parse_cli, Cli};
-    use bgq_bench::args::ArgError;
+    use super::{check_artifact, parse_cli, Parsed};
 
-    fn cli(args: &[&str]) -> Result<Cli, ArgError> {
+    fn cli(args: &[&str]) -> Result<Parsed, String> {
         parse_cli(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn flags_and_operands_parse() {
         let c = cli(&["--check", "--diff", "new.json", "base.json"]).unwrap();
-        assert!(c.strict && c.diff && !c.cross);
-        assert_eq!(c.paths, ["new.json", "base.json"]);
+        assert!(c.has("--check") && c.has("--diff") && !c.has("--cross"));
+        assert_eq!(c.operands, ["new.json", "base.json"]);
     }
 
     #[test]
     fn a_misspelled_flag_is_an_error_not_a_path() {
-        assert_eq!(
-            cli(&["--chek", "results/obs/fig5.metrics.csv"]),
-            Err(ArgError::UnknownFlag("--chek".to_string()))
-        );
+        let e = cli(&["--chek", "results/obs/fig5.metrics.csv"]).unwrap_err();
+        assert!(e.contains("--chek") && e.contains("--check"), "{e}");
+    }
+
+    #[test]
+    fn diff_and_cross_together_are_an_error_not_cross() {
+        let e = cli(&["--diff", "--cross", "a", "b", "c"]).unwrap_err();
+        assert!(e.contains("--diff") && e.contains("--cross"), "{e}");
+        assert!(cli(&["--check"]).unwrap_err().contains("FILE..."));
     }
 
     #[test]

@@ -17,38 +17,40 @@
 //! rollup as CSV instead. `--profile-out` writes the deterministic JSON
 //! artifact (`obs_report` validates and `--diff`s it); `--trace-out`
 //! writes a Perfetto track of each flow's binding-link changes. Any
-//! other artifact flag, a second operand or a figure without a
-//! representative profile prints an error and exits with status 2.
+//! other flag, a second operand or a figure without a representative
+//! profile prints an error and exits with status 2; an artifact that
+//! cannot be written exits 1.
 
+use bgq_bench::args::{Cli, Parsed};
 use bgq_bench::runner::PlanCache;
-use bgq_bench::{binding_trace, render_report, write_artifact, BenchArgs, Representative};
+use bgq_bench::{binding_trace, render_report, write_or_exit, Representative};
 use bgq_netsim::SimConfig;
 
-/// The figure to profile (default `fig6`), checked before anything runs.
-fn parse_figure(args: &BenchArgs) -> Result<&str, String> {
-    args.only_artifacts(&["--profile-out", "--trace-out"])?;
-    match args.positional.as_slice() {
-        [] => Ok("fig6"),
-        [figure] => Ok(figure),
-        [_, extra, ..] => Err(format!(
-            "unexpected operand {extra:?} (profile takes one FIGURE)"
-        )),
-    }
+static CLI: Cli = Cli {
+    name: "profile",
+    flags: &[
+        ("--csv", None),
+        ("--profile-out", Some("PATH")),
+        ("--trace-out", Some("PATH")),
+    ],
+    operands: "[FIGURE]",
+};
+
+/// The figure to profile: the operand, or `fig6`.
+fn figure(args: &Parsed) -> &str {
+    args.operands.first().map_or("fig6", String::as_str)
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    let figure = parse_figure(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-
+    let args = CLI
+        .parse(std::env::args().skip(1))
+        .unwrap_or_else(|e| CLI.exit_usage(e));
+    let figure = figure(&args);
     let Some(representative) = Representative::of(figure) else {
-        eprintln!(
+        CLI.exit_usage(format!(
             "no representative profile for {figure} (try {})",
             Representative::figure_names().join(", ")
-        );
-        std::process::exit(2);
+        ));
     };
     let art = representative
         .execute(&PlanCache::new(), &SimConfig::default())
@@ -58,21 +60,18 @@ fn main() {
         std::process::exit(1);
     }
 
-    if args.csv {
+    if args.has("--csv") {
         print!("{}", art.to_csv());
         print!("{}", art.blame_csv());
     } else {
         print!("{}", render_report(&art));
     }
 
-    if let Some(path) = &args.profile_out {
-        write_artifact(path, &art.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
+    if let Some(path) = args.text("--profile-out") {
+        write_or_exit(&path, &art.to_json());
     }
-    if let Some(path) = &args.trace_out {
-        write_artifact(path, &binding_trace(&art).to_chrome_json())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
+    if let Some(path) = args.text("--trace-out") {
+        write_or_exit(&path, &binding_trace(&art).to_chrome_json());
     }
 }
 
@@ -81,8 +80,8 @@ mod tests {
     use super::*;
 
     fn parse(line: &[&str]) -> Result<String, String> {
-        let args = BenchArgs::try_parse(line.iter().map(|s| s.to_string())).unwrap();
-        parse_figure(&args).map(str::to_string)
+        let args = CLI.parse(line.iter().map(|s| s.to_string()))?;
+        Ok(figure(&args).to_string())
     }
 
     #[test]
@@ -101,8 +100,17 @@ mod tests {
         assert!(parse(&["fig5", "--trace-out", "t.json"]).is_ok());
         for flag in ["--metrics-out", "--manifest-out"] {
             let err = parse(&["fig5", flag, "x"]).unwrap_err();
-            assert!(err.starts_with(flag), "{err}");
+            assert!(err.contains(flag), "{err}");
         }
         assert!(parse(&["fig5", "--observe"]).is_err());
+    }
+
+    #[test]
+    fn flags_it_would_ignore_are_rejected() {
+        for line in [["fig5", "--seed", "99"], ["fig5", "--threads", "3"]] {
+            let err = parse(&line).unwrap_err();
+            assert!(err.contains(line[1]), "{err}");
+        }
+        assert!(parse(&["fig5", "--timing"]).is_err());
     }
 }

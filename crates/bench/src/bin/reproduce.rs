@@ -19,36 +19,25 @@
 //! one, `results/obs/<figure>.trace.json` for each selected figure. A
 //! request that cannot be met exits 2 before anything is written.
 
+use bgq_bench::args::REPRODUCE;
 use bgq_bench::figures::{produce, select, Format};
-use bgq_bench::{write_artifact, BenchArgs};
-
-fn write(path: &str, contents: &str) {
-    if let Err(e) = write_artifact(path, contents) {
-        eprintln!("write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {path}");
-}
-
-fn usage(e: String) -> ! {
-    eprintln!("{e}");
-    std::process::exit(2);
-}
+use bgq_bench::{write_or_exit, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let figures = select(&args).unwrap_or_else(|e| usage(e));
+    let figures = select(&args).unwrap_or_else(|e| REPRODUCE.exit_usage(e));
     let to_files = args.positional.is_empty();
     for fig in figures {
         let format = if args.csv { Format::Csv } else { fig.format() };
-        let (text, artifacts) = produce(fig, &args, format).unwrap_or_else(|e| usage(e));
+        let (text, artifacts) =
+            produce(fig, &args, format).unwrap_or_else(|e| REPRODUCE.exit_usage(e));
         if to_files {
-            write(&format!("results/{}", fig.file), &text);
+            write_or_exit(&format!("results/{}", fig.file), &text);
         } else {
             print!("{text}");
         }
         for (path, contents) in &artifacts {
-            write(path, contents);
+            write_or_exit(path, contents);
         }
     }
 }

@@ -2,41 +2,31 @@
 //! re-leveling on the same sparse pattern, 512 → 8,192 nodes.
 //!
 //! Usage: `scale [--out PATH]`; a bad flag or value prints the usage and
-//! exits with status 2.
+//! exits with status 2, and an unwritable `--out` exits 1.
 //!
 //! Writes the machine-readable sweep to `results/BENCH_scale.json`
 //! (override with `--out`) and prints a human table. Every field is
 //! simulated time or a count, so `just scale` byte-checks the committed
 //! file.
 
-use bgq_bench::args::parse_value;
+use bgq_bench::args::Cli;
 use bgq_bench::scale::{scale_json, scale_point, SCALE_SIZES};
+use bgq_bench::write_or_exit;
 use bgq_netsim::SimConfig;
-use std::error::Error;
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: scale [--out PATH]";
+static CLI: Cli = Cli {
+    name: "scale",
+    flags: &[("--out", Some("PATH"))],
+    operands: "",
+};
 
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<String, Box<dyn Error>> {
-    let mut out = String::from("results/BENCH_scale.json");
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = parse_value("--out", args.next())?,
-            other => return Err(format!("unknown flag {other:?}").into()),
-        }
-    }
-    Ok(out)
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<String, String> {
+    let out = CLI.parse(args)?.text("--out");
+    Ok(out.unwrap_or_else(|| "results/BENCH_scale.json".into()))
 }
 
-fn main() -> ExitCode {
-    let out = match parse_cli(std::env::args().skip(1)) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("scale: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+fn main() {
+    let out = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| CLI.exit_usage(e));
 
     println!("waterfill scaling sweep (cold vs. cascade re-leveling)");
     println!(
@@ -75,13 +65,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let json = scale_json(&points);
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
-    }
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("wrote {out}");
-    ExitCode::SUCCESS
+    write_or_exit(&out, &scale_json(&points));
 }
 
 #[cfg(test)]
@@ -89,7 +73,7 @@ mod tests {
     use super::parse_cli;
 
     fn parse(s: &[&str]) -> Result<String, String> {
-        parse_cli(s.iter().map(|a| a.to_string())).map_err(|e| e.to_string())
+        parse_cli(s.iter().map(|a| a.to_string()))
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Sizes accept `K`/`M`/`G` suffixes. Every command prints what the
 //! planner decided and what the simulator measured.
 
-use bgq_bench::args::{parse_value, ArgError};
+use bgq_bench::args::{Cli, Parsed};
 use bgq_bench::PlanCache;
 use bgq_comm::Program;
 use bgq_netsim::SimConfig;
@@ -17,7 +17,8 @@ use bgq_torus::{shape_for_cores, standard_shape, NodeId, RankMap, Shape, Zone};
 use bgq_workloads::{coalesce_to_nodes, pareto_sizes, uniform_sizes, ParetoParams};
 use sdm_core::{diversity_report, plan_direct, AssignPolicy, IoMoveOptions, PlanRequest};
 
-/// Parse a size like `32M`, `512K`, `1G`, `1048576`.
+/// Parse a size like `32M`, `512K`, `1G`, `1048576`; one that does not
+/// fit in 64 bits is a bad size, not a wrapped one.
 fn parse_bytes(s: &str) -> Result<u64, String> {
     let s = s.trim();
     let (num, mult) = match s.chars().last() {
@@ -27,62 +28,61 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
         _ => (s, 1),
     };
     num.parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|_| format!("bad size {s:?} (use e.g. 32M, 512K, 4096)"))
+        .ok()
+        .and_then(|v| v.checked_mul(mult))
+        .ok_or_else(|| format!("bad size {s:?} (use e.g. 32M, 512K, 4096)"))
 }
 
-/// The flags of one subcommand, `None` where not given.
-#[derive(Debug, Default, PartialEq)]
-struct Flags {
-    nodes: Option<u32>,
-    src: Option<u32>,
-    dst: Option<u32>,
-    bytes: Option<u64>,
-    cores: Option<u32>,
-    pattern: Option<String>,
-    policy: Option<String>,
-}
+static PLAN: Cli = Cli {
+    name: "sdm plan",
+    flags: &[
+        ("--nodes", Some("N")),
+        ("--src", Some("I")),
+        ("--dst", Some("J")),
+        ("--bytes", Some("SIZE")),
+    ],
+    operands: "",
+};
+static WRITE: Cli = Cli {
+    name: "sdm write",
+    flags: &[
+        ("--cores", Some("N")),
+        ("--pattern", Some("uniform|pareto|hacc")),
+        ("--policy", Some("balanced|local")),
+    ],
+    operands: "",
+};
+static PROBE: Cli = Cli {
+    name: "sdm probe",
+    flags: &[
+        ("--nodes", Some("N")),
+        ("--src", Some("I")),
+        ("--dst", Some("J")),
+    ],
+    operands: "",
+};
 
-/// Parse the `--flag value` pairs after subcommand `cmd`. A flag the
+/// Parse the flags after subcommand `cmd` against its table. A flag the
 /// subcommand does not take is an error, never silently ignored.
-fn parse_flags(cmd: &str, args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
-    let supported: &[&str] = match cmd {
-        "plan" => &["--nodes", "--src", "--dst", "--bytes"],
-        "write" => &["--cores", "--pattern", "--policy"],
-        "probe" => &["--nodes", "--src", "--dst"],
+fn parse_flags(cmd: &str, args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
+    let cli = match cmd {
+        "plan" => &PLAN,
+        "write" => &WRITE,
+        "probe" => &PROBE,
+        "" => return Err("missing command".into()),
         other => return Err(format!("unknown command {other:?}")),
     };
-    let mut f = Flags::default();
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if !supported.contains(&arg.as_str()) {
-            return Err(format!(
-                "unknown flag {arg:?} for {cmd} (supported: {})",
-                supported.join(", ")
-            ));
-        }
-        let text = |v: Option<String>, flag: &'static str| v.ok_or(ArgError::MissingValue(flag));
-        match arg.as_str() {
-            "--nodes" => f.nodes = Some(parse_value("--nodes", args.next())?),
-            "--src" => f.src = Some(parse_value("--src", args.next())?),
-            "--dst" => f.dst = Some(parse_value("--dst", args.next())?),
-            "--bytes" => f.bytes = Some(parse_bytes(&text(args.next(), "--bytes")?)?),
-            "--cores" => f.cores = Some(parse_value("--cores", args.next())?),
-            "--pattern" => f.pattern = Some(text(args.next(), "--pattern")?),
-            _ => f.policy = Some(text(args.next(), "--policy")?),
-        }
-    }
-    Ok(f)
+    Ok(cli.parse(args)?)
 }
 
 /// The partition of `--nodes` (default 512) and the `--src`/`--dst`
 /// endpoints (default its first and last node), which must lie in it
 /// and differ.
-fn partition(f: &Flags) -> Result<(u32, Shape, NodeId, NodeId), String> {
-    let nodes = f.nodes.unwrap_or(512);
+fn partition(f: &Parsed) -> Result<(u32, Shape, NodeId, NodeId), String> {
+    let nodes: u32 = f.value("--nodes")?.unwrap_or(512);
     let shape = standard_shape(nodes).ok_or(format!("no standard {nodes}-node partition"))?;
-    let src = f.src.unwrap_or(0);
-    let dst = f.dst.unwrap_or(nodes - 1);
+    let src = f.value("--src")?.unwrap_or(0);
+    let dst = f.value("--dst")?.unwrap_or(nodes - 1);
     for (flag, node) in [("--src", src), ("--dst", dst)] {
         if node >= nodes {
             return Err(format!(
@@ -98,10 +98,12 @@ fn partition(f: &Flags) -> Result<(u32, Shape, NodeId, NodeId), String> {
     Ok((nodes, shape, NodeId(src), NodeId(dst)))
 }
 
-fn cmd_plan(cache: &PlanCache, flags: &Flags) -> Result<(), String> {
+fn cmd_plan(cache: &PlanCache, flags: &Parsed) -> Result<(), String> {
+    let bytes = flags
+        .text("--bytes")
+        .map_or(Ok(32 << 20), |s| parse_bytes(&s))?;
     let (nodes, shape, src, dst) = partition(flags)?;
     let machine = cache.machine(shape, &SimConfig::default());
-    let bytes = flags.bytes.unwrap_or(32 << 20);
 
     let mover = cache.mover(&machine);
     let mut prog = Program::new(&machine);
@@ -131,19 +133,19 @@ fn cmd_plan(cache: &PlanCache, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_write(cache: &PlanCache, flags: &Flags) -> Result<(), String> {
-    let cores = flags.cores.unwrap_or(8192);
+fn cmd_write(cache: &PlanCache, flags: &Parsed) -> Result<(), String> {
+    let cores = flags.value("--cores")?.unwrap_or(8192);
     let shape = shape_for_cores(cores).ok_or(format!("no standard partition for {cores} cores"))?;
     let machine = cache.machine(shape, &SimConfig::default());
     let map = RankMap::default_map(shape, 16);
-    let pattern = flags.pattern.as_deref().unwrap_or("pareto");
-    let sizes = match pattern {
+    let pattern = flags.text("--pattern").unwrap_or_else(|| "pareto".into());
+    let sizes = match pattern.as_str() {
         "uniform" => uniform_sizes(map.num_ranks(), 8 << 20, 1),
         "pareto" => pareto_sizes(map.num_ranks(), &ParetoParams::default(), 1),
         "hacc" => bgq_workloads::hacc_workload(cores),
         other => return Err(format!("unknown pattern {other:?} (uniform|pareto|hacc)")),
     };
-    let policy = match flags.policy.as_deref().unwrap_or("balanced") {
+    let policy = match flags.text("--policy").as_deref().unwrap_or("balanced") {
         "balanced" => AssignPolicy::BalancedGreedy,
         "local" => AssignPolicy::PsetLocal,
         other => return Err(format!("unknown policy {other:?} (balanced|local)")),
@@ -179,7 +181,7 @@ fn cmd_write(cache: &PlanCache, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_probe(flags: &Flags) -> Result<(), String> {
+fn cmd_probe(flags: &Parsed) -> Result<(), String> {
     let (_, shape, src, dst) = partition(flags)?;
     let r = diversity_report(&shape, Zone::Z2, src, dst);
     println!("partition {shape}, {src} -> {dst}");
@@ -197,23 +199,17 @@ fn cmd_probe(flags: &Flags) -> Result<(), String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: sdm <plan|write|probe> [--flag value]...\n  \
-                 plan  --nodes N --src I --dst J --bytes 32M\n  \
-                 write --cores N --pattern uniform|pareto|hacc [--policy balanced|local]\n  \
-                 probe --nodes N --src I --dst J";
-    let Some(cmd) = args.first() else {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    };
+    let mut args = std::env::args().skip(1);
+    let cmd = args.next().unwrap_or_default();
     let cache = PlanCache::new();
-    let result = parse_flags(cmd, args[1..].iter().cloned()).and_then(|flags| match cmd.as_str() {
+    let result = parse_flags(&cmd, args).and_then(|flags| match cmd.as_str() {
         "plan" => cmd_plan(&cache, &flags),
         "write" => cmd_write(&cache, &flags),
         _ => cmd_probe(&flags),
     });
     if let Err(e) = result {
-        eprintln!("error: {e}\n{usage}");
+        let usage: Vec<String> = [&PLAN, &WRITE, &PROBE].map(Cli::usage).into();
+        eprintln!("sdm: {e}\n{}", usage.join("\n"));
         std::process::exit(2);
     }
 }
@@ -229,19 +225,27 @@ mod tests {
         assert_eq!(parse_bytes("1G").unwrap(), 1 << 30);
         assert_eq!(parse_bytes("4096").unwrap(), 4096);
         assert!(parse_bytes("abc").is_err());
+        for huge in ["99999999999G", "17179869184G", "18446744073709551616"] {
+            let e = parse_bytes(huge).unwrap_err();
+            assert!(e.contains("bad size") && e.contains(huge), "{e}");
+        }
+        assert_eq!(parse_bytes("17179869183G").unwrap(), 17179869183 << 30);
     }
 
-    fn flags(cmd: &str, args: &[&str]) -> Result<Flags, String> {
+    fn flags(cmd: &str, args: &[&str]) -> Result<Parsed, String> {
         parse_flags(cmd, args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn parse_flags_pairs() {
         let f = flags("plan", &["--nodes", "512", "--bytes", "32M"]).unwrap();
-        assert_eq!((f.nodes, f.bytes), (Some(512), Some(32 << 20)));
+        assert_eq!(f.value("--nodes"), Ok(Some(512u32)));
+        assert_eq!(f.text("--bytes").as_deref(), Some("32M"));
         assert!(flags("plan", &["--nodes"]).is_err(), "dangling flag");
         assert!(flags("plan", &["nodash", "v"]).is_err());
-        assert!(flags("plan", &["--nodes", "many"]).is_err());
+        let f = flags("plan", &["--nodes", "many"]).unwrap();
+        let e = partition(&f).unwrap_err();
+        assert!(e.contains("--nodes") && e.contains("\"many\""), "{e}");
         assert!(flags("nope", &[]).is_err(), "unknown command");
     }
 

@@ -33,16 +33,33 @@
 //! run, so `--update-baseline` together with `--degrade-links` is a
 //! usage error unless `--force` is also given.
 //!
-//! Exit codes: 0 clean, 1 regression or an unreadable history file,
-//! 2 usage error.
+//! Exit codes: 0 clean, 1 regression, an unreadable history file or an
+//! unwritable artifact, 2 usage error.
 
-use bgq_bench::args::parse_value;
-use bgq_bench::{history_line, run_ledger, write_artifact, LedgerOptions, PlanCache};
+use bgq_bench::args::Cli;
+use bgq_bench::{
+    history_line, run_ledger, write_artifact, write_or_exit, LedgerOptions, PlanCache,
+};
 use bgq_obs::{sentinel, RunManifest};
 use std::process::ExitCode;
 
+static CLI: Cli = Cli {
+    name: "sentinel",
+    flags: &[
+        ("--out", Some("PATH")),
+        ("--baseline", Some("PATH")),
+        ("--history", Some("PATH")),
+        ("--no-history", None),
+        ("--markdown-out", Some("PATH")),
+        ("--degrade-links", Some("F")),
+        ("--update-baseline", None),
+        ("--force", None),
+    ],
+    operands: "",
+};
+
 #[derive(Debug)]
-struct Cli {
+struct Options {
     out: String,
     baseline: String,
     history: Option<String>,
@@ -52,45 +69,32 @@ struct Cli {
     force: bool,
 }
 
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
-    let mut cli = Cli {
-        out: "results/ledger/manifest.json".to_string(),
-        baseline: "results/ledger/baseline.json".to_string(),
-        history: Some("results/ledger/history.jsonl".to_string()),
-        markdown_out: None,
-        degrade_links: 1.0,
-        update_baseline: false,
-        force: false,
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let p = CLI.parse(args)?;
+    if p.has("--no-history") && p.has("--history") {
+        return Err("--history and --no-history contradict each other".into());
+    }
+    let cli = Options {
+        out: p
+            .text("--out")
+            .unwrap_or_else(|| "results/ledger/manifest.json".into()),
+        baseline: p
+            .text("--baseline")
+            .unwrap_or_else(|| "results/ledger/baseline.json".into()),
+        history: (!p.has("--no-history")).then(|| {
+            p.text("--history")
+                .unwrap_or_else(|| "results/ledger/history.jsonl".into())
+        }),
+        markdown_out: p.text("--markdown-out"),
+        degrade_links: p.value("--degrade-links")?.unwrap_or(1.0),
+        update_baseline: p.has("--update-baseline"),
+        force: p.has("--force"),
     };
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => cli.out = parse_value("--out", args.next())?,
-            "--baseline" => cli.baseline = parse_value("--baseline", args.next())?,
-            "--history" => cli.history = Some(parse_value("--history", args.next())?),
-            "--no-history" => cli.history = None,
-            "--markdown-out" => {
-                cli.markdown_out = Some(parse_value("--markdown-out", args.next())?)
-            }
-            "--degrade-links" => {
-                cli.degrade_links = parse_value("--degrade-links", args.next())?;
-                if cli.degrade_links.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                    return Err(format!(
-                        "--degrade-links must be positive, got {}",
-                        cli.degrade_links
-                    ));
-                }
-            }
-            "--update-baseline" => cli.update_baseline = true,
-            "--force" => cli.force = true,
-            other => {
-                return Err(format!(
-                    "unknown flag {other:?} (supported: --out PATH, --baseline PATH, \
-                     --history PATH, --no-history, --markdown-out PATH, \
-                     --degrade-links F, --update-baseline, --force)"
-                ))
-            }
-        }
+    if cli.degrade_links.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err(format!(
+            "--degrade-links must be positive, got {}",
+            cli.degrade_links
+        ));
     }
     if cli.update_baseline && cli.degrade_links != 1.0 && !cli.force {
         return Err(format!(
@@ -123,13 +127,7 @@ fn append_history(path: &str, line: &str, hash: &str) -> std::io::Result<bool> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_cli(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| CLI.exit_usage(e));
 
     let mut opts = LedgerOptions::default();
     if cli.degrade_links != 1.0 {
@@ -157,9 +155,9 @@ fn main() -> ExitCode {
         Err(e) => panic!("manifest does not parse back: {e}"),
     }
 
-    write_artifact(&cli.out, &js).unwrap_or_else(|e| panic!("write {}: {e}", cli.out));
+    write_or_exit(&cli.out, &js);
     let hash = manifest.fingerprint();
-    eprintln!("wrote {} (manifest {hash})", cli.out);
+    eprintln!("manifest {hash}");
 
     let baseline = match std::fs::read_to_string(&cli.baseline) {
         Ok(contents) => match RunManifest::from_json(&contents) {
@@ -186,8 +184,7 @@ fn main() -> ExitCode {
     }
 
     if cli.update_baseline {
-        write_artifact(&cli.baseline, &js)
-            .unwrap_or_else(|e| panic!("write {}: {e}", cli.baseline));
+        write_or_exit(&cli.baseline, &js);
         eprintln!("pinned {} as the new baseline", cli.baseline);
     }
 
@@ -201,8 +198,7 @@ fn main() -> ExitCode {
 
     print!("{}", report.render());
     if let Some(path) = &cli.markdown_out {
-        write_artifact(path, &report.to_markdown()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
+        write_or_exit(path, &report.to_markdown());
     }
 
     if report.has_regressions() && !cli.update_baseline {
@@ -257,6 +253,23 @@ mod tests {
         assert!(parse_cli(args(&["--degrade-links", "0"])).is_err());
         assert!(parse_cli(args(&["--degrade-links", "-1"])).is_err());
         assert!(parse_cli(args(&["--degrade-links", "NaN"])).is_err());
+        let e = parse_cli(args(&["--degrade-links", "half"])).unwrap_err();
+        assert!(
+            e.contains("--degrade-links") && e.contains("\"half\""),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn unknown_and_contradictory_flags_are_errors() {
+        let e = parse_cli(args(&["--bogus"])).unwrap_err();
+        assert!(
+            e.contains("--bogus") && e.contains("--degrade-links F"),
+            "{e}"
+        );
+        let e = parse_cli(args(&["--history", "h.jsonl", "--no-history"])).unwrap_err();
+        assert!(e.contains("--no-history"), "{e}");
+        assert_eq!(parse_cli(args(&["--no-history"])).unwrap().history, None);
     }
 
     #[test]

@@ -98,19 +98,9 @@ pub fn fig10_point_with(cache: &PlanCache, cores: u32, pattern: Pattern, seed: u
     run_io_point_with(cache, cores, &pattern_sizes(pattern, cores, seed))
 }
 
-/// [`fig10_point_with`] against a private, single-use cache.
-pub fn fig10_point(cores: u32, pattern: Pattern, seed: u64) -> IoPoint {
-    fig10_point_with(&PlanCache::new(), cores, pattern, seed)
-}
-
 /// One Figure-11 point: the HACC I/O workload.
 pub fn fig11_point_with(cache: &PlanCache, cores: u32) -> IoPoint {
     run_io_point_with(cache, cores, &hacc_workload(cores))
-}
-
-/// [`fig11_point_with`] against a private, single-use cache.
-pub fn fig11_point(cores: u32) -> IoPoint {
-    fig11_point_with(&PlanCache::new(), cores)
 }
 
 /// Our aggregation throughput under one assignment policy (the unit of
@@ -155,11 +145,6 @@ pub fn ablation_policy_point_with(
     )
 }
 
-/// [`ablation_policy_point_with`] against a private, single-use cache.
-pub fn ablation_policy_point(cores: u32, pattern: Pattern, seed: u64) -> (f64, f64) {
-    ablation_policy_point_with(&PlanCache::new(), cores, pattern, seed)
-}
-
 /// The paper's weak-scaling core counts for Figure 10 (2,048 → 131,072)
 /// capped at `max_cores`.
 pub fn fig10_scales(max_cores: u32) -> Vec<u32> {
@@ -183,7 +168,7 @@ mod tests {
 
     #[test]
     fn fig10_small_scale_ours_wins_pattern1() {
-        let p = fig10_point(2048, Pattern::Uniform, 42);
+        let p = fig10_point_with(&PlanCache::new(), 2048, Pattern::Uniform, 42);
         assert!(p.ours > 0.0 && p.baseline > 0.0);
         let ratio = p.ours / p.baseline;
         assert!(
@@ -196,7 +181,7 @@ mod tests {
 
     #[test]
     fn fig10_small_scale_ours_wins_pattern2() {
-        let p = fig10_point(2048, Pattern::Pareto, 42);
+        let p = fig10_point_with(&PlanCache::new(), 2048, Pattern::Pareto, 42);
         let ratio = p.ours / p.baseline;
         assert!(
             (1.2..=3.5).contains(&ratio),
@@ -206,7 +191,7 @@ mod tests {
 
     #[test]
     fn fig11_hacc_ours_wins() {
-        let p = fig11_point(8192);
+        let p = fig11_point_with(&PlanCache::new(), 8192);
         let ratio = p.ours / p.baseline;
         assert!(
             ratio > 1.1,
@@ -216,7 +201,8 @@ mod tests {
 
     #[test]
     fn balanced_policy_beats_local_for_sparse_hacc_like_data() {
-        let (balanced, local) = ablation_policy_point(2048, Pattern::Pareto, 7);
+        let (balanced, local) =
+            ablation_policy_point_with(&PlanCache::new(), 2048, Pattern::Pareto, 7);
         assert!(
             balanced >= local * 0.95,
             "balanced {balanced:.2e} unexpectedly below local {local:.2e}"

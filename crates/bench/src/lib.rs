@@ -18,8 +18,9 @@
 //! | `obs_report` | validates, diffs and cross-checks the JSON/CSV artifacts |
 //! | `perf` | end-to-end benchmark, built from its own manifest |
 //!
-//! `reproduce`, `profile` and `fig10_point` share one flag set (see
-//! [`BenchArgs`]). Sweeps run through an [`runner::ExperimentSession`],
+//! Each binary declares its own flags once, in an [`args::Cli`] table
+//! (`reproduce`'s fill [`BenchArgs`]); a flag it does not act on is a
+//! usage error. Sweeps run through an [`runner::ExperimentSession`],
 //! which fans independent points across worker threads over a shared
 //! [`runner::PlanCache`]; output is bit-identical for any thread count.
 //! A simulated figure's trace, profile and ledger scenario are views of
@@ -47,14 +48,13 @@ pub use exchange::{
     ExchangePattern, ExchangePoint, ExchangeSweep, EXCHANGE_SEED,
 };
 pub use io::{
-    ablation_policy_point, ablation_policy_point_with, fig10_point, fig10_point_with, fig10_scales,
-    fig11_point, fig11_point_with, fig11_scales, policy_point_with, run_io_point_with,
-    sim_chunk_bytes, IoPoint, Pattern,
+    ablation_policy_point_with, fig10_point_with, fig10_scales, fig11_point_with, fig11_scales,
+    policy_point_with, run_io_point_with, sim_chunk_bytes, IoPoint, Pattern,
 };
 pub use micro::{
     corner_groups, fig5_point, fig6_point, fig7_point, fig7_series_labels, SweepPoint,
 };
-pub use obs::write_artifact;
+pub use obs::{write_artifact, write_or_exit};
 pub use profile::{binding_trace, render_report, resource_label, run_profile};
 pub use representative::{Execution, Representative, TRACE_BYTES};
 pub use resilience::{

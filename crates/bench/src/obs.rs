@@ -118,3 +118,13 @@ pub fn write_artifact(path: &str, contents: &str) -> std::io::Result<()> {
     }
     std::fs::write(path, contents)
 }
+
+/// [`write_artifact`] for a binary: say `wrote PATH` on stderr, or print
+/// the path and the error and exit with status 1.
+pub fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = write_artifact(path, contents) {
+        eprintln!("write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
+}

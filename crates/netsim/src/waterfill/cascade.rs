@@ -475,7 +475,9 @@ impl Cascade {
                             self.freeze(t, top.share, p, members, &route, capacities, contention);
                         }
                     }
-                    debug_assert_eq!(self.count[top.slot as usize], 0, "bottleneck must drain");
+                    // Checked in release too: a link that does not drain
+                    // pops again forever, allocating a pass each time.
+                    assert_eq!(self.count[top.slot as usize], 0, "bottleneck must drain");
                     p
                 }
                 Pop::Cap(c) => {
@@ -498,7 +500,7 @@ impl Cascade {
                 }
             }
         }
-        debug_assert!(
+        assert!(
             self.heap.entries.is_empty(),
             "a live link outlived its flows"
         );

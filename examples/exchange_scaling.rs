@@ -4,7 +4,8 @@
 //! n = 512, 1,024, … up to `--max-nodes`.
 //!
 //! Each row prints the pair count, the planning time, the simulate time
-//! (the minimum of three runs), its ratio to the previous row (the
+//! (the minimum over at least five runs and at least 1 s of simulate
+//! time, which steadies it on a shared host), its ratio to the previous row (the
 //! per-doubling growth), and, from one extra observed run, the cold and
 //! warm solve counts (warm: cascade solves and skipped no-op re-levels),
 //! the share of demand-set flow–link entries the solves actually
@@ -15,37 +16,34 @@
 //!
 //! Run with: `cargo run --release --example exchange_scaling -- --max-nodes 4096`
 
-use bgq_bench::args::{parse_value, ArgError};
+use bgq_bench::args::Cli;
 use bgq_sparsemove::netsim::{SimObserver, SimOptions};
 use bgq_sparsemove::prelude::*;
 use bgq_sparsemove::workloads::sparse_pairs;
 use std::time::Instant;
 
-const USAGE: &str = "usage: exchange_scaling [--max-nodes N]  (N >= 512, default 4096)";
+static CLI: Cli = Cli {
+    name: "exchange_scaling",
+    flags: &[("--max-nodes", Some("N"))],
+    operands: "",
+};
 
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<u32, ArgError> {
-    let mut max_nodes = 4096;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--max-nodes" => max_nodes = parse_value("--max-nodes", args.next())?,
-            _ => return Err(ArgError::UnknownFlag(arg)),
-        }
-    }
+/// Each row's simulate time is the fastest of at least this many runs…
+const MIN_RUNS: u32 = 5;
+/// …that together take at least this long, in seconds.
+const MIN_TOTAL_S: f64 = 1.0;
+
+/// `--max-nodes` (default 4,096), at least the first row's 512.
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<u32, String> {
+    let max_nodes = CLI.parse(args)?.value("--max-nodes")?.unwrap_or(4096);
     if max_nodes < 512 {
-        return Err(ArgError::BadValue {
-            flag: "--max-nodes",
-            value: max_nodes.to_string(),
-        });
+        return Err(format!("--max-nodes {max_nodes} is below 512"));
     }
     Ok(max_nodes)
 }
 
 fn main() {
-    let max_nodes = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("exchange_scaling: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let max_nodes = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| CLI.exit_usage(e));
     println!(
         "{:>6}  {:>6}  {:>8}  {:>10}  {:>6}  {:>7}  {:>7}  {:>8}  {:>7}  {:>7}  {:>7}",
         "nodes",
@@ -72,14 +70,16 @@ fn main() {
         let t = Instant::now();
         NeighborhoodExchange::new(&machine).plan(&mut prog, &map, ExchangeAlgorithm::Direct);
         let plan_s = t.elapsed().as_secs_f64();
-        let simulate_s = (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                let report = prog.simulate(SimOptions::new());
-                assert!(report.all_delivered());
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min);
+        let (mut simulate_s, mut total_s, mut runs) = (f64::INFINITY, 0.0, 0);
+        while runs < MIN_RUNS || total_s < MIN_TOTAL_S {
+            let t = Instant::now();
+            let report = prog.simulate(SimOptions::new());
+            assert!(report.all_delivered());
+            let run_s = t.elapsed().as_secs_f64();
+            simulate_s = simulate_s.min(run_s);
+            total_s += run_s;
+            runs += 1;
+        }
         let mut obs = SimObserver::new();
         prog.simulate(SimOptions::new().observer(&mut obs));
         let ratio = prev.map_or("-".to_string(), |p| format!("{:.2}", simulate_s / p));

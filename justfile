@@ -95,7 +95,8 @@ sentinel:
 # Scaling harness for the paper's workload (not part of `verify`): a
 # random sparse exchange, four peers per node, planned direct and
 # simulated unobserved from 512 nodes up to MAX nodes, printing simulate
-# time (min of 3), the per-doubling ratio and the cold/warm solve counts.
+# time (the minimum over at least 5 runs and 1 s), the per-doubling ratio
+# and the cold/warm solve counts.
 exchange-scaling MAX="4096":
     cargo run --release --example exchange_scaling -- --max-nodes {{MAX}}
 
